@@ -119,7 +119,9 @@ def cmd_build_kernels(cfg, manifest) -> int:
 def _run_compares(cfg, manifest):
     from .config import write_csv
     from .experiments import COMPARE_HEADER, build_bundle, compare_trajectory
+    from .experiments import preflight_compare
 
+    preflight_compare(cfg)
     bundle = build_bundle(cfg, manifest)
     curves = {}
     for alpha in cfg.alphas:

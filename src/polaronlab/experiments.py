@@ -13,7 +13,7 @@ from . import quasifree as qf
 from .config import RunConfig
 from .grid import Grid3
 from .modes import ModeSet, mode_preset
-from .pekar import DiscretePekarSolution, solve_discrete_pekar
+from .pekar import DiscretePekarSolution, _coupled_axes, solve_discrete_pekar
 from .resolvent import KernelPair, ResolventHandle, build_kernels, spectral_gap
 
 
@@ -64,12 +64,6 @@ def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
     return ModelBundle(grid, modes, dsol, gap, rh, kp, gen)
 
 
-def initial_eta(cfg: RunConfig, M: int) -> qf.QuasiFreeState:
-    if cfg.eta0 == "squeezed":
-        return qf.squeezed_vacuum(M, cfg.squeeze_r)
-    return qf.vacuum_state(M)
-
-
 # ---------------------------------------------------------------------------
 # full-vs-effective comparison (the headline scaling experiment)
 # ---------------------------------------------------------------------------
@@ -86,13 +80,40 @@ COMPARE_HEADER = [
 ]
 
 
+def available_memory() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where it is unreadable."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("MemAvail"))
+    except (OSError, StopIteration):
+        return None
+
+
+def preflight_compare(cfg: RunConfig):
+    """Raise FockDimensionError when the estimated peak memory of
+    compare_trajectory exceeds MemAvailable: sector x Fock states for the
+    Krylov basis, its conjugate copy and 8 work vectors, plus the dense
+    quadratic Hamiltonian, its eigenvectors and eigh workspace."""
+    modes = mode_preset(cfg.mode_preset, cfg.box_length)
+    fock_dim = (cfg.n_max + 1) ** modes.M
+    state = cfg.grid_n ** len(_coupled_axes(modes)) * fock_dim
+    need = 16 * (state * (2 * cfg.krylov_dim + 8) + 3 * fock_dim**2)
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise fk.FockDimensionError(
+            f"compare needs about {need / 2**20:.0f} MiB but only "
+            f"{avail / 2**20:.0f} MiB are available; lower n_max or grid_n"
+        )
+
+
 def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     """Evolve the coupled state and its effective approximation, sampling the
     tau grid.  Returns rows matching COMPARE_HEADER.
 
     The effective state is the frozen ground state tensored with the
     quadratically evolved phonon state; the phase-only baseline freezes the
-    phonons too (in the displaced frame the reference phase is zero).
+    phonons too (in the displaced frame the reference phase is zero).  All
+    states live on the invariant sector of ``fk.CoupledHamiltonian``.
     """
     fs = fk.FockSpace(bundle.modes.M, cfg.n_max)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
@@ -100,7 +121,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     evq, Pq = np.linalg.eigh(Hq)
     eps = bundle.kernels.epsilon
     eta0 = fs.vacuum()
-    psi0 = fk.product_state(bundle.dsol.phi0, eta0)
+    psi0 = np.outer(H.electron, eta0)
     ndiag = fs.occupations.sum(axis=1).astype(np.float64)
 
     rows = []
@@ -115,7 +136,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
         # effective phonon state: exp(-i tau (N - A)) Omega, N - A = Hq - eps
         eta = Pq @ (np.exp(-1j * tau * evq) * (Pq.conj().T @ eta0))
         eta = eta * np.exp(1j * eps * tau)
-        xi = fk.product_state(bundle.dsol.phi0, eta)
+        xi = np.outer(H.electron, eta)
         top = fk.top_level_population(psi, fs)
         if top > cfg.top_pop_limit:
             raise InvariantError(
@@ -131,7 +152,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
                 float(np.sum(ndiag * np.sum(np.abs(psi) ** 2, axis=0))),
                 float(np.sum(ndiag * np.abs(eta) ** 2)),
                 top,
-                fk.trace_distance_to_ground(psi, bundle.dsol.phi0),
+                fk.trace_distance_to_ground(psi, H.electron),
             ]
         )
     return rows

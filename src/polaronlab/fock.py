@@ -5,6 +5,10 @@ sparse ladder operators, the quadratic effective Hamiltonian in two
 independent assemblies, the displaced-frame coupled Hamiltonian, and a
 Lanczos short-step propagator with unitarity/energy monitoring.
 
+The coupled Hamiltonian acts on its invariant sector, the grid of the
+axes the mode k-vectors span, with matrix-free ladder operators: a_i is a
+strided slice on the mixed-radix Fock index scaled by sqrt(n).
+
 The creation operator annihilates top-occupation states (hard
 truncation); runs are expected to monitor the top-level population.
 """
@@ -13,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Field, Grid3
-from .pekar import DiscretePekarSolution, delta_g_field
+from .pekar import DiscretePekarSolution, _coupled_axes, delta_g_field
 from .resolvent import KernelPair
 
 DEFAULT_DIM_CAP = 200_000
@@ -85,6 +89,21 @@ def ladder(i: int, fs: FockSpace) -> sp.csr_matrix:
     dst = src - stride  # occupation n_i decreases by one
     data = np.sqrt(n.astype(np.float64))
     return sp.csr_matrix((data, (dst, src)), shape=(fs.dim, fs.dim))
+
+
+def apply_ladder(psi: np.ndarray, i: int, fs: FockSpace, dagger: bool = False) -> np.ndarray:
+    """a_i psi (a_i^dag psi if dagger) along the last, Fock, axis of psi:
+    a shifted slice of the mode-i occupation axis of the mixed-radix index,
+    scaled by sqrt(n)."""
+    r = fs.n_max + 1
+    view = psi.reshape(-1, r, r ** (fs.M - 1 - i))
+    out = np.zeros_like(view)
+    sq = np.sqrt(np.arange(1.0, r))[:, None]
+    if dagger:
+        out[:, 1:] = sq * view[:, :-1]
+    else:
+        out[:, :-1] = sq * view[:, 1:]
+    return out.reshape(psi.shape)
 
 
 def number_operator(fs: FockSpace) -> sp.csr_matrix:
@@ -157,63 +176,61 @@ def build_effective_operator_direct(kp: KernelPair, fs: FockSpace) -> sp.csr_mat
 
 @dataclass
 class CoupledHamiltonian:
-    """Matrix-free  (h - lambda) + alpha^-2 N + alpha^-1 phi(delta G)  on
-    electron-grid x Fock product states, stored as (grid_size, fock_dim)."""
+    """Matrix-free  (h - lambda) + alpha^-2 N + alpha^-1 phi(delta G)  on the
+    invariant sector x Fock space, states stored as (n^d, fock_dim).
+
+    The sector is the grid of the d axes the mode k-vectors span (all three
+    give the full grid); phi0, V_eff and every delta G_i are constant along
+    the others.  A sector vector v stands for v (x) c with c the unit-norm
+    constant over the uncoupled axes, so norms, phonon numbers and trace
+    distances are the full-grid ones.  ``electron`` is phi0 so embedded.
+    The Laplacian is a d-axis FFT; the ladders act through ``apply_ladder``.
+    """
 
     dsol: DiscretePekarSolution
     fs: FockSpace
     alpha: float
 
     def __post_init__(self):
-        grid = self.dsol.grid
-        modes = self.dsol.modes
-        self._grid = grid
-        self._ksq = grid.ksq
-        self._vshift = self.dsol.V_eff.values.real - self.dsol.lam
-        self._ndiag = self.fs.occupations.sum(axis=1).astype(np.float64)
-        # dense transposed ladder matrices: the Fock factor is small, so
-        # psi @ a.T through BLAS beats sparse products on (grid, fock) arrays
-        self._aT = [ladder(i, self.fs).toarray().T.copy() for i in range(modes.M)]
-        self._adT = [m.T.conj().copy() for m in self._aT]  # (a^dag)^T = conj(a)
-        self._dg = [
-            np.sqrt(modes.weights[i]) * delta_g_field(self.dsol, i).values
-            for i in range(modes.M)
-        ]
+        dsol, grid, w = self.dsol, self.dsol.grid, self.dsol.modes.weights
+        axes = _coupled_axes(dsol.modes)
+        dg = [np.sqrt(w[i]) * delta_g_field(dsol, i).values for i in range(len(w))]
+        fields = np.stack([dsol.phi0.values, dsol.V_eff.values.real - dsol.lam] + dg)
+        # restrict to the sector: average over the uncoupled axes, which
+        # must leave every field unchanged up to roundoff
+        other = tuple(1 + a for a in range(3) if a not in axes)
+        mean = fields.mean(axis=other, keepdims=True)
+        spread = np.max(np.abs(fields - mean))
+        if spread > 1e-10 * max(1.0, np.max(np.abs(fields))):
+            raise ValueError(
+                f"phi0, V_eff or a delta_g_field varies by {spread:.3e} along an "
+                "uncoupled axis; the coupled sector is not invariant"
+            )
+        phi, vshift, *dg = mean.reshape(len(fields), -1)
+        self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
+        self._ksq = reduce(np.add.outer, [grid.k_axis**2] * len(axes))
+        ndiag = self.fs.occupations.sum(axis=1)
+        self._diag = vshift.real[:, None] + ndiag[None, :] / self.alpha**2
+        # alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag
+        self._dg = [g[:, None] / self.alpha for g in dg]
 
     @property
     def shape(self):
-        return (self._grid.size, self.fs.dim)
+        return (self._ksq.size, self.fs.dim)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """psi has shape (grid_size, fock_dim)."""
-        grid = self._grid
-        n = grid.n
-        nf = self.fs.dim
-        cube = psi.reshape(n, n, n, nf)
-        # electron part: spectral Laplacian + local potential, per Fock column
-        lap = np.fft.ifftn(
-            self._ksq[..., None] * np.fft.fftn(cube, axes=(0, 1, 2)), axes=(0, 1, 2)
-        )
-        out = lap + self._vshift[..., None] * cube
-        out = out.reshape(grid.size, nf)
-        # phonon number
-        out += (self._ndiag[None, :] / self.alpha**2) * psi
+        """psi has shape (sector_size, fock_dim)."""
+        ax = tuple(range(self._ksq.ndim))
+        cube = psi.reshape(self._ksq.shape + (self.fs.dim,))
+        # spectral Laplacian on the sector, per Fock column
+        lap = np.fft.ifftn(self._ksq[..., None] * np.fft.fftn(cube, axes=ax), axes=ax)
+        # local potential and phonon number
+        out = lap.reshape(psi.shape) + self._diag * psi
         # coupling: alpha^-1 sum_i sqrt(w_i) (conj(dG_i) a_i + dG_i a_i^dag)
-        flatdg = [d.reshape(grid.size, 1) for d in self._dg]
-        for i in range(len(self._aT)):
-            out += np.conj(flatdg[i]) * (psi @ self._aT[i]) / self.alpha
-            out += flatdg[i] * (psi @ self._adT[i]) / self.alpha
+        for i, dg in enumerate(self._dg):
+            out += np.conj(dg) * apply_ladder(psi, i, self.fs)
+            out += dg * apply_ladder(psi, i, self.fs, dagger=True)
         return out
-
-    def expectation(self, psi: np.ndarray) -> float:
-        return float(np.vdot(psi, self.apply(psi)).real)
-
-
-def product_state(phi: Field, eta: np.ndarray) -> np.ndarray:
-    """phi (x) eta as a (grid_size, fock_dim) array, normalized in the
-    product norm (grid measure on the electron factor)."""
-    el = phi.values.ravel() * np.sqrt(phi.grid.cell_volume)
-    return np.outer(el, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -301,48 +318,21 @@ def evolve_state(
 
 def reduced_densities(psi: np.ndarray, fs: FockSpace):
     """(gamma, pairing) with gamma_ij = <a_j psi, a_i psi>, pairing_ij = <psi, a_j a_i psi>."""
-    apsi = [ladder(i, fs) @ psi for i in range(fs.M)]
+    apsi = [apply_ladder(psi, i, fs) for i in range(fs.M)]
     M = fs.M
     gamma = np.zeros((M, M), dtype=np.complex128)
     pairing = np.zeros((M, M), dtype=np.complex128)
     for i in range(M):
         for j in range(M):
             gamma[i, j] = np.vdot(apsi[j], apsi[i])
-            pairing[i, j] = np.vdot(psi, ladder(j, fs) @ apsi[i])
-    return gamma, pairing
-
-
-def coupled_reduced_densities(psi: np.ndarray, fs: FockSpace):
-    """Same as reduced_densities for a coupled (grid, fock) state."""
-    M = fs.M
-    apsi = [(ladder(i, fs) @ psi.T).T for i in range(M)]
-    gamma = np.zeros((M, M), dtype=np.complex128)
-    pairing = np.zeros((M, M), dtype=np.complex128)
-    for i in range(M):
-        for j in range(M):
-            gamma[i, j] = np.vdot(apsi[j], apsi[i])
-            pairing[i, j] = np.vdot(psi, (ladder(j, fs) @ apsi[i].T).T)
+            pairing[i, j] = np.vdot(psi, apply_ladder(apsi[i], j, fs))
     return gamma, pairing
 
 
 def top_level_population(psi: np.ndarray, fs: FockSpace) -> float:
     """Total weight on basis states with any occupation at the cutoff."""
     top = np.any(fs.occupations == fs.n_max, axis=1)
-    if psi.ndim == 1:
-        return float(np.sum(np.abs(psi[top]) ** 2))
-    return float(np.sum(np.abs(psi[:, top]) ** 2))
-
-
-def electron_reduced_density(psi: np.ndarray, grid: Grid3):
-    """Tr_F |psi><psi| represented exactly on its low-rank support.
-
-    Returns (basis, rho) where basis has orthonormal columns (l2 metric on
-    the flattened grid) spanning the range of the density matrix and rho is
-    the matrix of the density in that basis.
-    """
-    q, r = np.linalg.qr(psi)
-    rho_small = r @ r.conj().T
-    return q, rho_small
+    return float(np.sum(np.abs(psi[..., top]) ** 2))
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -351,11 +341,10 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.sum(np.abs(ev)))
 
 
-def trace_distance_to_ground(psi: np.ndarray, phi0: Field) -> float:
-    """Trace distance between Tr_F |psi><psi| and |phi0><phi0|, computed in
-    the span of the Fock columns of psi together with phi0."""
-    grid = phi0.grid
-    v0 = phi0.values.ravel() * np.sqrt(grid.cell_volume)
+def trace_distance_to_ground(psi: np.ndarray, v0: np.ndarray) -> float:
+    """Trace distance between Tr_F |psi><psi| and |v0><v0| for a unit
+    electron vector v0 (``CoupledHamiltonian.electron``), computed in the
+    span of the Fock columns of psi together with v0."""
     cols = np.concatenate([psi, v0[:, None]], axis=1)
     q, _ = np.linalg.qr(cols)
     psi_s = q.conj().T @ psi
@@ -363,17 +352,3 @@ def trace_distance_to_ground(psi: np.ndarray, phi0: Field) -> float:
     rho = psi_s @ psi_s.conj().T
     ref = np.outer(v0_s, v0_s.conj())
     return trace_distance(rho, ref)
-
-
-def displacement_operator(fs: FockSpace, amplitudes) -> np.ndarray:
-    """Dense W(z) = exp(sum_i z_i a_i^dag - conj(z_i) a_i); test amplitudes only."""
-    import scipy.linalg
-
-    z = np.asarray(amplitudes, dtype=np.complex128)
-    if z.shape != (fs.M,):
-        raise ValueError("need one amplitude per mode")
-    X = sp.csr_matrix((fs.dim, fs.dim), dtype=np.complex128)
-    for i in range(fs.M):
-        a = ladder(i, fs)
-        X = X + z[i] * a.conj().T - np.conj(z[i]) * a
-    return scipy.linalg.expm(X.toarray())

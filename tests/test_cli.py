@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from polaronlab.cli import EXIT_INVARIANT, EXIT_OK, main
 
 
@@ -90,3 +92,18 @@ def test_compare_single_alpha(tmp_path):
     assert len(lines) == 4  # header + three samples
     first = lines[1].split(",")
     assert float(first[2]) <= 1e-12  # err_effective(0) = 0
+
+
+@pytest.mark.parametrize("verb", ["compare", "scan-alpha", "reduced-density"])
+def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
+    from polaronlab import experiments
+
+    def no_bundle(*args, **kwargs):
+        raise AssertionError("the preflight should stop the run before build_bundle")
+
+    monkeypatch.setattr(experiments, "available_memory", lambda: 1 << 20)
+    monkeypatch.setattr(experiments, "build_bundle", no_bundle)
+    code = main([verb, "--out", str(tmp_path)])
+    assert code == EXIT_INVARIANT
+    assert "MiB are available" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

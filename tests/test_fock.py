@@ -3,6 +3,7 @@ propagation, and reduced objects."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polaronlab import fock as fk
 from polaronlab import quasifree as qf
@@ -81,12 +82,18 @@ def test_normal_ordering_identity(bundle, fs):
     assert abs(H1 - H2).max() <= 1e-10
 
 
+def displacement_operator(fs, z):
+    """Dense W(z) = exp(sum_i z_i a_i^dag - conj(z_i) a_i) for test amplitudes."""
+    X = sum(z[i] * fk.ladder(i, fs).T - np.conj(z[i]) * fk.ladder(i, fs) for i in range(fs.M))
+    return scipy.linalg.expm(X.toarray())
+
+
 def test_displacement_shift_relation():
     # W(z)^dag a_i W(z) = a_i + z_i at small test amplitude; checked on the
     # low-occupation block where the cutoff tail is negligible
     big = fk.FockSpace(2, 8)
     z = np.array([0.1 - 0.05j, 0.05j])
-    W = fk.displacement_operator(big, z)
+    W = displacement_operator(big, z)
     assert np.max(np.abs(W @ W.conj().T - np.eye(big.dim))) <= 1e-10
     interior = np.where(big.occupations.sum(axis=1) <= 2)[0]
     block = np.ix_(interior, interior)
@@ -159,9 +166,9 @@ def test_coupled_reference_state_has_zero_energy(bundle):
     # (h - lambda) phi0 = 0 and <vacuum coupling term> = 0
     fs = fk.FockSpace(2, 3)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
-    psi0 = fk.product_state(bundle.dsol.phi0, fs.vacuum())
+    psi0 = np.outer(H.electron, fs.vacuum())
     assert abs(np.linalg.norm(psi0) - 1.0) <= 1e-10
-    assert abs(H.expectation(psi0)) <= 1e-10
+    assert abs(np.vdot(psi0, H.apply(psi0))) <= 1e-10
 
 
 def test_top_level_population(fs):
@@ -180,5 +187,6 @@ def test_trace_distance_trivials():
 
 def test_trace_distance_to_ground_product_state(bundle):
     fs = fk.FockSpace(2, 3)
-    psi = fk.product_state(bundle.dsol.phi0, fs.vacuum())
-    assert fk.trace_distance_to_ground(psi, bundle.dsol.phi0) <= 1e-10
+    H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
+    psi = np.outer(H.electron, fs.vacuum())
+    assert fk.trace_distance_to_ground(psi, H.electron) <= 1e-10
