@@ -108,7 +108,7 @@ def cmd_build_kernels(cfg, manifest) -> int:
     bundle.kernels.save(outdir)
     bundle.dsol.save(os.path.join(cfg.out_dir, "ground"))
     print(
-        f"lambda = {bundle.dsol.lam:.8f}  gap = {bundle.gap:.8f}  "
+        f"lambda = {bundle.dsol.lam:.8f}  sector gap = {bundle.sector_gap:.8f}  "
         f"epsilon = {bundle.kernels.epsilon:.8f}"
     )
     manifest.hash_inputs(cfg.out_dir)
@@ -276,13 +276,16 @@ def main(argv=None) -> int:
 
     from .experiments import InvariantError
     from .fock import EvolutionError, FockDimensionError
-    from .pekar import PekarError
+    from .pekar import DelocalizedError, PekarError
     from .quasifree import SymplecticError
     from .resolvent import GapError, ResolventError
 
     try:
         return _COMMANDS[args.command](cfg, manifest)
-    except (InvariantError, SymplecticError, GapError, FockDimensionError, ValueError) as exc:
+    except (
+        InvariantError, SymplecticError, GapError, FockDimensionError, DelocalizedError,
+        ValueError,
+    ) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         manifest.record_check("run_completed", False, str(exc))
         manifest.write(cfg.out_dir)

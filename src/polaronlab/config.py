@@ -30,14 +30,10 @@ class RunConfig:
     tau_samples: int = 4
     dt_fock: float = 1.0
     krylov_dim: int = 40
-    dt_ode: float = 0.01
     seed: int = 12345
     out_dir: str = "runs/out"
     top_pop_limit: float = 2e-3
     pekar_tol: float = 1e-7
-    cg_tol: float = 1e-11
-    eta0: str = "vacuum"
-    squeeze_r: float = 0.2
 
     def validate(self):
         if not self.alphas or any(a <= 0 for a in self.alphas):
@@ -50,8 +46,6 @@ class RunConfig:
             raise ConfigError("box_length must be positive")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        if self.eta0 not in ("vacuum", "squeezed"):
-            raise ConfigError(f"unknown eta0 preset {self.eta0!r}")
         return self
 
     @property

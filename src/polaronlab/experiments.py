@@ -28,7 +28,8 @@ class ModelBundle:
     grid: Grid3
     modes: ModeSet
     dsol: DiscretePekarSolution
-    gap: float
+    gap: float  # gap of h; (2 pi / L)^2 where an axis is uncoupled
+    sector_gap: float  # gap within the coupled axis groups
     rh: ResolventHandle
     kernels: KernelPair
     generator: qf.Generator
@@ -49,19 +50,20 @@ def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
     with stage("solve_ground_state"):
         dsol = solve_discrete_pekar(grid, modes, tol=cfg.pekar_tol)
     with stage("spectral_gap"):
-        gap = spectral_gap(dsol)["gap"]
-    rh = ResolventHandle(dsol, gap, cg_tol=cfg.cg_tol)
+        gaps = spectral_gap(dsol)
+    rh = ResolventHandle(dsol, gaps["gap"])
     with stage("build_kernels"):
         kp = build_kernels(dsol, modes, rh)
     gen = qf.build_generator(kp)
     if manifest is not None:
-        manifest.record_check("spectral_gap_positive", gap > 0, gap)
+        sector_gap = gaps["sector_gap"]
+        manifest.record_check("spectral_gap_positive", sector_gap > 0, sector_gap)
         manifest.record_check(
             "generator_s_hermitian",
             gen.s_hermiticity_defect() <= 1e-10,
             gen.s_hermiticity_defect(),
         )
-    return ModelBundle(grid, modes, dsol, gap, rh, kp, gen)
+    return ModelBundle(grid, modes, dsol, gaps["gap"], gaps["sector_gap"], rh, kp, gen)
 
 
 # ---------------------------------------------------------------------------

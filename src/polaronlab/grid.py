@@ -119,9 +119,6 @@ class Field:
     def is_real(self, tol: float = 1e-12) -> bool:
         return float(np.max(np.abs(self.values.imag))) <= tol
 
-    def real_values(self) -> np.ndarray:
-        return self.values.real
-
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)
         return Field(self.values + other.values, self.grid)

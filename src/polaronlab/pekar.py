@@ -21,7 +21,6 @@ from .grid import (
     Grid3,
     apply_laplacian,
     coulomb_convolve,
-    fourier_coefficient,
     gaussian,
     inner,
     load_field,
@@ -38,6 +37,11 @@ GAUSSIAN_OPT_SIGMA = 3.0 * np.sqrt(np.pi)
 
 class PekarError(RuntimeError):
     pass
+
+
+class DelocalizedError(PekarError):
+    """The solver reached a spread-out state instead of a bound one: an
+    invariant failure of the set-up (box too small, coupling too weak)."""
 
 
 class NotNormalizedError(ValueError):
@@ -120,13 +124,6 @@ class PekarSolution:
     @property
     def grid(self) -> Grid3:
         return self.phi0.grid
-
-    def mass_outside_quarter_box(self) -> float:
-        g = self.grid
-        x, y, z = g.coords
-        r = np.sqrt(x**2 + y**2 + z**2)
-        rho = np.abs(self.phi0.values) ** 2
-        return float(np.sum(rho[r > g.box_length / 4.0]) * g.cell_volume)
 
     def scalars(self) -> dict:
         return {
@@ -242,7 +239,7 @@ def minimize_pekar(
     # the spread-out near-uniform state is a stationary point on small boxes;
     # a bound minimizer always has T comparable to |E| (virial: T = -E)
     if T < 0.01 * abs(E):
-        raise PekarError(
+        raise DelocalizedError(
             f"descent collapsed to a delocalized state (T = {T:.3e}, E = {E:.3e}); "
             "enlarge the box"
         )
@@ -260,19 +257,6 @@ def minimize_pekar(
         residual=residual,
         iterations=it,
     )
-
-
-def coupling_f0(sol, k) -> complex:
-    """f0(k) = rhohat(k) / (2 pi |k|) for a commensurate nonzero k."""
-    k = np.asarray(k, dtype=float)
-    knorm = float(np.linalg.norm(k))
-    if knorm == 0.0:
-        raise ValueError("f0 is singular at k = 0")
-    grid = sol.phi0.grid
-    if not grid.is_commensurate(k):
-        raise ValueError(f"k = {k} is not commensurate with the grid")
-    rho = Field(np.abs(sol.phi0.values) ** 2, grid)
-    return fourier_coefficient(rho, k) / (2.0 * np.pi * knorm)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +356,20 @@ def _coupled_axes(modes):
     return tuple(a for a in range(3) if np.any(np.abs(k[:, a]) > 1e-12))
 
 
+def _sweep_ground_state(modes, grid: Grid3, f: np.ndarray, axes):
+    """V built from the amplitudes f, its ground-state energy, and the
+    centred, phase-fixed, normalised ground state of p^2 + V."""
+    from .resolvent import separable_spectrum  # deferred, no cycle at import time
+
+    V = _discrete_potential(modes, grid, f)
+    spec = separable_spectrum(V, modes)
+    ground = np.zeros(grid.shape)
+    ground.flat[0] = 1.0  # the product of the group ground vectors
+    phi = Field(spec.transform(ground, inverse=True), grid)
+    phi = _fix_phase_positive(recenter(phi, axes=axes))
+    return V, float(spec.eigenvalues().flat[0]), phi * (1.0 / phi.norm())
+
+
 def solve_discrete_pekar(
     grid: Grid3,
     modes,
@@ -379,31 +377,23 @@ def solve_discrete_pekar(
     tol: float = 1e-9,
     max_iter: int = 400,
     sigma_init: float = 1.5,
-    eig_tol: float = 1e-11,
 ) -> DiscretePekarSolution:
     """Damped fixed-point iteration for the finite-mode Pekar problem.
 
-    Each sweep builds V from the current amplitudes f, takes the ground state
-    of p^2 + V, and mixes the new amplitudes with damping.  Binding is
-    enforced: the converged state must be localized along every coupled axis.
+    Each sweep builds V from the current amplitudes f, takes the exact
+    ground state of p^2 + V (a product over the axis groups of the modes),
+    and mixes the new amplitudes with damping.  Binding is enforced: the
+    converged state must be localized along every coupled axis.
     """
-    from .resolvent import lowest_eigenpairs  # deferred, no cycle at import time
-
     modes.check_commensurate(grid)
     axes = _coupled_axes(modes)
     phi = gaussian(grid, sigma_init)
     f = _mode_amplitudes(modes, phi)
     trace = []
-    v0 = None
     resid = np.inf
 
     for it in range(1, max_iter + 1):
-        V = _discrete_potential(modes, grid, f)
-        evals, evecs = lowest_eigenpairs(V, grid, k=1, tol=eig_tol, v0=v0)
-        phi = Field(evecs[0].astype(np.complex128), grid)
-        phi = _fix_phase_positive(recenter(phi, axes=axes))
-        phi = phi * (1.0 / phi.norm())
-        v0 = phi.values.real.ravel()
+        _, _, phi = _sweep_ground_state(modes, grid, f, axes)
         f_new = _mode_amplitudes(modes, phi)
         resid = float(np.max(np.abs(f_new - f)))
         T = inner(phi, apply_laplacian(phi)).real
@@ -419,11 +409,7 @@ def solve_discrete_pekar(
             residual=resid,
         )
 
-    V = _discrete_potential(modes, grid, f)
-    evals, evecs = lowest_eigenpairs(V, grid, k=1, tol=eig_tol, v0=v0)
-    phi = Field(evecs[0].astype(np.complex128), grid)
-    phi = _fix_phase_positive(recenter(phi, axes=axes))
-    phi = phi * (1.0 / phi.norm())
+    V, lam, phi = _sweep_ground_state(modes, grid, f, axes)
     f_final = _mode_amplitudes(modes, phi)
     resid = float(np.max(np.abs(f_final - f)))
 
@@ -433,7 +419,7 @@ def solve_discrete_pekar(
     for a in axes:
         x2 = float(np.sum(rho * coords[a] ** 2) * grid.cell_volume)
         if x2 > (grid.box_length / 4.0) ** 2:
-            raise PekarError(
+            raise DelocalizedError(
                 "ground state delocalized along axis "
                 f"{a} (<x^2> = {x2:.3g}); increase coupling weights or modes"
             )
@@ -441,7 +427,6 @@ def solve_discrete_pekar(
     T = inner(phi, apply_laplacian(phi)).real
     coupling = float(np.sum(modes.weights * np.abs(f) ** 2))
     energy = T - coupling
-    lam = float(evals[0])
     return DiscretePekarSolution(
         phi0=phi,
         modes=modes,

@@ -32,10 +32,6 @@ class SymplecticError(RuntimeError):
     pass
 
 
-class PurityError(RuntimeError):
-    pass
-
-
 SYMPLECTIC_WARN = 1e-8
 SYMPLECTIC_FAIL = 1e-6
 

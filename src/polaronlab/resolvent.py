@@ -1,14 +1,27 @@
-"""Electron-sector operator algebra: h^phi0, spectral gap, restricted
-resolvent, and the quadratic-kernel matrices K, G with the constant eps."""
+"""Electron-sector operator algebra: h^phi0, its exact eigendecomposition,
+the spectral gap, the restricted resolvent, and the quadratic-kernel
+matrices K, G with the constant eps.
+
+Every potential the discrete model builds is a sum of plane waves
+e^{i k_i.x}, so h = sum_g (p_g^2 + V_g) separates over the finest groups of
+axes that each contain whole mode vectors k_i.  Its eigenbasis is the tensor
+product of small dense group eigenbases (fast diagonalisation: Lynch, Rice &
+Thomas, Numer. Math. 6, 185 (1964)), which makes the gap, the resolvent and
+the ground state of each discrete Pekar sweep exact rather than iterative.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg, eigsh
+
+# Not called here: bench/tracing.py counts CG iterations by patching
+# ``resolvent.cg``, so the name stays bound until the benchmark drops it.
+from scipy.sparse.linalg import cg  # noqa: F401
 
 from .grid import Field, Grid3, inner, load_array, plane_wave, save_array
 from .modes import ModeSet
@@ -31,127 +44,136 @@ def apply_h(sol, f: Field) -> Field:
     return Field(lap + sol.V_eff.values * f.values, f.grid)
 
 
-def _real_matvec(V_vals: np.ndarray, grid: Grid3):
-    ksq = grid.ksq
-    Vr = V_vals.real
-
-    def mv(x):
-        f = x.reshape(grid.shape)
-        out = np.fft.ifftn(ksq * np.fft.fftn(f)).real + Vr * f
-        return out.ravel()
-
-    return mv
-
-
-def _precond(grid: Grid3, shift: float):
-    ksq = grid.ksq
-
-    def mv(x):
-        f = x.reshape(grid.shape)
-        return np.fft.ifftn(np.fft.fftn(f) / (ksq + shift)).real.ravel()
-
-    return mv
+def axis_groups(modes: ModeSet) -> tuple:
+    """Finest partition of the axes 0, 1, 2 in which every mode k lies inside
+    one group; an axis no mode touches is a group of its own."""
+    groups = [{a} for a in range(3)]
+    for k in modes.k_vectors:
+        touched = {a for a in range(3) if abs(k[a]) > 1e-12}
+        merged = set().union(*(g for g in groups if g & touched))
+        groups = [g for g in groups if not g & touched] + [merged]
+    return tuple(sorted(tuple(sorted(g)) for g in groups))
 
 
-def lowest_eigenpairs(V: Field, grid: Grid3, k: int = 2, tol: float = 1e-11, v0=None):
-    """Lowest k eigenpairs of p^2 + V via Lanczos (real symmetric matvec).
+@dataclass
+class SeparableSpectrum:
+    """h = p^2 + V for V = offset + sum_g V_g(x_g), diagonalised group by group.
 
-    Returns (eigenvalues, eigenfields) with eigenfields L2-normalized real
-    arrays of grid shape.
+    ``bases[g]`` holds the l2-unit eigenvectors of p_g^2 + V_g on the n^|g|
+    points of group g as columns, ``levels[g]`` their ascending eigenvalues.
+    An uncoupled axis carries plane waves ordered by k^2, so its ground
+    vector is exactly constant.  Eigenbasis coefficients are arrays of grid
+    shape, a group's eigen index spread over its axes; index 0 is the ground.
     """
-    n = grid.size
-    op = LinearOperator((n, n), matvec=_real_matvec(V.values, grid), dtype=np.float64)
-    if v0 is None:
-        # fixed start vector keeps reruns bitwise deterministic
-        v0 = np.random.default_rng(12345).standard_normal(n)
-    try:
-        evals, evecs = eigsh(op, k=k, which="SA", tol=tol, v0=v0, maxiter=5000)
-    except Exception as exc:  # noqa: BLE001 - surface solver failure with context
-        raise ResolventError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(evals)
-    evals = evals[order]
-    evecs = evecs[:, order]
-    fields = []
-    scale = 1.0 / np.sqrt(grid.cell_volume)
-    for j in range(k):
-        fields.append(evecs[:, j].reshape(grid.shape) * scale)
-    return evals, fields
 
+    grid: Grid3
+    groups: tuple
+    coupled: tuple  # per group: whether a mode couples to it
+    bases: list
+    levels: list
+    offset: float
 
-def spectral_gap(sol, tol: float = 1e-11):
-    """Two lowest eigenvalues of h^{phi0}; asserts lambda0 matches the stored
-    multiplier and that the gap is strictly positive."""
-    evals, _ = lowest_eigenpairs(sol.V_eff, sol.grid, k=2, tol=tol)
-    lam0, lam1 = float(evals[0]), float(evals[1])
-    if abs(lam0 - sol.lam) > 1e-6:
-        raise GapError(
-            f"lowest eigenvalue {lam0} disagrees with stored lambda {sol.lam}"
+    def eigenvalues(self) -> np.ndarray:
+        n = self.grid.n
+        return self.offset + sum(
+            e.reshape([n if a in g else 1 for a in range(3)])
+            for g, e in zip(self.groups, self.levels)
         )
-    gap = lam1 - lam0
+
+    def transform(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Eigenbasis coefficients of a grid array; with ``inverse``, the grid
+        array of given coefficients."""
+        n = self.grid.n
+        for g, u in zip(self.groups, self.bases):
+            d = len(g)
+            m = (u if inverse else u.conj().T).reshape((n,) * 2 * d)
+            values = np.tensordot(m, values, axes=(range(d, 2 * d), g))
+            values = np.moveaxis(values, range(d), g)
+        return values
+
+
+def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
+    """Eigendecomposition of p^2 + V over the axis groups of ``modes``.
+
+    V splits into its mean plus, per coupled group, its mean over the other
+    axes less that; ValueError if the split misses V by more than 1e-10
+    relative, i.e. if V does not separate over the groups.
+    """
+    grid, groups = V.grid, axis_groups(modes)
+    coupled = tuple(bool(np.any(np.abs(modes.k_vectors[:, g]) > 1e-12)) for g in groups)
+    vals = V.values.real
+    offset = float(vals.mean())
+    terms = [
+        vals.mean(axis=tuple(a for a in range(3) if a not in g), keepdims=True) - offset
+        if c else 0.0
+        for g, c in zip(groups, coupled)
+    ]
+    defect = float(np.max(np.abs(offset + sum(terms) - vals)))
+    if defect > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
+        raise ValueError(f"V_eff misses its split over the axis groups {groups} by "
+                         f"{defect:.3e}; it does not separate")
+    k = grid.k_axis[np.argsort(grid.k_axis**2, kind="stable")]
+    waves = np.exp(1j * np.outer(grid.axis, k)) / np.sqrt(grid.n)
+    lap1, eye = ((waves * k**2) @ waves.conj().T).real, np.eye(grid.n)
+    bases, levels = [], []
+    for g, c, vg in zip(groups, coupled, terms):
+        if not c:
+            bases.append(waves)
+            levels.append(k**2)
+            continue
+        lap = sum(reduce(np.kron, [lap1 if b == a else eye for b in range(len(g))])
+                  for a in range(len(g)))
+        e, u = np.linalg.eigh(lap + np.diag(np.ravel(vg)))
+        bases.append(u)
+        levels.append(e)
+    return SeparableSpectrum(grid, groups, coupled, bases, levels, offset)
+
+
+def spectral_gap(sol):
+    """Lowest eigenvalue of h^{phi0}, the gap above it and the in-sector gap
+    (the smallest step within a coupled group, leaving out free motion along
+    uncoupled axes); asserts lambda0 matches the stored multiplier and that
+    the gap is strictly positive."""
+    spec = separable_spectrum(sol.V_eff, sol.modes)
+    lam0 = float(spec.eigenvalues().flat[0])
+    if abs(lam0 - sol.lam) > 1e-6:
+        raise GapError(f"lowest eigenvalue {lam0} disagrees with stored lambda {sol.lam}")
+    steps = [float(e[1] - e[0]) for e in spec.levels]
+    gap = min(steps)
     if gap <= 0:
         raise GapError(f"spectral gap is not positive: {gap}")
-    return {"lambda0": lam0, "lambda1": lam1, "gap": gap}
+    sector_gap = min(s for s, c in zip(steps, spec.coupled) if c)
+    return {"lambda0": lam0, "lambda1": lam0 + gap, "gap": gap, "sector_gap": sector_gap}
 
 
 @dataclass
 class ResolventHandle:
-    """Applies R = Q (h - lambda)^{-1} Q by projected conjugate gradients."""
+    """Applies R = Q (h - lambda)^{-1} Q exactly in the separable eigenbasis
+    of h, and checks the residual of every solve."""
 
     sol: "object"
     gap: float
-    cg_tol: float = 1e-11
-    cg_max_iter: int = 5000
 
     def __post_init__(self):
         if not self.gap > 0:
             raise GapError("resolvent requires a positive spectral gap")
-        grid = self.sol.grid
-        self._phi = self.sol.phi0.values.real.ravel() * np.sqrt(grid.cell_volume)
-        # unit l2 vector representing phi0
-        self._phi = self._phi / np.linalg.norm(self._phi)
-        self._hmv = _real_matvec(self.sol.V_eff.values, grid)
-        self._pre = _precond(grid, max(self.gap, 1e-3))
-        self._lam = self.sol.lam
-
-    def _project(self, x):
-        return x - self._phi * np.dot(self._phi, x)
-
-    def _amv(self, x):
-        # Q (h - lambda) Q + P : positive definite on the whole space
-        qx = self._project(x)
-        y = self._project(self._hmv(qx) - self._lam * qx)
-        return y + self._phi * np.dot(self._phi, x)
-
-    def _solve_real(self, b):
-        grid = self.sol.grid
-        n = grid.size
-        qb = self._project(b)
-        op = LinearOperator((n, n), matvec=self._amv, dtype=np.float64)
-        pre = LinearOperator(
-            (n, n), matvec=lambda x: self._project(self._pre(self._project(x))),
-            dtype=np.float64,
-        )
-        x, info = cg(op, qb, rtol=0.0, atol=self.cg_tol * max(1.0, np.linalg.norm(qb)),
-                     maxiter=self.cg_max_iter, M=pre)
-        resid = np.linalg.norm(self._amv(x) - qb)
-        if info != 0 or resid > 100 * self.cg_tol * max(1.0, np.linalg.norm(qb)):
-            raise ResolventError(
-                f"resolvent CG stagnated (info={info}, residual={resid:.3e})"
-            )
-        return self._project(x)
+        self._spec = separable_spectrum(self.sol.V_eff, self.sol.modes)
+        shift = self._spec.eigenvalues() - self.sol.lam
+        shift.flat[0] = np.inf  # the ground mode, which Q projects out
+        self._inv = 1.0 / shift
 
     def apply(self, v: Field) -> Field:
         """u = R v: u is orthogonal to phi0 and (h - lambda) u = Q v."""
-        grid = self.sol.grid
+        grid, spec = self.sol.grid, self._spec
         if v.grid != grid:
             raise ValueError("field grid mismatch in resolvent apply")
-        scale = np.sqrt(grid.cell_volume)
-        br = v.values.real.ravel() * scale
-        bi = v.values.imag.ravel() * scale
-        xr = self._solve_real(br)
-        xi = self._solve_real(bi) if np.any(bi) else np.zeros_like(xr)
-        out = (xr + 1j * xi).reshape(grid.shape) / scale
-        return Field(out, grid)
+        u = spec.transform(self._inv * spec.transform(v.values), inverse=True)
+        u = self.project_out_ground(Field(u, grid))
+        qv = self.project_out_ground(v)
+        resid = (self.project_out_ground(apply_h(self.sol, u) - self.sol.lam * u) - qv).norm()
+        if resid > 1e-9 * max(1.0, qv.norm()):
+            raise ResolventError(f"resolvent residual {resid:.3e} exceeds 1e-9 |Qv|")
+        return u
 
     def project_out_ground(self, v: Field) -> Field:
         """Q v = v - <phi0, v> phi0."""

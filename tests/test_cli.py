@@ -48,6 +48,18 @@ def test_solve_pekar_rerun_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_delocalized_ground_state_exits_as_invariant_failure(tmp_path, capsys):
+    # on a small box the descent reaches the uniform state, which is refused:
+    # the set-up is wrong, the solver did converge
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_n = 16\nbox_length = 16.0\n")
+    code = main(["solve-pekar", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert "delocalized" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert not manifest["checks"]["run_completed"]["passed"]
+
+
 def test_build_kernels_writes_kernel_directory(tmp_path):
     code = main(["build-kernels", "--out", str(tmp_path)])
     assert code == EXIT_OK

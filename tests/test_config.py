@@ -80,8 +80,9 @@ def test_validation_rejects_bad_values():
         RunConfig(alphas=[-2.0]).validate()
     with pytest.raises(ConfigError):
         RunConfig(grid_n=7).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(eta0="thermal").validate()
+    # a key that nothing reads is refused, not echoed into the manifest
+    with pytest.raises(ConfigError, match="unknown config key 'eta0'"):
+        load_config(overrides={"eta0": "vacuum"})
 
 
 def test_tau_grid_monotone():

@@ -9,8 +9,8 @@ from polaronlab.modes import ModeSet, axis_pair, mode_preset
 from polaronlab.pekar import (
     GAUSSIAN_BOUND,
     GAUSSIAN_OPT_SIGMA,
+    DelocalizedError,
     NotNormalizedError,
-    PekarError,
     PekarSolution,
     delta_g_field,
     minimize_pekar,
@@ -53,7 +53,7 @@ def test_minimize_beats_gaussian_and_satisfies_virial():
 
 def test_minimize_detects_delocalized_collapse():
     # on a small box the uniform state wins and the solver must refuse it
-    with pytest.raises(PekarError):
+    with pytest.raises(DelocalizedError):
         minimize_pekar(Grid3(16, 16.0))
 
 
@@ -86,6 +86,12 @@ class TestDiscreteModel:
         resid = Field(hphi.values - dsol.lam * dsol.phi0.values, dsol.grid).norm()
         assert resid < 1e-7
 
+    def test_exactly_constant_along_uncoupled_axes(self, dsol):
+        # pair-x couples only x; the coupled sector relies on phi0 being
+        # constant along y and z to the last bit
+        p = dsol.phi0.values
+        assert np.array_equal(p, np.broadcast_to(p[:, :1, :1], p.shape))
+
     def test_energy_decomposition(self, dsol):
         # E = T - sum_i w_i |f_i|^2 and lambda = T - 2 sum_i w_i |f_i|^2
         s = float(np.sum(dsol.modes.weights * np.abs(dsol.f0) ** 2))
@@ -107,7 +113,7 @@ class TestDiscreteModel:
         # |k| = 1 with a weak weight does not self-trap on this box
         grid = Grid3(8, 4 * np.pi)
         ks, ws = axis_pair(1.0, 0, 6.0)
-        with pytest.raises(PekarError):
+        with pytest.raises(DelocalizedError):
             solve_discrete_pekar(grid, ModeSet(ks, ws))
 
     def test_roundtrip(self, dsol, tmp_path):

@@ -1,10 +1,27 @@
-"""Restricted resolvent and kernel assembly against independent routes."""
+"""Restricted resolvent and kernel assembly against independent routes.
+
+The separable spectral solver is checked against the two routes it
+replaced, which live here as oracles: projected conjugate gradients for the
+resolvent and a dense eigendecomposition of h on the full grid.
+"""
+
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, cg
 
 from polaronlab.grid import Field, plane_wave
-from polaronlab.resolvent import GapError, KernelPair, ResolventHandle, apply_h
+from polaronlab.modes import mode_preset
+from polaronlab.resolvent import (
+    GapError,
+    KernelPair,
+    ResolventHandle,
+    apply_h,
+    axis_groups,
+    separable_spectrum,
+    spectral_gap,
+)
 
 
 def _random_field(grid, rng):
@@ -112,3 +129,112 @@ def test_resolvent_mode_vectors_match_table(bundle):
             plane_wave(grid, bundle.modes.k_vectors[a]).values * phi.values, grid
         )
         assert abs(inner(bra, u) - bundle.kernels.t_table[a, 0]) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the separable solver against full-grid oracles
+# ---------------------------------------------------------------------------
+
+
+def projected_cg_resolvent(sol, v, shift):
+    """Q (h - lambda)^{-1} Q v by conjugate gradients on the full grid,
+    preconditioned by (p^2 + shift)^{-1}; real and imaginary parts are
+    solved separately."""
+    grid = sol.grid
+    n = grid.size
+    phi = sol.phi0.values.real.ravel()
+    phi = phi / np.linalg.norm(phi)
+    V = sol.V_eff.values.real
+
+    def proj(x):
+        return x - phi * np.dot(phi, x)
+
+    def h(x):
+        f = x.reshape(grid.shape)
+        return (np.fft.ifftn(grid.ksq * np.fft.fftn(f)).real + V * f).ravel()
+
+    def amv(x):  # Q (h - lambda) Q + P: positive definite on the whole space
+        qx = proj(x)
+        return proj(h(qx) - sol.lam * qx) + phi * np.dot(phi, x)
+
+    def pre(x):
+        f = proj(x).reshape(grid.shape)
+        return proj(np.fft.ifftn(np.fft.fftn(f) / (grid.ksq + shift)).real.ravel())
+
+    op = LinearOperator((n, n), matvec=amv, dtype=np.float64)
+    precond = LinearOperator((n, n), matvec=pre, dtype=np.float64)
+    parts = []
+    for b in (v.values.real.ravel(), v.values.imag.ravel()):
+        qb = proj(b)
+        x, info = cg(op, qb, rtol=0.0, atol=1e-13 * max(1.0, np.linalg.norm(qb)),
+                     maxiter=5000, M=precond)
+        assert info == 0
+        parts.append(proj(x))
+    return Field((parts[0] + 1j * parts[1]).reshape(grid.shape), grid)
+
+
+def dense_full_grid_h(sol):
+    """h = p^2 + V_eff as a dense n^3 x n^3 matrix, p^2 built by FFT."""
+    grid = sol.grid
+    eye = np.eye(grid.n)
+    lap1 = np.fft.ifft(grid.k_axis[:, None] ** 2 * np.fft.fft(eye, axis=0), axis=0).real
+    lap = sum(
+        reduce(np.kron, [lap1 if b == a else eye for b in range(3)]) for a in range(3)
+    )
+    return lap + np.diag(sol.V_eff.values.real.ravel())
+
+
+CASES = ["pair-x", "quad-xy", "hex-xyz", "diag-xy"]
+
+
+@pytest.fixture
+def dsol_of(bundle, quad_xy_dsol, hex_xyz_dsol, diag_xy_dsol):
+    return {
+        "pair-x": bundle.dsol,
+        "quad-xy": quad_xy_dsol,
+        "hex-xyz": hex_xyz_dsol,
+        "diag-xy": diag_xy_dsol,
+    }
+
+
+def test_axis_groups_split_presets_and_merge_off_axis_modes(diag_xy_dsol):
+    for name in ("pair-x", "quad-xy", "hex-xyz"):
+        assert axis_groups(mode_preset(name, 4.0 * np.pi)) == ((0,), (1,), (2,))
+    assert axis_groups(diag_xy_dsol.modes) == ((0, 1), (2,))
+
+
+@pytest.mark.parametrize("which", CASES)
+def test_separable_resolvent_matches_projected_cg(which, dsol_of, rng):
+    sol = dsol_of[which]
+    gaps = spectral_gap(sol)
+    rh = ResolventHandle(sol, gaps["gap"])
+    v = _random_field(sol.grid, rng)
+    want = projected_cg_resolvent(sol, v, shift=gaps["gap"])
+    assert np.max(np.abs(rh.apply(v).values - want.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["pair-x", "hex-xyz", "diag-xy"])
+def test_lowest_eigenvalues_match_dense_full_grid(which, dsol_of):
+    sol = dsol_of[which]
+    dense = np.linalg.eigvalsh(dense_full_grid_h(sol))[:8]
+    spec = separable_spectrum(sol.V_eff, sol.modes)
+    assert np.max(np.abs(np.sort(spec.eigenvalues(), axis=None)[:8] - dense)) <= 1e-10
+    gaps = spectral_gap(sol)
+    assert abs(gaps["gap"] - (dense[1] - dense[0])) <= 1e-10
+    if all(spec.coupled):
+        assert abs(gaps["sector_gap"] - gaps["gap"]) <= 1e-12
+
+
+def test_sector_gap_leaves_out_the_free_axis(quad_xy_dsol):
+    gaps = spectral_gap(quad_xy_dsol)
+    # free motion along z sets the box gap (2 pi / L)^2
+    assert abs(gaps["gap"] - 0.25) <= 1e-12
+    assert abs(gaps["sector_gap"] - 1.6695207) <= 1e-6
+
+
+def test_non_separable_potential_is_rejected(hex_xyz_dsol):
+    grid = hex_xyz_dsol.grid
+    x, y, _ = grid.coords
+    bumped = hex_xyz_dsol.V_eff.values + 1e-6 * np.cos(x / 2) * np.cos(y / 2)
+    with pytest.raises(ValueError, match="does not separate"):
+        separable_spectrum(Field(bumped, grid), hex_xyz_dsol.modes)

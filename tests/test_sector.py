@@ -9,9 +9,8 @@ import pytest
 
 from polaronlab import experiments as ex
 from polaronlab import fock as fk
-from polaronlab.grid import Field, Grid3
-from polaronlab.modes import mode_preset
-from polaronlab.pekar import _coupled_axes, delta_g_field, solve_discrete_pekar
+from polaronlab.grid import Field
+from polaronlab.pekar import _coupled_axes, delta_g_field
 
 
 class FullGridHamiltonian:
@@ -55,18 +54,6 @@ def embed(v, grid, axes):
 def _random_state(rng, shape):
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return psi / np.linalg.norm(psi)
-
-
-@pytest.fixture(scope="module")
-def quad_xy_dsol():
-    grid = Grid3(16, 4.0 * np.pi)
-    return solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
-
-
-@pytest.fixture(scope="module")
-def hex_xyz_dsol():
-    grid = Grid3(8, 4.0 * np.pi)
-    return solve_discrete_pekar(grid, mode_preset("hex-xyz", grid.box_length), tol=1e-7)
 
 
 @pytest.mark.parametrize("M, n_max", [(2, 8), (4, 3)])
