@@ -8,7 +8,6 @@ reduced-density, selftest.  Exit codes: 0 success, 2 invariant failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -36,15 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Strong-coupling polaron experiments on a periodic toy model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve-pekar", "solve the ground-state problem and report virial checks"),
-        ("build-kernels", "solve the discrete model and persist the kernel matrices"),
-        ("compare", "full vs effective evolution error curves per alpha"),
-        ("scan-alpha", "fit the error scaling exponent across alphas"),
-        ("bogoliubov-check", "truncated-oracle vs quasi-free map deviation table"),
-        ("reduced-density", "electron reduced-density trace-distance curves"),
-        ("selftest", "fast invariant sweep on the configured preset"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
         p.add_argument("--out", metavar="DIR", help="output directory")
@@ -77,7 +68,7 @@ def _new_manifest(cfg, command):
     return RunManifest(config=cfg.as_dict(), command=command, version=__version__)
 
 
-def cmd_solve_pekar(cfg, manifest) -> int:
+def cmd_solve_pekar(cfg, manifest):
     from .grid import Grid3
     from .pekar import GAUSSIAN_BOUND, minimize_pekar
 
@@ -96,24 +87,19 @@ def cmd_solve_pekar(cfg, manifest) -> int:
     print(f"virial |D-4T|/D = {virial:.3e}   |lambda-3E|/|E| = {lam_ratio:.3e}")
     print(f"residual = {sol.residual:.3e}  iterations = {sol.iterations}")
     manifest.hash_inputs(outdir)
-    manifest.write(cfg.out_dir)
-    return EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
 
 
-def cmd_build_kernels(cfg, manifest) -> int:
+def cmd_build_kernels(cfg, manifest):
     from .experiments import build_bundle
 
     bundle = build_bundle(cfg, manifest)
-    outdir = os.path.join(cfg.out_dir, "kernels")
-    bundle.kernels.save(outdir)
+    bundle.kernels.save(os.path.join(cfg.out_dir, "kernels"))
     bundle.dsol.save(os.path.join(cfg.out_dir, "ground"))
     print(
         f"lambda = {bundle.dsol.lam:.8f}  sector gap = {bundle.sector_gap:.8f}  "
         f"epsilon = {bundle.kernels.epsilon:.8f}"
     )
     manifest.hash_inputs(cfg.out_dir)
-    manifest.write(cfg.out_dir)
-    return EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
 
 
 def _run_compares(cfg, manifest):
@@ -131,12 +117,11 @@ def _run_compares(cfg, manifest):
         write_csv(path, COMPARE_HEADER, rows)
         curves[alpha] = rows
         print(f"alpha = {alpha:g}: wrote {path} ({len(rows)} samples)")
-    return bundle, curves
+    return curves
 
 
-def cmd_compare(cfg, manifest) -> int:
-    _, curves = _run_compares(cfg, manifest)
-    for alpha, rows in curves.items():
+def cmd_compare(cfg, manifest):
+    for alpha, rows in _run_compares(cfg, manifest).items():
         final = rows[-1]
         manifest.record_check(
             f"err_zero_at_t0_alpha{alpha:g}", rows[0][2] <= 1e-12, rows[0][2]
@@ -145,18 +130,16 @@ def cmd_compare(cfg, manifest) -> int:
             f"alpha = {alpha:g}: err_effective({final[1]:g}) = {final[2]:.4e}  "
             f"err_phase_only = {final[3]:.4e}"
         )
-    manifest.write(cfg.out_dir)
-    return EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
 
 
-def cmd_scan_alpha(cfg, manifest) -> int:
-    from .config import write_csv
-    from .experiments import envelope_bounds_all, fit_alpha_slope, fit_envelope
+def cmd_scan_alpha(cfg, manifest):
+    from .config import write_csv, write_json
+    from .experiments import InvariantError, envelope_bounds_all, fit_alpha_slope
+    from .experiments import fit_envelope
 
     if len(cfg.alphas) < 3:
-        print("scan-alpha needs at least 3 alpha values", file=sys.stderr)
-        return EXIT_INVARIANT
-    _, curves = _run_compares(cfg, manifest)
+        raise InvariantError("scan-alpha needs at least 3 alpha values")
+    curves = _run_compares(cfg, manifest)
     alphas = sorted(curves)
     eff_final = [curves[a][-1][2] for a in alphas]
     phase_final = [curves[a][-1][3] for a in alphas]
@@ -170,34 +153,33 @@ def cmd_scan_alpha(cfg, manifest) -> int:
         ["alpha", "err_effective [state norm]", "err_phase_only [state norm]"],
         [[a, e, p] for a, e, p in zip(alphas, eff_final, phase_final)],
     )
-    fit = {
-        "slope_effective": p_eff,
-        "slope_residual_effective": resid_eff,
-        "slope_phase_only": p_phase,
-        "slope_residual_phase_only": resid_phase,
-        "envelope_C": C,
-        "envelope_c": c,
-        "envelope_bounds_all_samples": bounded,
-    }
-    tmp = os.path.join(cfg.out_dir, "scan_fit.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(fit, fh, indent=2, sort_keys=True)
-    os.replace(tmp, os.path.join(cfg.out_dir, "scan_fit.json"))
+    write_json(
+        os.path.join(cfg.out_dir, "scan_fit.json"),
+        {
+            "slope_effective": p_eff,
+            "slope_residual_effective": resid_eff,
+            "slope_phase_only": p_phase,
+            "slope_residual_phase_only": resid_phase,
+            "envelope_C": C,
+            "envelope_c": c,
+            "envelope_bounds_all_samples": bounded,
+        },
+    )
     manifest.record_check("envelope_bounds_all_samples", bounded, {"C": C, "c": c})
     print(
         f"fitted slope p = {p_eff:.3f} (phase-only {p_phase:.3f}); "
         f"envelope C = {C:.3e}, c = {c:.3f}"
     )
-    manifest.write(cfg.out_dir)
-    return EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
 
 
-def cmd_bogoliubov_check(cfg, manifest) -> int:
+def cmd_bogoliubov_check(cfg, manifest):
     from .config import write_csv
     from .experiments import BOGOLIUBOV_HEADER, bogoliubov_table, build_bundle
+    from .experiments import preflight_bogoliubov
 
-    bundle = build_bundle(cfg, manifest)
     n_max_list = sorted({max(2, cfg.n_max - 4), max(3, cfg.n_max - 2), cfg.n_max})
+    preflight_bogoliubov(cfg, n_max_list[-1])
+    bundle = build_bundle(cfg, manifest)
     with manifest.time_stage("truncation_table"):
         rows = bogoliubov_table(bundle.kernels, cfg.tau_final, n_max_list)
     write_csv(os.path.join(cfg.out_dir, "bogoliubov_check.csv"), BOGOLIUBOV_HEADER, rows)
@@ -205,16 +187,12 @@ def cmd_bogoliubov_check(cfg, manifest) -> int:
     manifest.record_check("deviation_at_top_cutoff", final_dev <= 1e-4, final_dev)
     for r in rows:
         print(f"n_max = {r[0]:2d}: dev_gamma = {r[1]:.3e}  dev_pairing = {r[2]:.3e}")
-    manifest.write(cfg.out_dir)
-    return EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
 
 
-def cmd_reduced_density(cfg, manifest) -> int:
+def cmd_reduced_density(cfg, manifest):
     from .config import write_csv
 
-    _, curves = _run_compares(cfg, manifest)
-    ok = True
-    for alpha, rows in curves.items():
+    for alpha, rows in _run_compares(cfg, manifest).items():
         table = [[r[0], r[1], r[7], r[2]] for r in rows]
         write_csv(
             os.path.join(cfg.out_dir, f"reduced_density_alpha{alpha:g}.csv"),
@@ -227,17 +205,14 @@ def cmd_reduced_density(cfg, manifest) -> int:
             table,
         )
         bound_ok = all(r[7] <= 2.0 * r[2] + 1e-12 for r in rows)
-        ok = ok and bound_ok
         manifest.record_check(f"trace_distance_bound_alpha{alpha:g}", bound_ok)
         print(
             f"alpha = {alpha:g}: final trace distance = {rows[-1][7]:.4e} "
             f"(bound 2*err = {2*rows[-1][2]:.4e})"
         )
-    manifest.write(cfg.out_dir)
-    return EXIT_OK if ok and manifest.all_passed() else EXIT_INVARIANT
 
 
-def cmd_selftest(cfg, manifest) -> int:
+def cmd_selftest(cfg, manifest):
     from .experiments import selftest_report
 
     with manifest.time_stage("selftest"):
@@ -245,18 +220,22 @@ def cmd_selftest(cfg, manifest) -> int:
     for name, value in report.items():
         status = "ok" if manifest.checks.get(name, {}).get("passed", True) else "FAIL"
         print(f"{name:28s} {value:.3e}  [{status}]")
-    manifest.write(cfg.out_dir)
-    return EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
 
 
+# verb -> (function, help); a verb records its checks and artifacts in the
+# manifest, and main writes the manifest and derives the exit code
 _COMMANDS = {
-    "solve-pekar": cmd_solve_pekar,
-    "build-kernels": cmd_build_kernels,
-    "compare": cmd_compare,
-    "scan-alpha": cmd_scan_alpha,
-    "bogoliubov-check": cmd_bogoliubov_check,
-    "reduced-density": cmd_reduced_density,
-    "selftest": cmd_selftest,
+    "solve-pekar": (cmd_solve_pekar, "solve the ground-state problem and report virial checks"),
+    "build-kernels": (
+        cmd_build_kernels, "solve the discrete model and persist the kernel matrices"
+    ),
+    "compare": (cmd_compare, "full vs effective evolution error curves per alpha"),
+    "scan-alpha": (cmd_scan_alpha, "fit the error scaling exponent across alphas"),
+    "bogoliubov-check": (
+        cmd_bogoliubov_check, "truncated-oracle vs quasi-free map deviation table"
+    ),
+    "reduced-density": (cmd_reduced_density, "electron reduced-density trace-distance curves"),
+    "selftest": (cmd_selftest, "fast invariant sweep on the configured preset"),
 }
 
 
@@ -281,20 +260,21 @@ def main(argv=None) -> int:
     from .resolvent import GapError, ResolventError
 
     try:
-        return _COMMANDS[args.command](cfg, manifest)
+        _COMMANDS[args.command][0](cfg, manifest)
+        code = EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
     except (
         InvariantError, SymplecticError, GapError, FockDimensionError, DelocalizedError,
         ValueError,
     ) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         manifest.record_check("run_completed", False, str(exc))
-        manifest.write(cfg.out_dir)
-        return EXIT_INVARIANT
+        code = EXIT_INVARIANT
     except (PekarError, ResolventError, EvolutionError) as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         manifest.record_check("run_completed", False, str(exc))
-        manifest.write(cfg.out_dir)
-        return EXIT_NONCONVERGED
+        code = EXIT_NONCONVERGED
+    manifest.write(cfg.out_dir)
+    return code
 
 
 if __name__ == "__main__":

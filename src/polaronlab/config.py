@@ -3,8 +3,10 @@ overrides, and the reproducibility manifest written next to every result."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -153,19 +155,13 @@ class RunManifest:
     checks: dict = field(default_factory=dict)
     started_at: float = field(default_factory=time.time)
 
+    @contextlib.contextmanager
     def time_stage(self, name: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                manifest.timings[name] = round(time.perf_counter() - self.t0, 6)
-                return False
-
-        return _Timer()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = round(time.perf_counter() - t0, 6)
 
     def record_check(self, name: str, passed: bool, value=None):
         self.checks[name] = {"passed": bool(passed), "value": value}
@@ -182,7 +178,7 @@ class RunManifest:
 
     def write(self, outdir: str):
         os.makedirs(outdir, exist_ok=True)
-        payload = {
+        write_json(os.path.join(outdir, "manifest.json"), {
             "command": self.command,
             "version": self.version,
             "config": self.config,
@@ -190,21 +186,30 @@ class RunManifest:
             "input_hashes": self.input_hashes,
             "checks": self.checks,
             "wall_time": round(time.time() - self.started_at, 3),
-        }
-        tmp = os.path.join(outdir, "manifest.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp, os.path.join(outdir, "manifest.json"))
+        })
+
+
+def atomic_write(path: str, data: bytes):
+    """Write data through a temporary file renamed over path, so a reader
+    never sees a partly written file."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
+def write_json(path: str, obj):
+    """Write obj atomically as indented JSON with sorted keys."""
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True).encode())
 
 
 def write_csv(path: str, header: list, rows: list):
     """Write rows atomically with full-precision floats (repr round-trip)."""
     import csv
 
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    os.replace(tmp, path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    atomic_write(path, buf.getvalue().encode())

@@ -4,6 +4,7 @@ and phonon-number growth fits."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,7 @@ class ModelBundle:
 def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
     """Solve the ground state, build kernels and the dynamics generator."""
 
-    def stage(name):
-        if manifest is not None:
-            return manifest.time_stage(name)
-        import contextlib
-
-        return contextlib.nullcontext()
-
+    stage = manifest.time_stage if manifest is not None else lambda _: nullcontext()
     grid = Grid3(cfg.grid_n, cfg.box_length)
     modes = mode_preset(cfg.mode_preset, grid.box_length)
     with stage("solve_ground_state"):
@@ -91,6 +86,16 @@ def available_memory() -> int | None:
         return None
 
 
+def _require_memory(verb: str, need: int):
+    """Raise FockDimensionError when need bytes exceed MemAvailable."""
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise fk.FockDimensionError(
+            f"{verb} needs about {need / 2**20:.0f} MiB but only "
+            f"{avail / 2**20:.0f} MiB are available; lower n_max or grid_n"
+        )
+
+
 def preflight_compare(cfg: RunConfig):
     """Raise FockDimensionError when the estimated peak memory of
     compare_trajectory exceeds MemAvailable: sector x Fock states for the
@@ -99,13 +104,22 @@ def preflight_compare(cfg: RunConfig):
     modes = mode_preset(cfg.mode_preset, cfg.box_length)
     fock_dim = (cfg.n_max + 1) ** modes.M
     state = cfg.grid_n ** len(_coupled_axes(modes)) * fock_dim
-    need = 16 * (state * (2 * cfg.krylov_dim + 8) + 3 * fock_dim**2)
-    avail = available_memory()
-    if avail is not None and need > avail:
-        raise fk.FockDimensionError(
-            f"compare needs about {need / 2**20:.0f} MiB but only "
-            f"{avail / 2**20:.0f} MiB are available; lower n_max or grid_n"
-        )
+    _require_memory("compare", 16 * (state * (2 * cfg.krylov_dim + 8) + 3 * fock_dim**2))
+
+
+def preflight_bogoliubov(cfg: RunConfig, n_max: int):
+    """Raise FockDimensionError when the dense eigh of bogoliubov_table at its
+    largest cutoff n_max exceeds MemAvailable: five complex Fock x Fock
+    matrices (the dense H_quad, eigh's copy of it, the eigenvectors and the
+    complex and real LAPACK workspaces), which matches the measured peak."""
+    fock_dim = (n_max + 1) ** mode_preset(cfg.mode_preset, cfg.box_length).M
+    _require_memory("bogoliubov-check", 16 * 5 * fock_dim**2)
+
+
+def _quadratic_propagator(kp: KernelPair, fs: fk.FockSpace):
+    """(tau, v) -> exp(-i tau H_quad) v on fs, through one dense eigh of H_quad."""
+    ev, P = np.linalg.eigh(fk.build_quadratic_hamiltonian(kp, fs).toarray())
+    return lambda tau, v: P @ (np.exp(-1j * tau * ev) * (P.conj().T @ v))
 
 
 def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
@@ -119,8 +133,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     """
     fs = fk.FockSpace(bundle.modes.M, cfg.n_max)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
-    Hq = fk.build_quadratic_hamiltonian(bundle.kernels, fs).toarray()
-    evq, Pq = np.linalg.eigh(Hq)
+    quadratic = _quadratic_propagator(bundle.kernels, fs)
     eps = bundle.kernels.epsilon
     eta0 = fs.vacuum()
     psi0 = np.outer(H.electron, eta0)
@@ -136,8 +149,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
                 H.apply, psi, dt_seg, dt=cfg.dt_fock, krylov_dim=cfg.krylov_dim
             )
         # effective phonon state: exp(-i tau (N - A)) Omega, N - A = Hq - eps
-        eta = Pq @ (np.exp(-1j * tau * evq) * (Pq.conj().T @ eta0))
-        eta = eta * np.exp(1j * eps * tau)
+        eta = quadratic(tau, eta0) * np.exp(1j * eps * tau)
         xi = np.outer(H.electron, eta)
         top = fk.top_level_population(psi, fs)
         if top > cfg.top_pop_limit:
@@ -175,6 +187,14 @@ def fit_alpha_slope(alphas, errors):
     return float(-coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
+def _bounding_exponential(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y = log C + c x, lifted by its largest residual so
+    that C exp(c x) bounds every sample exp(y); returns (C, c)."""
+    c, logC = np.polyfit(x, y, 1)
+    slack = np.max(y - (logC + c * x))
+    return float(np.exp(logC + slack)), float(c)
+
+
 def fit_envelope(curves: dict):
     """Fit err <= C alpha^-1 exp(c tau) over all per-alpha error curves.
 
@@ -190,11 +210,7 @@ def fit_envelope(curves: dict):
                 ys.append(np.log(err * alpha))
     if len(taus) < 2:
         raise InvariantError("not enough samples to fit an envelope")
-    taus = np.asarray(taus)
-    ys = np.asarray(ys)
-    c, logC = np.polyfit(taus, ys, 1)
-    slack = np.max(ys - (logC + c * taus))
-    return float(np.exp(logC + slack)), float(c)
+    return _bounding_exponential(np.asarray(taus), np.asarray(ys))
 
 
 def envelope_bounds_all(curves: dict, C: float, c: float) -> bool:
@@ -226,9 +242,7 @@ def bogoliubov_table(kp: KernelPair, tau: float, n_max_list):
     rows = []
     for n_max in n_max_list:
         fs = fk.FockSpace(kp.modes.M, n_max)
-        Hq = fk.build_quadratic_hamiltonian(kp, fs).toarray()
-        ev, P = np.linalg.eigh(Hq)
-        psi = P @ (np.exp(-1j * tau * ev) * (P.conj().T @ fs.vacuum()))
+        psi = _quadratic_propagator(kp, fs)(tau, fs.vacuum())
         g, p = fk.reduced_densities(psi, fs)
         rows.append(
             [
@@ -279,14 +293,13 @@ def gronwall_fit(rows, curvature_tol: float = 0.1):
     if mask.sum() < 3:
         raise InvariantError("number-growth curve has too few nonzero samples")
     lt, le = taus[mask], np.log(env[mask])
-    c, logC = np.polyfit(lt, le, 1)
-    slack = np.max(le - (logC + c * lt))
+    C, c = _bounding_exponential(lt, le)
     # uniform grid second differences of the log-envelope
     d2 = np.diff(le, 2)
     max_curv = float(np.max(d2)) if d2.size else 0.0
     return {
-        "C": float(np.exp(logC + slack)),
-        "c": float(c),
+        "C": C,
+        "c": c,
         "max_curvature": max_curv,
         "super_exponential": bool(max_curv > curvature_tol),
     }

@@ -9,11 +9,12 @@ band-limited data.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .config import atomic_write
 
 
 class GridMismatchError(ValueError):
@@ -221,11 +222,7 @@ def save_array(arr: np.ndarray, path: str, tag: str, grid: Grid3 | None = None):
         "shape": list(arr.shape),
         "tag": tag,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(payload.tobytes())
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(header).encode("utf-8") + b"\n" + payload.tobytes())
 
 
 def load_array(path: str):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import write_json
 from .grid import (
     Field,
     Grid3,
@@ -107,7 +108,7 @@ def _fix_phase_positive(phi: Field) -> Field:
     return Field(vals.real.astype(np.complex128), phi.grid)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PekarSolution:
     """Converged continuum-style Pekar minimizer and its derived scalars."""
 
@@ -119,7 +120,6 @@ class PekarSolution:
     V_eff: Field
     residual: float
     iterations: int
-    gap: float | None = None
 
     @property
     def grid(self) -> Grid3:
@@ -133,37 +133,46 @@ class PekarSolution:
             "lambda": self.lam,
             "residual": self.residual,
             "iterations": self.iterations,
-            "gap": self.gap,
             "grid_n": self.grid.n,
             "box_length": self.grid.box_length,
+        }
+
+    @classmethod
+    def _from_scalars(cls, s: dict) -> dict:
+        """Constructor keywords read back from a scalars() dict."""
+        return {
+            "T": s["T"],
+            "D": s["D"],
+            "energy": s["E"],
+            "lam": s["lambda"],
+            "residual": s["residual"],
+            "iterations": s["iterations"],
         }
 
     def save(self, outdir: str):
         os.makedirs(outdir, exist_ok=True)
         save_field(self.phi0, os.path.join(outdir, "phi0.pfld"), tag="phi0")
         save_field(self.V_eff, os.path.join(outdir, "veff.pfld"), tag="veff")
-        tmp = os.path.join(outdir, "scalars.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(self.scalars(), fh, indent=2, sort_keys=True)
-        os.replace(tmp, os.path.join(outdir, "scalars.json"))
+        write_json(os.path.join(outdir, "scalars.json"), self.scalars())
 
     @classmethod
-    def load(cls, outdir: str) -> "PekarSolution":
+    def load(cls, outdir: str):
         with open(os.path.join(outdir, "scalars.json")) as fh:
             s = json.load(fh)
-        phi0 = load_field(os.path.join(outdir, "phi0.pfld"))
-        veff = load_field(os.path.join(outdir, "veff.pfld"))
         return cls(
-            phi0=phi0,
-            T=s["T"],
-            D=s["D"],
-            energy=s["E"],
-            lam=s["lambda"],
-            V_eff=veff,
-            residual=s["residual"],
-            iterations=s["iterations"],
-            gap=s.get("gap"),
+            phi0=load_field(os.path.join(outdir, "phi0.pfld")),
+            V_eff=load_field(os.path.join(outdir, "veff.pfld")),
+            **cls._from_scalars(s),
         )
+
+
+def _euler_lagrange(phi: Field):
+    """V_eff of phi, lambda = <phi, h phi> and the residual (h - lambda) phi,
+    with h = p^2 + V_eff."""
+    V = effective_potential(phi)
+    hphi = apply_laplacian(phi) + Field(V.values * phi.values, phi.grid)
+    lam = inner(phi, hphi).real
+    return V, lam, Field(hphi.values - lam * phi.values, phi.grid)
 
 
 def minimize_pekar(
@@ -192,17 +201,12 @@ def minimize_pekar(
 
     ksq = grid.ksq
     tau = step
-    prev_dphi = None
-    prev_dz = None
     z_prev = None
     phi_prev = None
     residual = np.inf
 
     for it in range(1, max_iter + 1):
-        V = effective_potential(phi)
-        hphi = apply_laplacian(phi) + Field(V.values * phi.values, grid)
-        lam = inner(phi, hphi).real
-        grad = Field(hphi.values - lam * phi.values, grid)
+        _, lam, grad = _euler_lagrange(phi)
         residual = grad.norm()
         if not np.isfinite(residual) or not np.isfinite(lam):
             raise PekarError("energy collapsed to NaN during descent")
@@ -243,10 +247,7 @@ def minimize_pekar(
             f"descent collapsed to a delocalized state (T = {T:.3e}, E = {E:.3e}); "
             "enlarge the box"
         )
-    V = effective_potential(phi)
-    hphi = apply_laplacian(phi) + Field(V.values * phi.values, grid)
-    lam = inner(phi, hphi).real
-    residual = Field(hphi.values - lam * phi.values, grid).norm()
+    V, lam, grad = _euler_lagrange(phi)
     return PekarSolution(
         phi0=phi,
         T=T,
@@ -254,7 +255,7 @@ def minimize_pekar(
         energy=E,
         lam=lam,
         V_eff=V,
-        residual=residual,
+        residual=grad.norm(),
         iterations=it,
     )
 
@@ -264,72 +265,34 @@ def minimize_pekar(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiscretePekarSolution:
-    """Self-consistent ground state of p^2 + V with V built from a ModeSet."""
+@dataclass(kw_only=True)
+class DiscretePekarSolution(PekarSolution):
+    """Self-consistent ground state of p^2 + V with V built from a ModeSet;
+    D = 2 sum_i w_i |f0_i|^2 is the finite-mode analogue of D."""
 
-    phi0: Field
     modes: "object"  # ModeSet; kept duck-typed to avoid an import cycle
     f0: np.ndarray  # coupling amplitudes <phi0, G_x(k_i) phi0>, length M
-    T: float
-    D: float  # 2 * sum_i w_i |f0_i|^2, the finite-mode analogue of D
-    energy: float
-    lam: float
-    V_eff: Field
-    residual: float
-    iterations: int
     energy_trace: list = field(default_factory=list)
-    gap: float | None = None
 
-    @property
-    def grid(self) -> Grid3:
-        return self.phi0.grid
-
-    def save(self, outdir: str):
-        os.makedirs(outdir, exist_ok=True)
-        save_field(self.phi0, os.path.join(outdir, "phi0.pfld"), tag="phi0")
-        save_field(self.V_eff, os.path.join(outdir, "veff.pfld"), tag="veff")
-        payload = {
-            "T": self.T,
-            "D": self.D,
-            "E": self.energy,
-            "lambda": self.lam,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "gap": self.gap,
+    def scalars(self) -> dict:
+        return {
+            **super().scalars(),
             "energy_trace": list(self.energy_trace),
             "f0_re": np.real(self.f0).tolist(),
             "f0_im": np.imag(self.f0).tolist(),
             "modes": self.modes.as_dict(),
         }
-        tmp = os.path.join(outdir, "scalars.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp, os.path.join(outdir, "scalars.json"))
 
     @classmethod
-    def load(cls, outdir: str) -> "DiscretePekarSolution":
+    def _from_scalars(cls, s: dict) -> dict:
         from .modes import ModeSet
 
-        with open(os.path.join(outdir, "scalars.json")) as fh:
-            s = json.load(fh)
-        phi0 = load_field(os.path.join(outdir, "phi0.pfld"))
-        veff = load_field(os.path.join(outdir, "veff.pfld"))
-        f0 = np.asarray(s["f0_re"]) + 1j * np.asarray(s["f0_im"])
-        return cls(
-            phi0=phi0,
-            modes=ModeSet.from_dict(s["modes"]),
-            f0=f0,
-            T=s["T"],
-            D=s["D"],
-            energy=s["E"],
-            lam=s["lambda"],
-            V_eff=veff,
-            residual=s["residual"],
-            iterations=s["iterations"],
-            energy_trace=s["energy_trace"],
-            gap=s.get("gap"),
-        )
+        return {
+            **super()._from_scalars(s),
+            "modes": ModeSet.from_dict(s["modes"]),
+            "f0": np.asarray(s["f0_re"]) + 1j * np.asarray(s["f0_im"]),
+            "energy_trace": s["energy_trace"],
+        }
 
 
 def _discrete_potential(modes, grid: Grid3, f: np.ndarray) -> Field:

@@ -23,7 +23,8 @@ import numpy as np
 # ``resolvent.cg``, so the name stays bound until the benchmark drops it.
 from scipy.sparse.linalg import cg  # noqa: F401
 
-from .grid import Field, Grid3, inner, load_array, plane_wave, save_array
+from .config import write_json
+from .grid import Field, Grid3, apply_laplacian, inner, load_array, plane_wave, save_array
 from .modes import ModeSet
 
 
@@ -39,9 +40,7 @@ def apply_h(sol, f: Field) -> Field:
     """h^{phi0} f = p^2 f + V_eff f."""
     if f.grid != sol.grid:
         raise ValueError("field grid does not match the solution grid")
-    fhat = np.fft.fftn(f.values)
-    lap = np.fft.ifftn(sol.grid.ksq * fhat)
-    return Field(lap + sol.V_eff.values * f.values, f.grid)
+    return Field(apply_laplacian(f).values + sol.V_eff.values * f.values, f.grid)
 
 
 def axis_groups(modes: ModeSet) -> tuple:
@@ -215,11 +214,10 @@ class KernelPair:
             os.path.join(outdir, "diag_rayleigh.pfld"),
             tag="diag-rayleigh",
         )
-        meta = {"epsilon": self.epsilon, "modes": self.modes.as_dict()}
-        tmp = os.path.join(outdir, "kernels.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-        os.replace(tmp, os.path.join(outdir, "kernels.json"))
+        write_json(
+            os.path.join(outdir, "kernels.json"),
+            {"epsilon": self.epsilon, "modes": self.modes.as_dict()},
+        )
 
     @classmethod
     def load(cls, outdir: str) -> "KernelPair":

@@ -21,6 +21,17 @@ def test_selftest_passes_on_default_preset(tmp_path):
     assert all(c["passed"] for c in manifest["checks"].values())
 
 
+def test_selftest_rerun_manifest_differs_only_in_timings(tmp_path):
+    manifests = []
+    for _ in range(2):
+        assert main(["selftest", "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest.pop("timings")
+        manifest.pop("wall_time")
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+
+
 def test_solve_pekar_writes_artifacts(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid_n = 40\nbox_length = 80.0\n")
@@ -91,6 +102,8 @@ def test_scan_alpha_requires_three_points(tmp_path, capsys):
     )
     assert code == EXIT_INVARIANT
     assert "at least 3" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert not manifest["checks"]["run_completed"]["passed"]
 
 
 def test_compare_single_alpha(tmp_path):
@@ -106,14 +119,17 @@ def test_compare_single_alpha(tmp_path):
     assert float(first[2]) <= 1e-12  # err_effective(0) = 0
 
 
-@pytest.mark.parametrize("verb", ["compare", "scan-alpha", "reduced-density"])
+@pytest.mark.parametrize(
+    "verb", ["compare", "scan-alpha", "reduced-density", "bogoliubov-check"]
+)
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
     from polaronlab import experiments
 
     def no_bundle(*args, **kwargs):
         raise AssertionError("the preflight should stop the run before build_bundle")
 
-    monkeypatch.setattr(experiments, "available_memory", lambda: 1 << 20)
+    # below every desk-small estimate (bogoliubov-check needs about 0.5 MiB)
+    monkeypatch.setattr(experiments, "available_memory", lambda: 1 << 16)
     monkeypatch.setattr(experiments, "build_bundle", no_bundle)
     code = main([verb, "--out", str(tmp_path)])
     assert code == EXIT_INVARIANT

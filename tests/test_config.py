@@ -3,14 +3,17 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
+import polaronlab
 from polaronlab.config import (
     ConfigError,
     PRESETS,
     RunConfig,
     RunManifest,
+    atomic_write,
     load_config,
     write_csv,
 )
@@ -121,3 +124,19 @@ def test_write_csv_roundtrips_floats(tmp_path):
         cell = fh.readline().strip()
     assert header == "x [unit]"
     assert float(cell) == value
+
+
+def test_atomic_write_replaces_existing_file(tmp_path):
+    path = tmp_path / "artifact.bin"
+    path.write_bytes(b"old contents")
+    atomic_write(str(path), b"new")
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+
+def test_config_owns_the_only_atomic_rename():
+    # every artifact goes through config.atomic_write; a second tmp-file
+    # writer elsewhere in the package would be a copy of that decision
+    package = Path(polaronlab.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "os.replace" in p.read_text())
+    assert users == ["config.py"]

@@ -1,6 +1,8 @@
 """Ground-state solvers: closed-form Gaussian values, descent convergence,
 virial identities, and the discrete self-consistent model."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,11 @@ class TestDiscreteModel:
         assert np.array_equal(back.phi0.values, dsol.phi0.values)
         assert np.array_equal(back.f0, dsol.f0)
         assert back.lam == dsol.lam
+        assert np.array_equal(back.modes.k_vectors, dsol.modes.k_vectors)
+        assert np.array_equal(back.modes.weights, dsol.modes.weights)
+        assert back.energy_trace == dsol.energy_trace
+        assert (back.T, back.D, back.energy) == (dsol.T, dsol.D, dsol.energy)
+        assert back.grid == dsol.grid
+        # every scalar is written: a field nothing sets would read null
+        scalars = json.loads((tmp_path / "scalars.json").read_text())
+        assert None not in scalars.values()
