@@ -225,7 +225,10 @@ def cmd_selftest(cfg, manifest):
 # verb -> (function, help); a verb records its checks and artifacts in the
 # manifest, and main writes the manifest and derives the exit code
 _COMMANDS = {
-    "solve-pekar": (cmd_solve_pekar, "solve the ground-state problem and report virial checks"),
+    "solve-pekar": (
+        cmd_solve_pekar,
+        "continuum Pekar solve and virial checks; needs --preset pekar-hi or a larger box",
+    ),
     "build-kernels": (
         cmd_build_kernels, "solve the discrete model and persist the kernel matrices"
     ),

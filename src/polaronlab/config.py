@@ -30,8 +30,6 @@ class RunConfig:
     alphas: list = field(default_factory=lambda: [2.0, 4.0, 8.0])
     tau_final: float = 1.0
     tau_samples: int = 4
-    dt_fock: float = 1.0
-    krylov_dim: int = 40
     seed: int = 12345
     out_dir: str = "runs/out"
     top_pop_limit: float = 2e-3

@@ -96,24 +96,29 @@ def _require_memory(verb: str, need: int):
         )
 
 
+def _dense_eigh_bytes(fock_dim: int) -> int:
+    """Measured peak of _quadratic_propagator's eigh: five complex Fock x Fock
+    matrices (H_quad, eigh's copy, the eigenvectors, two LAPACK workspaces)."""
+    return 16 * 5 * fock_dim**2
+
+
 def preflight_compare(cfg: RunConfig):
     """Raise FockDimensionError when the estimated peak memory of
-    compare_trajectory exceeds MemAvailable: sector x Fock states for the
-    Krylov basis, its conjugate copy and 8 work vectors, plus the dense
-    quadratic Hamiltonian, its eigenvectors and eigh workspace."""
+    compare_trajectory exceeds MemAvailable: 12 sector x Fock states (the
+    initial and current states, the Chebyshev recurrence with the matvec's
+    temporaries, measured at 9 in all) plus the dense eigh of the quadratic
+    Hamiltonian."""
     modes = mode_preset(cfg.mode_preset, cfg.box_length)
     fock_dim = (cfg.n_max + 1) ** modes.M
     state = cfg.grid_n ** len(_coupled_axes(modes)) * fock_dim
-    _require_memory("compare", 16 * (state * (2 * cfg.krylov_dim + 8) + 3 * fock_dim**2))
+    _require_memory("compare", 16 * 12 * state + _dense_eigh_bytes(fock_dim))
 
 
 def preflight_bogoliubov(cfg: RunConfig, n_max: int):
     """Raise FockDimensionError when the dense eigh of bogoliubov_table at its
-    largest cutoff n_max exceeds MemAvailable: five complex Fock x Fock
-    matrices (the dense H_quad, eigh's copy of it, the eigenvectors and the
-    complex and real LAPACK workspaces), which matches the measured peak."""
+    largest cutoff n_max exceeds MemAvailable."""
     fock_dim = (n_max + 1) ** mode_preset(cfg.mode_preset, cfg.box_length).M
-    _require_memory("bogoliubov-check", 16 * 5 * fock_dim**2)
+    _require_memory("bogoliubov-check", _dense_eigh_bytes(fock_dim))
 
 
 def _quadratic_propagator(kp: KernelPair, fs: fk.FockSpace):
@@ -133,6 +138,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     """
     fs = fk.FockSpace(bundle.modes.M, cfg.n_max)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
+    bounds = H.spectral_bounds()
     quadratic = _quadratic_propagator(bundle.kernels, fs)
     eps = bundle.kernels.epsilon
     eta0 = fs.vacuum()
@@ -144,10 +150,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     taus = cfg.tau_grid
     for i, tau in enumerate(taus):
         if i > 0:
-            dt_seg = (tau - taus[i - 1]) * alpha**2
-            psi = fk.evolve_state(
-                H.apply, psi, dt_seg, dt=cfg.dt_fock, krylov_dim=cfg.krylov_dim
-            )
+            psi = fk.propagate(H.apply, psi, (tau - taus[i - 1]) * alpha**2, bounds)
         # effective phonon state: exp(-i tau (N - A)) Omega, N - A = Hq - eps
         eta = quadratic(tau, eta0) * np.exp(1j * eps * tau)
         xi = np.outer(H.electron, eta)

@@ -3,7 +3,7 @@
 Occupation-basis enumeration over M modes with per-mode cutoff n_max,
 sparse ladder operators, the quadratic effective Hamiltonian in two
 independent assemblies, the displaced-frame coupled Hamiltonian, and a
-Lanczos short-step propagator with unitarity/energy monitoring.
+Chebyshev propagator with unitarity/energy monitoring.
 
 The coupled Hamiltonian acts on its invariant sector, the grid of the
 axes the mode k-vectors span, with matrix-free ladder operators: a_i is a
@@ -232,81 +232,61 @@ class CoupledHamiltonian:
             out += dg * apply_ladder(psi, i, self.fs, dagger=True)
         return out
 
+    def spectral_bounds(self) -> tuple[float, float]:
+        """(lo, hi) containing the spectrum: the Laplacian lies in
+        [0, max |k|^2], the diagonal in [min, max], and each coupling term
+        has norm at most 2 max|dG_i| sqrt(n_max), since ||a_i|| = sqrt(n_max)."""
+        c = sum(2.0 * np.max(np.abs(dg)) for dg in self._dg) * np.sqrt(self.fs.n_max)
+        return float(self._diag.min() - c), float(self._ksq.max() + self._diag.max() + c)
+
 
 # ---------------------------------------------------------------------------
-# Lanczos propagator
+# Chebyshev propagator
 # ---------------------------------------------------------------------------
 
 
-def _lanczos_step(apply_h, psi: np.ndarray, dt: float, m: int) -> np.ndarray:
-    """One step of exp(-i dt H) psi via an m-dimensional Krylov space."""
-    shape = psi.shape
-    v = psi.ravel()
-    beta0 = np.linalg.norm(v)
-    V = np.zeros((m, v.size), dtype=np.complex128)
-    alpha = np.zeros(m)
-    beta = np.zeros(m)
-    V[0] = v / beta0
-    used = m
-    for j in range(m):
-        w = apply_h(V[j].reshape(shape)).ravel()
-        if j > 0:
-            w -= beta[j - 1] * V[j - 1]
-        alpha[j] = np.vdot(V[j], w).real
-        w -= alpha[j] * V[j]
-        # full reorthogonalization keeps long trajectories clean
-        w -= V[: j + 1].T @ (V[: j + 1].conj() @ w)
-        b = np.linalg.norm(w)
-        if j + 1 < m:
-            beta[j] = b
-            if b < 1e-14:
-                used = j + 1
-                break
-            V[j + 1] = w / b
-    T = np.diag(alpha[:used]) + np.diag(beta[: used - 1], 1) + np.diag(beta[: used - 1], -1)
-    evals, evecs = np.linalg.eigh(T)
-    coeff = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
-    out = beta0 * (coeff @ V[:used])
-    return out.reshape(shape)
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """c_k = (2 - delta_k0) (-i)^k J_k(x) of exp(-i x y) = sum_k c_k T_k(y),
+    from an FFT of exp(-i x cos theta) at 2n angles, cut after the last
+    |c_k| > 1e-13.  Orders above n alias onto the kept ones; n = 2|x| + 64
+    puts them below roundoff (a margin of 64 over |x| leaves 2e-11 at 500)."""
+    n = 2 * int(abs(x)) + 64
+    theta = np.pi * np.arange(2 * n) / n
+    c = np.fft.fft(np.exp(-1j * x * np.cos(theta)))[: n + 1] / (2 * n)
+    c[1:] *= 2
+    return c[: np.flatnonzero(np.abs(c) > 1e-13)[-1] + 1]
 
 
-def evolve_state(
-    apply_h,
-    psi0: np.ndarray,
-    t: float,
-    dt: float = 0.5,
-    krylov_dim: int = 32,
-    norm_tol: float = 1e-9,
-    energy_tol: float = 1e-8,
-    callback=None,
-) -> np.ndarray:
-    """Propagate exp(-i t H) psi0 in short Lanczos steps.
-
-    Raises if the accumulated norm drift exceeds norm_tol or the relative
-    energy drift exceeds energy_tol.  ``callback(t, psi)`` fires after
-    every step when given.
+def propagate(apply_h, psi0: np.ndarray, t: float, bounds) -> np.ndarray:
+    """exp(-i t H) psi0 by one Chebyshev expansion over the whole time t
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), keeping three
+    vectors.  bounds = (lo, hi) must contain the spectrum of the Hermitian H;
+    an interval that misses part of it shows as a norm drift above 1e-9 or
+    a relative energy drift above 1e-8, which raise EvolutionError.
     """
     nrm0 = np.linalg.norm(psi0)
     if abs(nrm0 - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {nrm0}, expected 1")
-    nsteps = max(1, int(np.ceil(abs(t) / dt)))
-    hstep = t / nsteps
-    psi = psi0.astype(np.complex128).copy()
-    e0 = np.vdot(psi, apply_h(psi)).real
-    escale = max(1.0, abs(e0))
-    for k in range(nsteps):
-        psi = _lanczos_step(apply_h, psi, hstep, krylov_dim)
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > norm_tol:
-            raise EvolutionError(
-                f"norm drift {drift:.3e} at step {k + 1}; reduce dt below {dt}"
-            )
-        if callback is not None:
-            callback((k + 1) * hstep, psi)
-    e1 = np.vdot(psi, apply_h(psi)).real
-    if abs(e1 - e0) / escale > energy_tol:
+    lo, hi = bounds
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coeff = _chebyshev_coefficients(half * t)
+    # cur = T_k(X) psi0 with X = (H - mid) / half, whose spectrum is in [-1, 1]
+    prev, cur, psi = 0.0, psi0, coeff[0] * psi0
+    for k in range(1, len(coeff)):
+        nxt = apply_h(cur)
+        nxt -= mid * cur
+        nxt *= (2.0 if k > 1 else 1.0) / half
+        nxt -= prev
+        prev, cur = cur, nxt
+        psi += coeff[k] * cur
+    psi *= np.exp(-1j * mid * t)
+    drift = abs(np.linalg.norm(psi) - 1.0)
+    e0, e1 = (np.vdot(v, apply_h(v)).real for v in (psi0, psi))
+    edrift = abs(e1 - e0) / max(1.0, abs(e0))
+    if not (drift <= 1e-9 and edrift <= 1e-8):
         raise EvolutionError(
-            f"energy drift {abs(e1 - e0) / escale:.3e}; reduce dt below {dt}"
+            f"norm drift {drift:.3e}, energy drift {edrift:.3e}: "
+            f"[{lo:.6g}, {hi:.6g}] misses part of the spectrum"
         )
     return psi
 

@@ -88,6 +88,24 @@ def test_validation_rejects_bad_values():
         load_config(overrides={"eta0": "vacuum"})
 
 
+@pytest.mark.parametrize("line", ["dt_fock = 0.5", "krylov_dim = 40"])
+def test_removed_propagator_keys_are_unknown(line, tmp_path, capsys):
+    # the Chebyshev propagator takes its interval from the Hamiltonian, so
+    # the Lanczos step size and Krylov dimension are no longer config keys
+    from polaronlab.cli import EXIT_INVARIANT, main
+
+    key, value = (part.strip() for part in line.split("="))
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        load_config(overrides={key: value})
+    p = tmp_path / "old.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        load_config(path=str(p))
+    code = main(["compare", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
 def test_tau_grid_monotone():
     cfg = RunConfig(tau_final=1.0, tau_samples=4)
     grid = cfg.tau_grid

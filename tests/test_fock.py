@@ -4,9 +4,13 @@ propagation, and reduced objects."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from polaronlab import fock as fk
 from polaronlab import quasifree as qf
+from polaronlab.grid import Grid3
+from polaronlab.modes import mode_preset
+from polaronlab.pekar import solve_discrete_pekar
 
 
 @pytest.fixture(scope="module")
@@ -117,39 +121,84 @@ def test_quadratic_evolution_matches_quasifree(bundle):
     assert np.max(np.abs(st.pairing - p)) <= 1e-6
 
 
-def test_lanczos_matches_dense_exponential(bundle):
+def test_chebyshev_matches_dense_exponential(bundle):
     fs = fk.FockSpace(2, 8)
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
     Hd = H.toarray()
     ev, P = np.linalg.eigh(Hd)
     t = 3.0
     exact = P @ (np.exp(-1j * t * ev) * (P.conj().T @ fs.vacuum()))
-    approx = fk.evolve_state(lambda x: H @ x, fs.vacuum(), t, dt=0.5)
+    approx = fk.propagate(lambda x: H @ x, fs.vacuum(), t, (ev[0] - 1.0, ev[-1] + 1.0))
     assert np.linalg.norm(exact - approx) <= 1e-12
 
 
-def test_evolve_state_dt_halving_convergence(bundle):
-    # with a tiny Krylov space the step error is visible and shrinks with dt
-    fs = fk.FockSpace(2, 6)
-    H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
-    Hd = H.toarray()
-    ev, P = np.linalg.eigh(Hd)
-    t = 2.0
-    exact = P @ (np.exp(-1j * t * ev) * (P.conj().T @ fs.vacuum()))
-    errs = []
-    for dt in (0.5, 0.25, 0.125):
-        approx = fk.evolve_state(
-            lambda x: H @ x, fs.vacuum(), t, dt=dt, krylov_dim=3
-        )
-        errs.append(np.linalg.norm(exact - approx))
-    assert errs[1] < errs[0] and errs[2] < errs[1]
+@pytest.mark.parametrize("x", [0.0, 1.5, -7.25, 40.0, 188.0, 960.0])
+def test_chebyshev_coefficients_match_bessel(x):
+    c = fk._chebyshev_coefficients(x)
+    k = np.arange(len(c))
+    exact = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * scipy.special.jv(k, x)
+    assert np.max(np.abs(c - exact)) <= 1e-13
+    # the series is cut where the coefficients fall below 1e-13
+    assert abs(c[-1]) > 1e-13 >= abs(2.0 * scipy.special.jv(len(c), x))
 
 
-def test_evolve_state_rejects_unnormalized(bundle):
+def test_propagate_rejects_unnormalized(bundle):
     fs = fk.FockSpace(2, 4)
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
     with pytest.raises(ValueError):
-        fk.evolve_state(lambda x: H @ x, 2.0 * fs.vacuum(), 1.0)
+        fk.propagate(lambda x: H @ x, 2.0 * fs.vacuum(), 1.0, (-10.0, 10.0))
+
+
+def dense_sector_matrix(H):
+    """The coupled Hamiltonian as a dense matrix on the flattened sector
+    state, one matvec per basis vector."""
+    n = H.shape[0] * H.shape[1]
+    eye = np.eye(n, dtype=np.complex128)
+    return np.stack([H.apply(e.reshape(H.shape)).ravel() for e in eye], axis=1)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0, 8.0])
+def test_propagate_matches_dense_sector_eigh(alpha, bundle, desk_small_config):
+    # the desk-small sector (8 grid points x 81 Fock states) over tau = 1
+    fs = fk.FockSpace(bundle.modes.M, desk_small_config.n_max)
+    H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
+    ev, P = np.linalg.eigh(dense_sector_matrix(H))
+    psi0 = np.outer(H.electron, fs.vacuum())
+    t = alpha**2
+    exact = P @ (np.exp(-1j * t * ev) * (P.conj().T @ psi0.ravel()))
+    approx = fk.propagate(H.apply, psi0, t, H.spectral_bounds())
+    assert np.linalg.norm(approx.ravel() - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("which, n_max", [("pair-x", 3), ("quad-xy", 1)])
+def test_spectral_bounds_contain_dense_spectrum(which, n_max, bundle):
+    if which == "pair-x":
+        dsol = bundle.dsol
+    else:
+        grid = Grid3(8, 4.0 * np.pi)
+        dsol = solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
+    for alpha in (2.0, 8.0):
+        H = fk.CoupledHamiltonian(dsol, fk.FockSpace(dsol.modes.M, n_max), alpha=alpha)
+        ev = np.linalg.eigvalsh(dense_sector_matrix(H))
+        lo, hi = H.spectral_bounds()
+        assert lo <= ev[0] and ev[-1] <= hi
+
+
+def test_propagate_rejects_too_narrow_interval(bundle, rng):
+    fs = fk.FockSpace(bundle.modes.M, 3)
+    H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
+    psi = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    psi /= np.linalg.norm(psi)
+    lo, hi = H.spectral_bounds()
+    with pytest.raises(fk.EvolutionError, match="norm drift"):
+        fk.propagate(H.apply, psi, 4.0, (lo, 0.5 * (lo + hi)))
+
+
+def test_propagate_zero_time_returns_initial_state(bundle):
+    fs = fk.FockSpace(bundle.modes.M, 3)
+    H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
+    psi0 = np.outer(H.electron, fs.vacuum())
+    assert np.array_equal(fk.propagate(H.apply, psi0, 0.0, H.spectral_bounds()), psi0)
 
 
 def test_coupled_hamiltonian_hermitian(bundle, rng):

@@ -40,6 +40,11 @@ class FullGridHamiltonian:
             out += (np.conj(dg) * (psi @ aT) + dg * (psi @ aT.T)) / self.alpha
         return out
 
+    def spectral_bounds(self):
+        diag = self.vshift + self.ndiag
+        c = sum(2 * np.max(np.abs(dg)) for dg in self.dg) * np.sqrt(self.fs.n_max) / self.alpha
+        return diag.min() - c, self.grid.ksq.max() + diag.max() + c
+
 
 def embed(v, grid, axes):
     """Sector array (n^d, ...) as a full-grid array (n^3, ...): v tensored
