@@ -69,9 +69,11 @@ def _new_manifest(cfg, command):
 
 
 def cmd_solve_pekar(cfg, manifest):
+    from .experiments import preflight_pekar
     from .grid import Grid3
     from .pekar import GAUSSIAN_BOUND, minimize_pekar
 
+    preflight_pekar(cfg)
     grid = Grid3(cfg.grid_n, cfg.box_length)
     with manifest.time_stage("minimize"):
         sol = minimize_pekar(grid, tol=cfg.pekar_tol)

@@ -121,6 +121,16 @@ def preflight_bogoliubov(cfg: RunConfig, n_max: int):
     _require_memory("bogoliubov-check", _dense_eigh_bytes(fock_dim))
 
 
+def preflight_pekar(cfg: RunConfig):
+    """Raise FockDimensionError when minimize_pekar's peak memory exceeds
+    MemAvailable: five Grid3 caches (ksq, the Coulomb kernel, three
+    coordinate arrays) and eight real n^3 arrays of the descent, plus nine
+    complex rfftn half spectra, six of the descent and three inside numpy's
+    transforms (measured: 179 bytes of peak RSS per point at n = 64 and 96)."""
+    n = cfg.grid_n
+    _require_memory("solve-pekar", 8 * 13 * n**3 + 16 * 9 * n**2 * (n // 2 + 1))
+
+
 def _quadratic_propagator(kp: KernelPair, fs: fk.FockSpace):
     """(tau, v) -> exp(-i tau H_quad) v on fs, through one dense eigh of H_quad."""
     ev, P = np.linalg.eigh(fk.build_quadratic_hamiltonian(kp, fs).toarray())

@@ -111,9 +111,6 @@ class Field:
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.grid)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
 
@@ -183,19 +180,25 @@ def gaussian(grid: Grid3, sigma: float, normalized: bool = True) -> Field:
     return f
 
 
-def fourier_coefficient(f: Field, k) -> complex:
-    """Continuum-convention Fourier coefficient  int exp(-i k.x) f(x) dx."""
-    pw = plane_wave(f.grid, k)
-    return inner(pw, f)
+def shift_phase(grid: Grid3, displacement, half: bool = False) -> np.ndarray:
+    """The spectral multiplier exp(-i k.d) of a translation by d, broadcast from
+    three 1-D phases.  half=True gives it on the rfftn half spectrum with each
+    Nyquist factor replaced by its real part: the shifted spectrum of a real
+    field stays Hermitian, and irfftn returns the real part of the full shift
+    (exactly, but for the k with two or more components at Nyquist)."""
+    n = grid.n
+    ph = [np.exp(-1j * grid.k_axis * d) for d in np.asarray(displacement, dtype=float)]
+    if half:
+        for p in ph:
+            p[n // 2] = p[n // 2].real
+        ph[2] = ph[2][: n // 2 + 1]
+    return ph[0][:, None, None] * ph[1][:, None] * ph[2]
 
 
 def shift_field(f: Field, displacement) -> Field:
     """Translate a field by a (not necessarily lattice) displacement, spectrally."""
-    d = np.asarray(displacement, dtype=float)
-    g = f.grid
-    kx, ky, kz = np.meshgrid(g.k_axis, g.k_axis, g.k_axis, indexing="ij")
-    phase = np.exp(-1j * (kx * d[0] + ky * d[1] + kz * d[2]))
-    return Field(np.fft.ifftn(np.fft.fftn(f.values) * phase), g)
+    phase = shift_phase(f.grid, displacement)
+    return Field(np.fft.ifftn(np.fft.fftn(f.values) * phase), f.grid)
 
 
 # ---------------------------------------------------------------------------

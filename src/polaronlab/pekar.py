@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .grid import (
     load_field,
     save_field,
     shift_field,
+    shift_phase,
 )
 
 # Analytic Gaussian upper bound: the width-sigma Gaussian gives
@@ -59,11 +61,6 @@ def density(phi: Field) -> Field:
     return Field(np.abs(phi.values) ** 2, phi.grid)
 
 
-def effective_potential(phi: Field) -> Field:
-    """Self-induced attractive potential  V(x) = -(|phi|^2 * 1/|x|)(x)."""
-    return -1.0 * coulomb_convolve(density(phi))
-
-
 def pekar_energy(phi: Field):
     """Return (T, D, E) for a normalized phi; refuses unnormalized input."""
     nrm = phi.norm()
@@ -75,27 +72,21 @@ def pekar_energy(phi: Field):
     return T, D, T - 0.5 * D
 
 
-def center_of_mass(rho_vals: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Periodic (circular-mean) center of mass of a density."""
+def center_of_mass(rho_vals: np.ndarray, grid: Grid3, axes=(0, 1, 2)) -> np.ndarray:
+    """Periodic (circular-mean) center of mass of a density along axes (zero
+    along the others), each from the 1-D marginal of its axis."""
     w = rho_vals.real
-    total = w.sum()
+    ph = np.exp(2j * np.pi * grid.axis / grid.box_length)
     com = np.zeros(3)
-    theta = 2.0 * np.pi * grid.axis / grid.box_length
-    for a in range(3):
-        shape = [1, 1, 1]
-        shape[a] = grid.n
-        ph = np.exp(1j * theta).reshape(shape)
-        z = np.sum(w * ph) / total
-        com[a] = grid.box_length * np.angle(z) / (2.0 * np.pi)
+    for a in axes:
+        marginal = w.sum(axis=tuple(b for b in range(3) if b != a))
+        com[a] = grid.box_length * np.angle(marginal @ ph) / (2.0 * np.pi)
     return com
 
 
 def recenter(phi: Field, axes=(0, 1, 2)) -> Field:
     """Shift phi so the (circular) center of mass of |phi|^2 sits at the origin."""
-    com = center_of_mass(np.abs(phi.values) ** 2, phi.grid)
-    d = np.zeros(3)
-    for a in axes:
-        d[a] = com[a]
+    d = center_of_mass(np.abs(phi.values) ** 2, phi.grid, axes)
     if np.all(d == 0.0):
         return phi
     return shift_field(phi, -d)
@@ -169,75 +160,75 @@ class PekarSolution:
 def _euler_lagrange(phi: Field):
     """V_eff of phi, lambda = <phi, h phi> and the residual (h - lambda) phi,
     with h = p^2 + V_eff."""
-    V = effective_potential(phi)
+    V = -1.0 * coulomb_convolve(density(phi))  # V(x) = -(|phi|^2 * 1/|x|)(x)
     hphi = apply_laplacian(phi) + Field(V.values * phi.values, phi.grid)
     lam = inner(phi, hphi).real
     return V, lam, Field(hphi.values - lam * phi.values, phi.grid)
 
 
-def minimize_pekar(
-    grid: Grid3,
-    init: Field | str = "gaussian",
-    step: float = 0.8,
-    tol: float = 1e-7,
-    max_iter: int = 4000,
-) -> PekarSolution:
-    """Normalized preconditioned gradient descent on the Pekar functional.
+def _real_descent(grid: Grid3, step: float, tol: float, max_iter: int):
+    """minimize_pekar's loop: the first iterate with residual <= tol, and the
+    iteration count.  The iterate is real, so the loop runs on rfftn half
+    spectra (ksq and the Coulomb kernel depend only on |k|, so their half
+    slices are exact) and carries phi's spectrum: six transforms per step."""
+    n, dv = grid.n, grid.cell_volume
+    ksq, kern = grid.ksq[..., : n // 2 + 1], grid.coulomb_kernel[..., : n // 2 + 1]
+    rfft = partial(np.fft.rfftn, axes=(0, 1, 2))
+    irfft = partial(np.fft.irfftn, s=grid.shape, axes=(0, 1, 2))
 
-    Uses the Euler-Lagrange residual ||(h^phi - lambda) phi|| as the stopping
-    criterion, with Barzilai-Borwein step adaptation on the preconditioned
-    gradient.  The iterate is re-centered and phase-fixed every step to break
-    the translation degeneracy.
-    """
-    if isinstance(init, str):
-        if init != "gaussian":
-            raise ValueError(f"unknown init preset {init!r}")
-        sigma = min(GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0)
-        phi = gaussian(grid, sigma)
-    else:
-        phi = init.copy()
-        if abs(phi.norm() - 1.0) > 1e-8:
-            raise NotNormalizedError("init field must be normalized")
-
-    ksq = grid.ksq
-    tau = step
-    z_prev = None
-    phi_prev = None
-    residual = np.inf
+    phi = gaussian(grid, min(GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0)).values.real.copy()
+    phi_hat = rfft(phi)
+    tau, phi_prev, z_prev, residual = step, None, None, np.inf
 
     for it in range(1, max_iter + 1):
-        _, lam, grad = _euler_lagrange(phi)
-        residual = grad.norm()
+        # h phi with h = p^2 + V_eff, V_eff = -(phi^2 * 1/|x|)
+        hphi = irfft(ksq * phi_hat) - irfft(rfft(phi * phi) * kern) * phi
+        lam = np.vdot(phi, hphi) * dv
+        grad = hphi - lam * phi
+        residual = float(np.sqrt(np.vdot(grad, grad) * dv))
         if not np.isfinite(residual) or not np.isfinite(lam):
             raise PekarError("energy collapsed to NaN during descent")
         if residual <= tol:
             break
 
-        shift = max(0.5, abs(lam))
-        z_vals = np.fft.ifftn(np.fft.fftn(grad.values) / (ksq + shift))
-        z = Field(z_vals, grid)
-
+        z_hat = rfft(grad) / (ksq + max(0.5, abs(lam)))
+        z = irfft(z_hat)
         if phi_prev is not None:
-            dphi = phi.values - phi_prev
-            dz = z.values - z_prev
-            num = np.vdot(dphi, dphi).real
-            den = np.vdot(dphi, dz).real
+            dphi, dz = phi - phi_prev, z - z_prev
+            den = np.vdot(dphi, dz)
             if den > 0:
-                tau = float(np.clip(num / den, 0.05, 20.0))
-        phi_prev = phi.values.copy()
-        z_prev = z.values.copy()
+                tau = float(np.clip(np.vdot(dphi, dphi) / den, 0.05, 20.0))
+        phi_prev, z_prev = phi, z
 
-        new = Field(phi.values - tau * z.values, grid)
-        new = _fix_phase_positive(recenter(new))
-        new = new * (1.0 / new.norm())
-        phi = new
+        # recenter phi - tau z on its spectrum, then fix the sign and the norm
+        d = -center_of_mass((phi - tau * z) ** 2, grid)
+        phi_hat = (phi_hat - tau * z_hat) * shift_phase(grid, d, half=True)
+        phi = irfft(phi_hat)
+        c = (1.0 if phi.sum() >= 0 else -1.0) / np.sqrt(np.vdot(phi, phi) * dv)
+        phi *= c
+        phi_hat *= c
     else:
         raise ConvergenceError(
             f"no convergence after {max_iter} iterations (residual {residual:.3e})",
             residual=residual,
         )
 
-    phi = _fix_phase_positive(recenter(phi))
+    return phi, it
+
+
+def minimize_pekar(
+    grid: Grid3, step: float = 0.8, tol: float = 1e-7, max_iter: int = 4000
+) -> PekarSolution:
+    """Normalized preconditioned gradient descent on the Pekar functional.
+
+    Uses the Euler-Lagrange residual ||(h^phi - lambda) phi|| as the stopping
+    criterion, with Barzilai-Borwein step adaptation on the preconditioned
+    gradient.  The iterate is re-centered and phase-fixed every step to break
+    the translation degeneracy.  The converged state is checked, and its
+    scalars and residual recomputed, on complex Fields.
+    """
+    phi, it = _real_descent(grid, step, tol, max_iter)
+    phi = _fix_phase_positive(recenter(Field(phi, grid)))
     phi = phi * (1.0 / phi.norm())
     T, D, E = pekar_energy(phi)
     # the spread-out near-uniform state is a stationary point on small boxes;

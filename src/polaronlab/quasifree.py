@@ -156,14 +156,6 @@ def vacuum_state(M: int) -> QuasiFreeState:
     return QuasiFreeState(gamma=z.copy(), pairing=z.copy())
 
 
-def squeezed_vacuum(M: int, r: float, theta: float = 0.0) -> QuasiFreeState:
-    """Mode-diagonal squeezed vacuum preset with uniform squeezing r."""
-    sh, ch = np.sinh(r), np.cosh(r)
-    gamma = np.eye(M) * sh**2
-    pairing = np.eye(M) * (-np.exp(1j * theta) * sh * ch)
-    return QuasiFreeState(gamma=gamma.astype(np.complex128), pairing=pairing)
-
-
 def expected_number(state: QuasiFreeState) -> float:
     return float(np.trace(state.gamma).real)
 

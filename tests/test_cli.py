@@ -120,18 +120,21 @@ def test_compare_single_alpha(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "verb", ["compare", "scan-alpha", "reduced-density", "bogoliubov-check"]
+    "verb", ["compare", "scan-alpha", "reduced-density", "bogoliubov-check", "solve-pekar"]
 )
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    from polaronlab import experiments
+    from polaronlab import experiments, pekar
 
-    def no_bundle(*args, **kwargs):
-        raise AssertionError("the preflight should stop the run before build_bundle")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the preflight should stop the run before any solve")
 
-    # below every desk-small estimate (bogoliubov-check needs about 0.5 MiB)
+    # below every desk-small estimate (bogoliubov-check needs about 0.5 MiB,
+    # solve-pekar about 97 KiB)
     monkeypatch.setattr(experiments, "available_memory", lambda: 1 << 16)
-    monkeypatch.setattr(experiments, "build_bundle", no_bundle)
+    monkeypatch.setattr(experiments, "build_bundle", no_solve)
+    monkeypatch.setattr(pekar, "minimize_pekar", no_solve)
     code = main([verb, "--out", str(tmp_path)])
     assert code == EXIT_INVARIANT
     assert "MiB are available" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "pekar").exists()

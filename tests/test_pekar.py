@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from polaronlab.grid import Field, Grid3, gaussian, inner
+from polaronlab import pekar
+from polaronlab.grid import Field, Grid3, gaussian, inner, shift_field
 from polaronlab.modes import ModeSet, axis_pair, mode_preset
 from polaronlab.pekar import (
     GAUSSIAN_BOUND,
@@ -57,6 +58,71 @@ def test_minimize_detects_delocalized_collapse():
     # on a small box the uniform state wins and the solver must refuse it
     with pytest.raises(DelocalizedError):
         minimize_pekar(Grid3(16, 16.0))
+
+
+def _reference_recenter(phi: Field) -> Field:
+    """The reference route's recentring: full-grid circular means and a 3-D
+    phase exp(-i k.d) on the complex spectrum."""
+    g = phi.grid
+    w = np.abs(phi.values) ** 2
+    theta = 2.0 * np.pi * g.axis / g.box_length
+    d = np.zeros(3)
+    for a in range(3):
+        shape = [1, 1, 1]
+        shape[a] = g.n
+        z = np.sum(w * np.exp(1j * theta).reshape(shape)) / w.sum()
+        d[a] = -g.box_length * np.angle(z) / (2.0 * np.pi)
+    kx, ky, kz = np.meshgrid(g.k_axis, g.k_axis, g.k_axis, indexing="ij")
+    phase = np.exp(-1j * (kx * d[0] + ky * d[1] + kz * d[2]))
+    return Field(np.fft.ifftn(np.fft.fftn(phi.values) * phase), g)
+
+
+def _complex_descent(grid, step=0.8, tol=1e-7, max_iter=4000):
+    """Reference: minimize_pekar's descent on complex Fields, with full
+    complex FFTs (8 n-d transforms per step) and the 3-D phase shift."""
+    phi = gaussian(grid, min(pekar.GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0))
+    tau, z_prev, phi_prev = step, None, None
+    for it in range(1, max_iter + 1):
+        _, lam, grad = pekar._euler_lagrange(phi)
+        if grad.norm() <= tol:
+            break
+        shift = max(0.5, abs(lam))
+        z = np.fft.ifftn(np.fft.fftn(grad.values) / (grid.ksq + shift))
+        if phi_prev is not None:
+            dphi, dz = phi.values - phi_prev, z - z_prev
+            den = np.vdot(dphi, dz).real
+            if den > 0:
+                tau = float(np.clip(np.vdot(dphi, dphi).real / den, 0.05, 20.0))
+        phi_prev, z_prev = phi.values.copy(), z.copy()
+        new = pekar._fix_phase_positive(_reference_recenter(Field(phi.values - tau * z, grid)))
+        phi = new * (1.0 / new.norm())
+    else:
+        raise AssertionError("reference descent did not converge")
+    phi = pekar._fix_phase_positive(_reference_recenter(phi))
+    phi = phi * (1.0 / phi.norm())
+    T, D, E = pekar_energy(phi)
+    V, lam, _ = pekar._euler_lagrange(phi)
+    return it, phi, V, T, D, E, lam
+
+
+@pytest.mark.parametrize("grid", [Grid3(40, 80.0), Grid3(48, 96.0)], ids=["40", "48"])
+def test_real_descent_matches_complex_reference(grid):
+    it, phi, V, T, D, E, lam = _complex_descent(grid)
+    sol = minimize_pekar(grid)
+    assert sol.iterations == it
+    for got, want in [(sol.energy, E), (sol.T, T), (sol.D, D), (sol.lam, lam)]:
+        assert abs(got - want) <= 1e-12
+    assert np.max(np.abs(sol.phi0.values - phi.values)) <= 1e-12
+    assert np.max(np.abs(sol.V_eff.values - V.values)) <= 1e-12
+
+
+def test_center_of_mass_reads_a_shifted_gaussian():
+    # the center of the unlisted axis 1 is kept, the listed ones move to 0
+    grid = Grid3(32, 24.0)
+    d = np.array([0.37, -1.21, 2.5])
+    phi = pekar.recenter(shift_field(gaussian(grid, 1.0), d), axes=(0, 2))
+    com = pekar.center_of_mass(np.abs(phi.values) ** 2, grid)
+    assert np.max(np.abs(com - [0.0, d[1], 0.0])) <= 1e-12
 
 
 def test_solution_roundtrip(tmp_path):

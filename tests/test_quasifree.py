@@ -51,8 +51,16 @@ def test_vacuum_stays_pure_and_physical(gen):
         assert qf.expected_number(st) >= 0
 
 
+def squeezed_vacuum(M: int, r: float, theta: float = 0.0) -> qf.QuasiFreeState:
+    """Mode-diagonal squeezed vacuum with uniform squeezing r."""
+    sh, ch = np.sinh(r), np.cosh(r)
+    gamma = np.eye(M) * sh**2
+    pairing = np.eye(M) * (-np.exp(1j * theta) * sh * ch)
+    return qf.QuasiFreeState(gamma=gamma.astype(np.complex128), pairing=pairing)
+
+
 def test_squeezed_vacuum_is_pure():
-    st = qf.squeezed_vacuum(3, r=0.7, theta=0.4)
+    st = squeezed_vacuum(3, r=0.7, theta=0.4)
     st.check()
     assert st.purity_defect() <= 1e-12
     assert np.isclose(qf.expected_number(st), 3 * np.sinh(0.7) ** 2)
@@ -91,7 +99,7 @@ def test_heisenberg_blocks_preserve_ccr(gen):
 
 def test_density_rhs_is_structure_preserving(gen):
     # the flow keeps gamma Hermitian and pairing symmetric
-    st = qf.squeezed_vacuum(gen.M, 0.3)
+    st = squeezed_vacuum(gen.M, 0.3)
     dg, dp = qf.density_rhs(gen, st, alpha=1.0)
     assert np.max(np.abs(dg - dg.conj().T)) <= 1e-12
     assert np.max(np.abs(dp - dp.T)) <= 1e-12
