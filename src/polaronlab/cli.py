@@ -69,9 +69,8 @@ def _new_manifest(cfg, command):
 
 
 def cmd_solve_pekar(cfg, manifest):
-    from .experiments import preflight_pekar
     from .grid import Grid3
-    from .pekar import GAUSSIAN_BOUND, minimize_pekar
+    from .pekar import GAUSSIAN_BOUND, minimize_pekar, preflight_pekar
 
     preflight_pekar(cfg)
     grid = Grid3(cfg.grid_n, cfg.box_length)
@@ -244,6 +243,18 @@ _COMMANDS = {
 }
 
 
+def _failures():
+    """(exit 2, exit 3) exception classes.  main's except clauses evaluate this
+    only once a verb has raised, so solve-pekar runs without loading fock."""
+    from . import config, experiments, fock, pekar, quasifree, resolvent
+
+    return (
+        (experiments.InvariantError, quasifree.SymplecticError, resolvent.GapError,
+         fock.FockDimensionError, pekar.DelocalizedError, config.ConfigError, ValueError),
+        (pekar.PekarError, resolvent.ResolventError, fock.EvolutionError),
+    )
+
+
 def main(argv=None) -> int:
     _cap_threads()
     args = _build_parser().parse_args(argv)
@@ -258,23 +269,14 @@ def main(argv=None) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = _new_manifest(cfg, args.command)
 
-    from .experiments import InvariantError
-    from .fock import EvolutionError, FockDimensionError
-    from .pekar import DelocalizedError, PekarError
-    from .quasifree import SymplecticError
-    from .resolvent import GapError, ResolventError
-
     try:
         _COMMANDS[args.command][0](cfg, manifest)
         code = EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
-    except (
-        InvariantError, SymplecticError, GapError, FockDimensionError, DelocalizedError,
-        ValueError,
-    ) as exc:
+    except _failures()[0] as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         manifest.record_check("run_completed", False, str(exc))
         code = EXIT_INVARIANT
-    except (PekarError, ResolventError, EvolutionError) as exc:
+    except _failures()[1] as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         manifest.record_check("run_completed", False, str(exc))
         code = EXIT_NONCONVERGED

@@ -1,5 +1,6 @@
 """Run configuration: flat key=value files, named presets, command-line
-overrides, and the reproducibility manifest written next to every result."""
+overrides, the reproducibility manifest written next to every result,
+atomic writes, and the memory check the preflights share."""
 
 from __future__ import annotations
 
@@ -131,6 +132,25 @@ def load_config(
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = val
     return RunConfig(**values).validate()
+
+
+def available_memory() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where it is unreadable."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("MemAvail"))
+    except (OSError, StopIteration):
+        return None
+
+
+def require_memory(verb: str, need: int, error=ConfigError):
+    """Raise error when need bytes exceed MemAvailable."""
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise error(
+            f"{verb} needs about {need / 2**20:.0f} MiB but only "
+            f"{avail / 2**20:.0f} MiB are available; lower n_max or grid_n"
+        )
 
 
 def file_sha256(path: str) -> str:

@@ -1,6 +1,6 @@
-"""Experiment pipelines: model assembly, effective-vs-full comparisons,
-coupling-strength scans, truncation tables, reduced-density distances,
-and phonon-number growth fits."""
+"""Experiment pipelines: model assembly, memory preflights, effective-vs-full
+comparisons, coupling-strength scans, truncation tables and reduced-density
+distances."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import fock as fk
 from . import quasifree as qf
-from .config import RunConfig
+from .config import RunConfig, require_memory
 from .grid import Grid3
 from .modes import ModeSet, mode_preset
 from .pekar import DiscretePekarSolution, _coupled_axes, solve_discrete_pekar
@@ -77,25 +77,6 @@ COMPARE_HEADER = [
 ]
 
 
-def available_memory() -> int | None:
-    """MemAvailable from /proc/meminfo in bytes; None where it is unreadable."""
-    try:
-        with open("/proc/meminfo") as fh:
-            return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("MemAvail"))
-    except (OSError, StopIteration):
-        return None
-
-
-def _require_memory(verb: str, need: int):
-    """Raise FockDimensionError when need bytes exceed MemAvailable."""
-    avail = available_memory()
-    if avail is not None and need > avail:
-        raise fk.FockDimensionError(
-            f"{verb} needs about {need / 2**20:.0f} MiB but only "
-            f"{avail / 2**20:.0f} MiB are available; lower n_max or grid_n"
-        )
-
-
 def _dense_eigh_bytes(fock_dim: int) -> int:
     """Measured peak of _quadratic_propagator's eigh: five complex Fock x Fock
     matrices (H_quad, eigh's copy, the eigenvectors, two LAPACK workspaces)."""
@@ -105,30 +86,21 @@ def _dense_eigh_bytes(fock_dim: int) -> int:
 def preflight_compare(cfg: RunConfig):
     """Raise FockDimensionError when the estimated peak memory of
     compare_trajectory exceeds MemAvailable: 12 sector x Fock states (the
-    initial and current states, the Chebyshev recurrence with the matvec's
-    temporaries, measured at 9 in all) plus the dense eigh of the quadratic
-    Hamiltonian."""
+    initial and current states, the Chebyshev recurrence and the matvec's
+    output and temporary, measured at 7 in all) plus the dense eigh of the
+    quadratic Hamiltonian."""
     modes = mode_preset(cfg.mode_preset, cfg.box_length)
     fock_dim = (cfg.n_max + 1) ** modes.M
     state = cfg.grid_n ** len(_coupled_axes(modes)) * fock_dim
-    _require_memory("compare", 16 * 12 * state + _dense_eigh_bytes(fock_dim))
+    need = 16 * 12 * state + _dense_eigh_bytes(fock_dim)
+    require_memory("compare", need, fk.FockDimensionError)
 
 
 def preflight_bogoliubov(cfg: RunConfig, n_max: int):
     """Raise FockDimensionError when the dense eigh of bogoliubov_table at its
     largest cutoff n_max exceeds MemAvailable."""
     fock_dim = (n_max + 1) ** mode_preset(cfg.mode_preset, cfg.box_length).M
-    _require_memory("bogoliubov-check", _dense_eigh_bytes(fock_dim))
-
-
-def preflight_pekar(cfg: RunConfig):
-    """Raise FockDimensionError when minimize_pekar's peak memory exceeds
-    MemAvailable: five Grid3 caches (ksq, the Coulomb kernel, three
-    coordinate arrays) and eight real n^3 arrays of the descent, plus nine
-    complex rfftn half spectra, six of the descent and three inside numpy's
-    transforms (measured: 179 bytes of peak RSS per point at n = 64 and 96)."""
-    n = cfg.grid_n
-    _require_memory("solve-pekar", 8 * 13 * n**3 + 16 * 9 * n**2 * (n // 2 + 1))
+    require_memory("bogoliubov-check", _dense_eigh_bytes(fock_dim), fk.FockDimensionError)
 
 
 def _quadratic_propagator(kp: KernelPair, fs: fk.FockSpace):
@@ -271,51 +243,6 @@ def bogoliubov_table(kp: KernelPair, tau: float, n_max_list):
             f"truncation deviation is not decreasing in n_max: {devs}"
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# phonon-number growth
-# ---------------------------------------------------------------------------
-
-NUMBER_HEADER = ["tau = t/alpha^2", "N_expectation [phonons]"]
-
-
-def number_growth(gen: qf.Generator, state0: qf.QuasiFreeState, tau_grid):
-    """<N>(tau) under the quadratic effective dynamics (exact map route)."""
-    rows = []
-    for tau in tau_grid:
-        bmap = qf.propagate_map(gen, float(tau), 1.0)
-        st = qf.evolve_quasifree(state0, bmap)
-        rows.append([float(tau), qf.expected_number(st)])
-    return rows
-
-
-def gronwall_fit(rows, curvature_tol: float = 0.1):
-    """Exponential-envelope fit of a number-growth curve.
-
-    Fits log of the running maximum of N(tau) (skipping zero values) to a
-    line, giving the Gronwall constants (C, c); also reports the maximum
-    second difference of that log-envelope, which stays <= curvature_tol
-    for at-most-exponential growth.  Returns dict with C, c, max_curvature,
-    super_exponential flag.
-    """
-    taus = np.array([r[0] for r in rows], dtype=float)
-    N = np.array([r[1] for r in rows], dtype=float)
-    env = np.maximum.accumulate(N)
-    mask = env > 0
-    if mask.sum() < 3:
-        raise InvariantError("number-growth curve has too few nonzero samples")
-    lt, le = taus[mask], np.log(env[mask])
-    C, c = _bounding_exponential(lt, le)
-    # uniform grid second differences of the log-envelope
-    d2 = np.diff(le, 2)
-    max_curv = float(np.max(d2)) if d2.size else 0.0
-    return {
-        "C": C,
-        "c": c,
-        "max_curvature": max_curv,
-        "super_exponential": bool(max_curv > curvature_tol),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ independent assemblies, the displaced-frame coupled Hamiltonian, and a
 Chebyshev propagator with unitarity/energy monitoring.
 
 The coupled Hamiltonian acts on its invariant sector, the grid of the
-axes the mode k-vectors span, with matrix-free ladder operators: a_i is a
+axes the mode k-vectors span.  Its Laplacian is the real one-axis matrix
+of ``grid.laplacian_matrix`` applied along each sector axis, and a_i is a
 strided slice on the mixed-radix Fock index scaled by sqrt(n).
 
 The creation operator annihilates top-occupation states (hard
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
+from .grid import laplacian_matrix
 from .pekar import DiscretePekarSolution, _coupled_axes, delta_g_field
 from .resolvent import KernelPair
 
@@ -184,7 +185,6 @@ class CoupledHamiltonian:
     the others.  A sector vector v stands for v (x) c with c the unit-norm
     constant over the uncoupled axes, so norms, phonon numbers and trace
     distances are the full-grid ones.  ``electron`` is phi0 so embedded.
-    The Laplacian is a d-axis FFT; the ladders act through ``apply_ladder``.
     """
 
     dsol: DiscretePekarSolution
@@ -208,36 +208,52 @@ class CoupledHamiltonian:
             )
         phi, vshift, *dg = mean.reshape(len(fields), -1)
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
-        self._ksq = reduce(np.add.outer, [grid.k_axis**2] * len(axes))
-        ndiag = self.fs.occupations.sum(axis=1)
-        self._diag = vshift.real[:, None] + ndiag[None, :] / self.alpha**2
-        # alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag
-        self._dg = [g[:, None] / self.alpha for g in dg]
+        self._lap, self._d = laplacian_matrix(grid), len(axes)
+        self._diag = vshift.real[:, None] + self.fs.occupations.sum(axis=1) / self.alpha**2
+        # alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag; times sqrt(n)
+        # on the (sector, r^i, r, r^(M-1-i)) state view, and conjugated for a_i
+        self._dg = [g / self.alpha for g in dg]
+        sq = np.sqrt(np.arange(1.0, self.fs.n_max + 1))[:, None]
+        self._raise = np.array(self._dg)[:, :, None, None, None] * sq
+        self._lower = np.conj(self._raise)
 
     @property
     def shape(self):
-        return (self._ksq.size, self.fs.dim)
+        return (len(self._lap) ** self._d, self.fs.dim)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """psi has shape (sector_size, fock_dim)."""
-        ax = tuple(range(self._ksq.ndim))
-        cube = psi.reshape(self._ksq.shape + (self.fs.dim,))
-        # spectral Laplacian on the sector, per Fock column
-        lap = np.fft.ifftn(self._ksq[..., None] * np.fft.fftn(cube, axes=ax), axes=ax)
-        # local potential and phonon number
-        out = lap.reshape(psi.shape) + self._diag * psi
+        """H psi for psi of shape (sector_size, fock_dim), in any memory layout."""
+        psi = np.ascontiguousarray(psi, dtype=np.complex128)
+        n, r, S = len(self._lap), self.fs.n_max + 1, len(psi)
+        # Laplacian: a real matmul per sector axis on the float view, so the
+        # real and imaginary parts share each dgemm
+        re = psi.view(np.float64)
+        out = np.matmul(self._lap, re.reshape(n, -1)).reshape(re.shape)
+        for a in range(1, self._d):
+            out += np.matmul(self._lap, re.reshape(n**a, n, -1)).reshape(re.shape)
+        out = out.view(np.complex128)
+        out += self._diag * psi
         # coupling: alpha^-1 sum_i sqrt(w_i) (conj(dG_i) a_i + dG_i a_i^dag)
-        for i, dg in enumerate(self._dg):
-            out += np.conj(dg) * apply_ladder(psi, i, self.fs)
-            out += dg * apply_ladder(psi, i, self.fs, dagger=True)
+        for i, (lower, upper) in enumerate(zip(self._lower, self._raise)):
+            o, p = out.reshape(S, r**i, r, -1), psi.reshape(S, r**i, r, -1)
+            o[:, :, :-1] += lower * p[:, :, 1:]
+            o[:, :, 1:] += upper * p[:, :, :-1]
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """(lo, hi) containing the spectrum: the Laplacian lies in
-        [0, max |k|^2], the diagonal in [min, max], and each coupling term
-        has norm at most 2 max|dG_i| sqrt(n_max), since ||a_i|| = sqrt(n_max)."""
+        """(lo, hi) containing the spectrum.  The Laplacian lies in
+        [0, max |k|^2], the diagonal in [min, max], and each coupling term has
+        norm at most 2 max|g_i| sqrt(n_max) / alpha (g_i = sqrt(w_i) delta G_i).
+        lo is the larger of that bound and the completed square: with
+        b_i = a_i + alpha g_i, N/alpha^2 + coupling = sum_i b_i^dag b_i / alpha^2
+        - sum_i |g_i|^2 exactly (a_i^dag a_i = diag(n) on the truncated space),
+        so H >= min_x(V_eff - lambda - sum_i |g_i|^2) at every alpha."""
         c = sum(2.0 * np.max(np.abs(dg)) for dg in self._dg) * np.sqrt(self.fs.n_max)
-        return float(self._diag.min() - c), float(self._ksq.max() + self._diag.max() + c)
+        # the vacuum column of the diagonal is V_eff - lambda
+        square = self._diag[:, 0] - sum(np.abs(self.alpha * dg) ** 2 for dg in self._dg)
+        lo = max(self._diag.min() - c, square.min())
+        ksq_max = self._d * np.max(self.dsol.grid.k_axis**2)
+        return float(lo), float(ksq_max + self._diag.max() + c)
 
 
 # ---------------------------------------------------------------------------

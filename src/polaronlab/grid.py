@@ -148,6 +148,19 @@ def apply_laplacian(f: Field) -> Field:
     return Field(np.fft.ifftn(f.grid.ksq * fhat), f.grid)
 
 
+def plane_waves(grid: Grid3):
+    """(k, W): the axis wave numbers sorted stably by k^2, and the unit plane
+    waves exp(i k_j x) / sqrt(n) along one axis as the columns of W."""
+    k = grid.k_axis[np.argsort(grid.k_axis**2, kind="stable")]
+    return k, np.exp(1j * np.outer(grid.axis, k)) / np.sqrt(grid.n)
+
+
+def laplacian_matrix(grid: Grid3) -> np.ndarray:
+    """p^2 along one axis, W diag(k^2) W^*, as a real symmetric n x n matrix."""
+    k, waves = plane_waves(grid)
+    return ((waves * k**2) @ waves.conj().T).real
+
+
 def coulomb_convolve(rho: Field) -> Field:
     """Convolve a real density with 1/|x| (truncated at L/2) in Fourier space."""
     vals = rho.values

@@ -24,7 +24,10 @@ import numpy as np
 from scipy.sparse.linalg import cg  # noqa: F401
 
 from .config import write_json
-from .grid import Field, Grid3, apply_laplacian, inner, load_array, plane_wave, save_array
+from .grid import (
+    Field, Grid3, apply_laplacian, inner, laplacian_matrix, load_array, plane_wave, plane_waves,
+    save_array,
+)
 from .modes import ModeSet
 
 
@@ -111,9 +114,8 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
     if defect > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
         raise ValueError(f"V_eff misses its split over the axis groups {groups} by "
                          f"{defect:.3e}; it does not separate")
-    k = grid.k_axis[np.argsort(grid.k_axis**2, kind="stable")]
-    waves = np.exp(1j * np.outer(grid.axis, k)) / np.sqrt(grid.n)
-    lap1, eye = ((waves * k**2) @ waves.conj().T).real, np.eye(grid.n)
+    k, waves = plane_waves(grid)
+    lap1, eye = laplacian_matrix(grid), np.eye(grid.n)
     bases, levels = [], []
     for g, c, vg in zip(groups, coupled, terms):
         if not c:

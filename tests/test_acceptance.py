@@ -13,13 +13,13 @@ from polaronlab import quasifree as qf
 from polaronlab.config import load_config, write_csv
 from polaronlab.experiments import (
     COMPARE_HEADER,
+    InvariantError,
+    _bounding_exponential,
     bogoliubov_table,
     compare_trajectory,
     envelope_bounds_all,
     fit_alpha_slope,
     fit_envelope,
-    gronwall_fit,
-    number_growth,
 )
 from polaronlab.grid import Field, Grid3
 from polaronlab.pekar import GAUSSIAN_BOUND, minimize_pekar
@@ -191,6 +191,44 @@ def test_criterion_08_reduced_density_bound(scan_results):
         f"distance <= 2*err everywhere={bound_ok}, final distances="
         f"{['%.3e' % d for d in final_dist]} decreasing in alpha={decreasing}",
     )
+
+
+def number_growth(gen: qf.Generator, state0: qf.QuasiFreeState, tau_grid):
+    """<N>(tau) under the quadratic effective dynamics (exact map route)."""
+    rows = []
+    for tau in tau_grid:
+        bmap = qf.propagate_map(gen, float(tau), 1.0)
+        st = qf.evolve_quasifree(state0, bmap)
+        rows.append([float(tau), qf.expected_number(st)])
+    return rows
+
+
+def gronwall_fit(rows, curvature_tol: float = 0.1):
+    """Exponential-envelope fit of a number-growth curve.
+
+    Fits log of the running maximum of N(tau) (skipping zero values) to a
+    line, giving the Gronwall constants (C, c); also reports the maximum
+    second difference of that log-envelope, which stays <= curvature_tol
+    for at-most-exponential growth.  Returns dict with C, c, max_curvature,
+    super_exponential flag.
+    """
+    taus = np.array([r[0] for r in rows], dtype=float)
+    N = np.array([r[1] for r in rows], dtype=float)
+    env = np.maximum.accumulate(N)
+    mask = env > 0
+    if mask.sum() < 3:
+        raise InvariantError("number-growth curve has too few nonzero samples")
+    lt, le = taus[mask], np.log(env[mask])
+    C, c = _bounding_exponential(lt, le)
+    # uniform grid second differences of the log-envelope
+    d2 = np.diff(le, 2)
+    max_curv = float(np.max(d2)) if d2.size else 0.0
+    return {
+        "C": C,
+        "c": c,
+        "max_curvature": max_curv,
+        "super_exponential": bool(max_curv > curvature_tol),
+    }
 
 
 def test_criterion_09_number_growth(bundle):

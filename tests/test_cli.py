@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, artifacts, manifests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polaronlab
 from polaronlab.cli import EXIT_INVARIANT, EXIT_OK, main
 
 
@@ -123,14 +127,14 @@ def test_compare_single_alpha(tmp_path):
     "verb", ["compare", "scan-alpha", "reduced-density", "bogoliubov-check", "solve-pekar"]
 )
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    from polaronlab import experiments, pekar
+    from polaronlab import config, experiments, pekar
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the preflight should stop the run before any solve")
 
     # below every desk-small estimate (bogoliubov-check needs about 0.5 MiB,
     # solve-pekar about 97 KiB)
-    monkeypatch.setattr(experiments, "available_memory", lambda: 1 << 16)
+    monkeypatch.setattr(config, "available_memory", lambda: 1 << 16)
     monkeypatch.setattr(experiments, "build_bundle", no_solve)
     monkeypatch.setattr(pekar, "minimize_pekar", no_solve)
     code = main([verb, "--out", str(tmp_path)])
@@ -138,3 +142,25 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
     assert "MiB are available" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "pekar").exists()
+
+
+def test_solve_pekar_does_not_load_the_fock_layer(tmp_path):
+    # a fresh interpreter, so modules other tests imported do not count
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_n = 40\nbox_length = 80.0\n")
+    args = ["solve-pekar", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from polaronlab.cli import main\n"
+        f"code = main({args!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('polaronlab')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(polaronlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    code, *loaded = run.stdout.splitlines()[-1].split()
+    assert int(code) == EXIT_OK
+    assert "polaronlab.pekar" in loaded
+    assert "polaronlab.fock" not in loaded
+    assert "polaronlab.experiments" not in loaded

@@ -1,11 +1,14 @@
 """Truncated Fock-space oracle: enumeration, ladder algebra, Hamiltonians,
 propagation, and reduced objects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
 
+from polaronlab import experiments as ex
 from polaronlab import fock as fk
 from polaronlab import quasifree as qf
 from polaronlab.grid import Grid3
@@ -199,6 +202,40 @@ def test_propagate_zero_time_returns_initial_state(bundle):
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
     psi0 = np.outer(H.electron, fs.vacuum())
     assert np.array_equal(fk.propagate(H.apply, psi0, 0.0, H.spectral_bounds()), psi0)
+
+
+def test_spectral_bounds_lower_end_is_the_completed_square(bundle, desk_small_config):
+    # the coupling-norm bound alone gives -14.84 here; the dense bottom is -0.071
+    fs = fk.FockSpace(bundle.modes.M, desk_small_config.n_max)
+    lo, _ = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0).spectral_bounds()
+    assert lo >= -0.83
+
+
+@pytest.mark.parametrize("alpha, matvecs", [(2.0, 176), (4.0, 344), (8.0, 856)])
+def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_config, monkeypatch):
+    calls = []
+    apply = fk.CoupledHamiltonian.apply
+
+    def counted(self, psi):
+        calls.append(psi.shape)
+        return apply(self, psi)
+
+    monkeypatch.setattr(fk.CoupledHamiltonian, "apply", counted)
+    ex.compare_trajectory(bundle, desk_small_config, alpha)
+    assert len(calls) == matvecs
+
+
+def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config, monkeypatch):
+    estimate = {}
+    monkeypatch.setattr(ex, "require_memory", lambda verb, need, error: estimate.update(need=need))
+    ex.preflight_compare(desk_small_config)
+    tracemalloc.start()
+    try:
+        ex.compare_trajectory(bundle, desk_small_config, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= estimate["need"]
 
 
 def test_coupled_hamiltonian_hermitian(bundle, rng):

@@ -12,6 +12,7 @@ from polaronlab.grid import (
     coulomb_convolve,
     gaussian,
     inner,
+    laplacian_matrix,
     load_array,
     load_field,
     plane_wave,
@@ -161,3 +162,23 @@ def test_pfld_grid_mismatch_rejected(grid, tmp_path):
     save_field(gaussian(grid, 1.0), path)
     with pytest.raises((FieldIOError, GridMismatchError)):
         load_field(path, grid=Grid3(16, 2 * np.pi))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_laplacian_matrix_reproduces_apply_laplacian_along_each_axis(n):
+    grid = Grid3(n, 4.0 * np.pi)
+    rng = np.random.default_rng(7)
+    lap = laplacian_matrix(grid)
+    assert np.max(np.abs(lap - lap.T)) <= 1e-13
+    f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    total = np.zeros_like(f)
+    for a in range(3):
+        total += np.moveaxis(np.tensordot(lap, f, axes=(1, a)), 0, a)
+        # a field varying along axis a only
+        line = np.expand_dims(f[(0,) * a + (slice(None),) + (0,) * (2 - a)],
+                              tuple(b for b in range(3) if b != a))
+        one = np.broadcast_to(line, grid.shape)
+        want = apply_laplacian(Field(one, grid)).values
+        got = np.moveaxis(np.tensordot(lap, one, axes=(1, a)), 0, a)
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(total - apply_laplacian(Field(f, grid)).values)) <= 1e-12

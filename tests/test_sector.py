@@ -87,6 +87,28 @@ def test_sector_apply_matches_full_grid_oracle(which, bundle, quad_xy_dsol, hex_
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("which", ["quad-xy", "hex-xyz"])
+def test_sector_apply_is_hermitian(which, quad_xy_dsol, hex_xyz_dsol, rng):
+    dsol = {"quad-xy": quad_xy_dsol, "hex-xyz": hex_xyz_dsol}[which]
+    H = fk.CoupledHamiltonian(dsol, fk.FockSpace(dsol.modes.M, 2), alpha=2.0)
+    u = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    v = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    defect = abs(np.vdot(u, H.apply(v)) - np.vdot(H.apply(u), v))
+    assert defect <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
+
+
+def test_coupled_apply_accepts_noncontiguous_state(quad_xy_dsol, rng):
+    H = fk.CoupledHamiltonian(quad_xy_dsol, fk.FockSpace(4, 2), alpha=2.0)
+    psi = _random_state(rng, H.shape)
+    fortran = np.asfortranarray(psi)
+    assert not fortran.flags.c_contiguous
+    assert np.array_equal(H.apply(fortran), H.apply(psi))
+    # a strided slice of a wider array
+    wide = np.zeros((H.shape[0], 2 * H.shape[1]), dtype=np.complex128)
+    wide[:, ::2] = psi
+    assert np.array_equal(H.apply(wide[:, ::2]), H.apply(psi))
+
+
 def test_compare_trajectory_full_grid_route_matches_sector(
     bundle, desk_small_config, monkeypatch
 ):
