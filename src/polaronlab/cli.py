@@ -178,7 +178,7 @@ def cmd_bogoliubov_check(cfg, manifest):
     from .experiments import BOGOLIUBOV_HEADER, bogoliubov_table, build_bundle
     from .experiments import preflight_bogoliubov
 
-    n_max_list = sorted({max(2, cfg.n_max - 4), max(3, cfg.n_max - 2), cfg.n_max})
+    n_max_list = sorted({max(2, cfg.n_max - 4), max(3, cfg.n_max - 2), cfg.n_max, cfg.n_max + 4})
     preflight_bogoliubov(cfg, n_max_list[-1])
     bundle = build_bundle(cfg, manifest)
     with manifest.time_stage("truncation_table"):
@@ -236,7 +236,7 @@ _COMMANDS = {
     "compare": (cmd_compare, "full vs effective evolution error curves per alpha"),
     "scan-alpha": (cmd_scan_alpha, "fit the error scaling exponent across alphas"),
     "bogoliubov-check": (
-        cmd_bogoliubov_check, "truncated-oracle vs quasi-free map deviation table"
+        cmd_bogoliubov_check, "truncated-oracle vs quasi-free map at n_max - 4 ... n_max + 4"
     ),
     "reduced-density": (cmd_reduced_density, "electron reduced-density trace-distance curves"),
     "selftest": (cmd_selftest, "fast invariant sweep on the configured preset"),

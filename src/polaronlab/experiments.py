@@ -77,36 +77,27 @@ COMPARE_HEADER = [
 ]
 
 
-def _dense_eigh_bytes(fock_dim: int) -> int:
-    """Measured peak of _quadratic_propagator's eigh: five complex Fock x Fock
-    matrices (H_quad, eigh's copy, the eigenvectors, two LAPACK workspaces)."""
-    return 16 * 5 * fock_dim**2
+def _quadratic_bytes(M: int, n_max: int) -> int:
+    """Peak of building and propagating the sparse H_quad on the Fock space
+    (M, n_max), per entry slot (1 + 2 M^2 a row); traced at 87-121 bytes."""
+    return 160 * (n_max + 1) ** M * (1 + 2 * M**2)
 
 
 def preflight_compare(cfg: RunConfig):
     """Raise FockDimensionError when the estimated peak memory of
     compare_trajectory exceeds MemAvailable: 12 sector x Fock states (the
     initial and current states, the Chebyshev recurrence and the matvec's
-    output and temporary, measured at 7 in all) plus the dense eigh of the
-    quadratic Hamiltonian."""
+    output and temporary, measured at 7 in all) plus the sparse H_quad."""
     modes = mode_preset(cfg.mode_preset, cfg.box_length)
-    fock_dim = (cfg.n_max + 1) ** modes.M
-    state = cfg.grid_n ** len(_coupled_axes(modes)) * fock_dim
-    need = 16 * 12 * state + _dense_eigh_bytes(fock_dim)
+    state = cfg.grid_n ** len(_coupled_axes(modes)) * (cfg.n_max + 1) ** modes.M
+    need = 16 * 12 * state + _quadratic_bytes(modes.M, cfg.n_max)
     require_memory("compare", need, fk.FockDimensionError)
 
 
 def preflight_bogoliubov(cfg: RunConfig, n_max: int):
-    """Raise FockDimensionError when the dense eigh of bogoliubov_table at its
-    largest cutoff n_max exceeds MemAvailable."""
-    fock_dim = (n_max + 1) ** mode_preset(cfg.mode_preset, cfg.box_length).M
-    require_memory("bogoliubov-check", _dense_eigh_bytes(fock_dim), fk.FockDimensionError)
-
-
-def _quadratic_propagator(kp: KernelPair, fs: fk.FockSpace):
-    """(tau, v) -> exp(-i tau H_quad) v on fs, through one dense eigh of H_quad."""
-    ev, P = np.linalg.eigh(fk.build_quadratic_hamiltonian(kp, fs).toarray())
-    return lambda tau, v: P @ (np.exp(-1j * tau * ev) * (P.conj().T @ v))
+    """Raise FockDimensionError when H_quad at the top cutoff n_max exceeds MemAvailable."""
+    M = mode_preset(cfg.mode_preset, cfg.box_length).M
+    require_memory("bogoliubov-check", _quadratic_bytes(M, n_max), fk.FockDimensionError)
 
 
 def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
@@ -121,10 +112,10 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     fs = fk.FockSpace(bundle.modes.M, cfg.n_max)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
     bounds = H.spectral_bounds()
-    quadratic = _quadratic_propagator(bundle.kernels, fs)
-    eps = bundle.kernels.epsilon
-    eta0 = fs.vacuum()
-    psi0 = np.outer(H.electron, eta0)
+    Hq = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
+    qbounds = fk.gershgorin_bounds(Hq)
+    eta = fs.vacuum()
+    psi0 = np.outer(H.electron, eta)
     ndiag = fs.occupations.sum(axis=1).astype(np.float64)
 
     rows = []
@@ -133,9 +124,9 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     for i, tau in enumerate(taus):
         if i > 0:
             psi = fk.propagate(H.apply, psi, (tau - taus[i - 1]) * alpha**2, bounds)
+            eta = fk.propagate(Hq.dot, eta, tau - taus[i - 1], qbounds)
         # effective phonon state: exp(-i tau (N - A)) Omega, N - A = Hq - eps
-        eta = quadratic(tau, eta0) * np.exp(1j * eps * tau)
-        xi = np.outer(H.electron, eta)
+        xi = np.outer(H.electron, eta * np.exp(1j * bundle.kernels.epsilon * tau))
         top = fk.top_level_population(psi, fs)
         if top > cfg.top_pop_limit:
             raise InvariantError(
@@ -227,7 +218,8 @@ def bogoliubov_table(kp: KernelPair, tau: float, n_max_list):
     rows = []
     for n_max in n_max_list:
         fs = fk.FockSpace(kp.modes.M, n_max)
-        psi = _quadratic_propagator(kp, fs)(tau, fs.vacuum())
+        Hq = fk.build_quadratic_hamiltonian(kp, fs)
+        psi = fk.propagate(Hq.dot, fs.vacuum(), tau, fk.gershgorin_bounds(Hq))
         g, p = fk.reduced_densities(psi, fs)
         rows.append(
             [

@@ -2,8 +2,8 @@
 
 Occupation-basis enumeration over M modes with per-mode cutoff n_max,
 sparse ladder operators, the quadratic effective Hamiltonian in two
-independent assemblies, the displaced-frame coupled Hamiltonian, and a
-Chebyshev propagator with unitarity/energy monitoring.
+independent assemblies, the displaced-frame coupled Hamiltonian, and the
+Chebyshev propagator, with unitarity/energy monitoring, that evolves both.
 
 The coupled Hamiltonian acts on its invariant sector, the grid of the
 axes the mode k-vectors span.  Its Laplacian is the real one-axis matrix
@@ -132,6 +132,13 @@ def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
     if defect > 1e-10:
         raise ValueError(f"quadratic Hamiltonian Hermiticity defect {defect:.3e}")
     return H
+
+
+def gershgorin_bounds(H: sp.csr_matrix) -> tuple[float, float]:
+    """Gershgorin interval of the Hermitian H: d_i -/+ r_i (diagonal, off-diagonal |row| sum)."""
+    d = H.diagonal().real
+    r = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
+    return float(np.min(d - r)), float(np.max(d + r))
 
 
 def build_effective_operator_direct(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:

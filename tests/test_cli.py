@@ -97,7 +97,18 @@ def test_bogoliubov_check_table(tmp_path):
     csv_path = tmp_path / "out" / "bogoliubov_check.csv"
     lines = csv_path.read_text().strip().splitlines()
     assert "n_max" in lines[0]
-    assert len(lines) == 4  # header + three cutoffs
+    assert len(lines) == 5  # header + four cutoffs
+
+
+def test_bogoliubov_check_desk_standard_passes_above_the_preset_cutoff(tmp_path):
+    out = tmp_path / "out"
+    code = main(["bogoliubov-check", "--preset", "desk-standard", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in (out / "bogoliubov_check.csv").read_text().splitlines()]
+    devs = {int(r[0]): max(float(r[1]), float(r[2])) for r in rows[1:]}
+    assert sorted(devs) == [2, 4, 6, 10]
+    # the preset's own cutoff still misses the gate; the row stays in the table
+    assert devs[6] > 1e-4 >= devs[10]
 
 
 def test_scan_alpha_requires_three_points(tmp_path, capsys):

@@ -6,14 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.special
 
 from polaronlab import experiments as ex
 from polaronlab import fock as fk
 from polaronlab import quasifree as qf
+from polaronlab.config import load_config
 from polaronlab.grid import Grid3
 from polaronlab.modes import mode_preset
 from polaronlab.pekar import solve_discrete_pekar
+from polaronlab.resolvent import ResolventHandle, build_kernels, spectral_gap
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +114,17 @@ def test_displacement_shift_relation():
         assert np.max(np.abs(shifted[block] - target[block])) <= 1e-6
 
 
+def dense_quadratic_propagator(kp, fs):
+    """(tau, v) -> exp(-i tau H_quad) v through one dense eigh of H_quad: the
+    reference for the Chebyshev route the experiments take."""
+    ev, P = np.linalg.eigh(fk.build_quadratic_hamiltonian(kp, fs).toarray())
+    return lambda tau, v: P @ (np.exp(-1j * tau * ev) * (P.conj().T @ v))
+
+
 def test_quadratic_evolution_matches_quasifree(bundle):
     fs = fk.FockSpace(2, 12)
-    H = fk.build_quadratic_hamiltonian(bundle.kernels, fs).toarray()
     tau = 1.0
-    ev, P = np.linalg.eigh(H)
-    psi = P @ (np.exp(-1j * tau * ev) * (P.conj().T @ fs.vacuum()))
+    psi = dense_quadratic_propagator(bundle.kernels, fs)(tau, fs.vacuum())
     g, p = fk.reduced_densities(psi, fs)
     gen = qf.build_generator(bundle.kernels)
     st = qf.evolve_quasifree(qf.vacuum_state(2), qf.propagate_map(gen, tau, 1.0))
@@ -187,6 +195,64 @@ def test_spectral_bounds_contain_dense_spectrum(which, n_max, bundle):
         assert lo <= ev[0] and ev[-1] <= hi
 
 
+@pytest.mark.parametrize("n_max", [2, 8, 12])
+def test_gershgorin_bounds_contain_dense_quadratic_spectrum(n_max, bundle):
+    H = fk.build_quadratic_hamiltonian(bundle.kernels, fk.FockSpace(bundle.modes.M, n_max))
+    ev = np.linalg.eigvalsh(H.toarray())
+    lo, hi = fk.gershgorin_bounds(H)
+    assert lo <= ev[0] and ev[-1] <= hi
+
+
+def test_compare_effective_columns_match_dense_eigh(bundle, desk_small_config):
+    # the coupled state is propagated as compare_trajectory does; the effective
+    # state comes from the dense eigh of H_quad
+    cfg, alpha = desk_small_config, 2.0
+    fs = fk.FockSpace(bundle.modes.M, cfg.n_max)
+    H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
+    bounds = H.spectral_bounds()
+    quadratic = dense_quadratic_propagator(bundle.kernels, fs)
+    ndiag = fs.occupations.sum(axis=1)
+    rows = ex.compare_trajectory(bundle, cfg, alpha)
+    psi, taus = np.outer(H.electron, fs.vacuum()), cfg.tau_grid
+    for i, (tau, row) in enumerate(zip(taus, rows)):
+        if i > 0:
+            psi = fk.propagate(H.apply, psi, (tau - taus[i - 1]) * alpha**2, bounds)
+        eta = quadratic(tau, fs.vacuum()) * np.exp(1j * bundle.kernels.epsilon * tau)
+        assert abs(row[2] - np.linalg.norm(psi - np.outer(H.electron, eta))) <= 1e-12
+        assert abs(row[5] - np.sum(ndiag * np.abs(eta) ** 2)) <= 1e-12
+
+
+def test_bogoliubov_table_matches_dense_eigh(bundle, desk_small_config):
+    kp, tau, cutoffs = bundle.kernels, desk_small_config.tau_final, [4, 6, 8, 12]
+    exact = qf.evolve_quasifree(
+        qf.vacuum_state(kp.modes.M), qf.propagate_map(qf.build_generator(kp), tau, 1.0)
+    )
+    for n_max, row in zip(cutoffs, ex.bogoliubov_table(kp, tau, cutoffs)):
+        fs = fk.FockSpace(kp.modes.M, n_max)
+        psi = dense_quadratic_propagator(kp, fs)(tau, fs.vacuum())
+        g, p = fk.reduced_densities(psi, fs)
+        want = [
+            np.max(np.abs(exact.gamma - g)),
+            np.max(np.abs(exact.pairing - p)),
+            fk.top_level_population(psi, fs),
+        ]
+        assert row[0] == n_max
+        assert np.max(np.abs(np.subtract(row[1:], want))) <= 1e-12
+
+
+def test_quadratic_evolution_builds_no_dense_fock_matrix(bundle, desk_small_config, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a sparse Fock-space matrix was made dense")
+
+    for cls in vars(sp).values():
+        if isinstance(cls, type) and hasattr(cls, "toarray"):
+            monkeypatch.setattr(cls, "toarray", refuse)
+    with pytest.raises(AssertionError, match="made dense"):
+        fk.number_operator(fk.FockSpace(2, 1)).toarray()
+    ex.compare_trajectory(bundle, desk_small_config, 2.0)
+    ex.bogoliubov_table(bundle.kernels, desk_small_config.tau_final, [4, 6, 8, 12])
+
+
 def test_propagate_rejects_too_narrow_interval(bundle, rng):
     fs = fk.FockSpace(bundle.modes.M, 3)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
@@ -232,6 +298,33 @@ def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config
     tracemalloc.start()
     try:
         ex.compare_trajectory(bundle, desk_small_config, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= estimate["need"]
+
+
+@pytest.fixture(scope="module")
+def quad_xy_kernels(quad_xy_dsol):
+    rh = ResolventHandle(quad_xy_dsol, spectral_gap(quad_xy_dsol)["gap"])
+    return build_kernels(quad_xy_dsol, quad_xy_dsol.modes, rh)
+
+
+@pytest.mark.parametrize(
+    "preset, cutoffs", [("desk-small", [4, 6, 8, 12]), ("desk-standard", [10])]
+)
+def test_bogoliubov_peak_memory_within_preflight_estimate(
+    preset, cutoffs, bundle, quad_xy_kernels, monkeypatch
+):
+    cfg = load_config(preset=preset)
+    kp = bundle.kernels if preset == "desk-small" else quad_xy_kernels
+    assert kp.modes.M == mode_preset(cfg.mode_preset, cfg.box_length).M
+    estimate = {}
+    monkeypatch.setattr(ex, "require_memory", lambda verb, need, error: estimate.update(need=need))
+    ex.preflight_bogoliubov(cfg, cutoffs[-1])
+    tracemalloc.start()
+    try:
+        ex.bogoliubov_table(kp, cfg.tau_final, cutoffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
