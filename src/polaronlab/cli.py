@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Verbs: solve-pekar, build-kernels, compare, scan-alpha, bogoliubov-check,
-reduced-density, selftest.  Exit codes: 0 success, 2 invariant failure,
-3 numerical non-convergence.
+reduced-density, selftest.  Exit codes: 0 success, 2 invariant failure
+(including a bad configuration), 3 numerical non-convergence; any other
+exception is a programming error and leaves with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def cmd_solve_pekar(cfg, manifest):
 
 
 def cmd_build_kernels(cfg, manifest):
-    from .experiments import build_bundle
+    from .experiments import build_bundle, preflight_bundle
 
+    preflight_bundle(cfg)
     bundle = build_bundle(cfg, manifest)
     bundle.kernels.save(os.path.join(cfg.out_dir, "kernels"))
     bundle.dsol.save(os.path.join(cfg.out_dir, "ground"))
@@ -214,8 +216,9 @@ def cmd_reduced_density(cfg, manifest):
 
 
 def cmd_selftest(cfg, manifest):
-    from .experiments import selftest_report
+    from .experiments import preflight_bundle, selftest_report
 
+    preflight_bundle(cfg)
     with manifest.time_stage("selftest"):
         report = selftest_report(cfg, manifest)
     for name, value in report.items():
@@ -250,7 +253,8 @@ def _failures():
 
     return (
         (experiments.InvariantError, quasifree.SymplecticError, resolvent.GapError,
-         fock.FockDimensionError, pekar.DelocalizedError, config.ConfigError, ValueError),
+         resolvent.SeparationError, fock.FockDimensionError, fock.SectorError,
+         pekar.DelocalizedError, config.ConfigError),
         (pekar.PekarError, resolvent.ResolventError, fock.EvolutionError),
     )
 

@@ -37,6 +37,11 @@ class RunConfig:
     pekar_tol: float = 1e-7
 
     def validate(self):
+        reals = [*self.alphas, self.tau_final, self.box_length, self.top_pop_limit, self.pekar_tol]
+        if not all(math.isfinite(x) for x in reals):
+            raise ConfigError(
+                "alphas, tau_final, box_length, top_pop_limit and pekar_tol must be finite"
+            )
         if not self.alphas or any(a <= 0 for a in self.alphas):
             raise ConfigError("alphas must be a nonempty list of positive reals")
         if self.tau_final < 0 or self.tau_samples < 1:
@@ -47,6 +52,8 @@ class RunConfig:
             raise ConfigError("box_length must be positive")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         return self
 
     @property

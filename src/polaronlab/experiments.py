@@ -77,6 +77,14 @@ COMPARE_HEADER = [
 ]
 
 
+def preflight_bundle(cfg: RunConfig):
+    """Raise ConfigError when build_bundle's peak memory exceeds MemAvailable:
+    fourteen complex n^3 fields plus one per mode, and 64 KiB of small arrays
+    (traced peaks: 235-374 bytes per grid point for n = 8-32, M = 2-6)."""
+    M = mode_preset(cfg.mode_preset, cfg.box_length).M
+    require_memory("the model bundle", 16 * (14 + M) * cfg.grid_n**3 + (1 << 16))
+
+
 def _quadratic_bytes(M: int, n_max: int) -> int:
     """Peak of building and propagating the sparse H_quad on the Fock space
     (M, n_max), per entry slot (1 + 2 M^2 a row); traced at 87-121 bytes."""

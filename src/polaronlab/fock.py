@@ -37,6 +37,11 @@ class EvolutionError(RuntimeError):
     pass
 
 
+class SectorError(ValueError):
+    """The ground state varies along an uncoupled axis, so the coupled sector
+    of CoupledHamiltonian is not invariant."""
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated bosonic Fock space: occupations (n_1..n_M), n_i <= n_max."""
@@ -209,7 +214,7 @@ class CoupledHamiltonian:
         mean = fields.mean(axis=other, keepdims=True)
         spread = np.max(np.abs(fields - mean))
         if spread > 1e-10 * max(1.0, np.max(np.abs(fields))):
-            raise ValueError(
+            raise SectorError(
                 f"phi0, V_eff or a delta_g_field varies by {spread:.3e} along an "
                 "uncoupled axis; the coupled sector is not invariant"
             )

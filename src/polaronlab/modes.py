@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .grid import Field, Grid3, plane_wave
 
 
@@ -83,10 +84,11 @@ def axis_pair(k: float, axis: int, weight: float):
 
 
 def mode_preset(name: str, box_length: float) -> ModeSet:
-    """Named binding presets; |k| in {0.5, 1.0} requires box_length = 4 pi n."""
+    """Named binding presets; |k| in {0.5, 1.0} requires box_length = 4 pi n.
+    Both arguments come from the run configuration, so a bad one is a ConfigError."""
     base = 2.0 * np.pi / box_length
     if abs(base * round(0.5 / base) - 0.5) > 1e-9:
-        raise ValueError(
+        raise ConfigError(
             f"box_length {box_length} is not commensurate with |k| = 0.5 modes"
         )
     if name == "pair-x":
@@ -102,4 +104,4 @@ def mode_preset(name: str, box_length: float) -> ModeSet:
             np.vstack([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
         )
-    raise ValueError(f"unknown mode preset {name!r}")
+    raise ConfigError(f"unknown mode preset {name!r}")

@@ -39,6 +39,10 @@ class GapError(RuntimeError):
     pass
 
 
+class SeparationError(ValueError):
+    """V_eff does not split into one term per axis group."""
+
+
 def apply_h(sol, f: Field) -> Field:
     """h^{phi0} f = p^2 f + V_eff f."""
     if f.grid != sol.grid:
@@ -98,7 +102,7 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
     """Eigendecomposition of p^2 + V over the axis groups of ``modes``.
 
     V splits into its mean plus, per coupled group, its mean over the other
-    axes less that; ValueError if the split misses V by more than 1e-10
+    axes less that; SeparationError if the split misses V by more than 1e-10
     relative, i.e. if V does not separate over the groups.
     """
     grid, groups = V.grid, axis_groups(modes)
@@ -112,8 +116,8 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
     ]
     defect = float(np.max(np.abs(offset + sum(terms) - vals)))
     if defect > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
-        raise ValueError(f"V_eff misses its split over the axis groups {groups} by "
-                         f"{defect:.3e}; it does not separate")
+        raise SeparationError(f"V_eff misses its split over the axis groups {groups} by "
+                              f"{defect:.3e}; it does not separate")
     k, waves = plane_waves(grid)
     lap1, eye = laplacian_matrix(grid), np.eye(grid.n)
     bases, levels = [], []

@@ -9,6 +9,7 @@ from polaronlab.experiments import ModelBundle, build_bundle
 from polaronlab.grid import Grid3
 from polaronlab.modes import ModeSet, mode_preset
 from polaronlab.pekar import solve_discrete_pekar
+from polaronlab.resolvent import ResolventHandle, build_kernels, spectral_gap
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,12 @@ def quad_xy_dsol():
     """The desk-standard ground state: quad-xy on 16^3."""
     grid = Grid3(16, 4.0 * np.pi)
     return solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
+
+
+@pytest.fixture(scope="session")
+def quad_xy_kernels(quad_xy_dsol):
+    rh = ResolventHandle(quad_xy_dsol, spectral_gap(quad_xy_dsol)["gap"])
+    return build_kernels(quad_xy_dsol, quad_xy_dsol.modes, rh)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ import pytest
 
 import polaronlab
 from polaronlab.cli import EXIT_INVARIANT, EXIT_OK, main
+from polaronlab.fock import SectorError
+from polaronlab.resolvent import SeparationError
 
 
 def test_unknown_preset_exits_with_invariant_code(tmp_path, capsys):
@@ -135,7 +137,9 @@ def test_compare_single_alpha(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "verb", ["compare", "scan-alpha", "reduced-density", "bogoliubov-check", "solve-pekar"]
+    "verb",
+    ["compare", "scan-alpha", "reduced-density", "bogoliubov-check", "solve-pekar",
+     "build-kernels", "selftest"],
 )
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
     from polaronlab import config, experiments, pekar
@@ -143,8 +147,8 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
     def no_solve(*args, **kwargs):
         raise AssertionError("the preflight should stop the run before any solve")
 
-    # below every desk-small estimate (bogoliubov-check needs about 0.5 MiB,
-    # solve-pekar about 97 KiB)
+    # below every desk-small estimate (bogoliubov-check needs about 0.23 MiB,
+    # 243,360 B; build-kernels and selftest 192 KiB; solve-pekar about 97 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 16)
     monkeypatch.setattr(experiments, "build_bundle", no_solve)
     monkeypatch.setattr(pekar, "minimize_pekar", no_solve)
@@ -153,6 +157,47 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
     assert "MiB are available" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "pekar").exists()
+
+
+@pytest.mark.parametrize("error", [SectorError, SeparationError], ids=lambda e: e.__name__)
+def test_sector_and_separation_failures_exit_as_invariant_failures(
+    error, tmp_path, monkeypatch, capsys
+):
+    from polaronlab import experiments
+
+    def fail(*args, **kwargs):
+        raise error("the model does not separate")
+
+    monkeypatch.setattr(experiments, "build_bundle", fail)
+    assert main(["build-kernels", "--out", str(tmp_path)]) == EXIT_INVARIANT
+    assert "invariant failure" in capsys.readouterr().err
+
+
+def test_mode_preset_the_box_cannot_hold_is_a_config_error(tmp_path, capsys):
+    # pekar-hi has no modes, and its box is not commensurate with |k| = 0.5
+    code = main(["build-kernels", "--preset", "pekar-hi", "--out", str(tmp_path)])
+    assert code == EXIT_INVARIANT
+    assert "not commensurate" in capsys.readouterr().err
+
+
+def test_plain_value_error_is_not_an_invariant_failure(tmp_path):
+    # a ValueError no check raised on purpose is a programming error: the
+    # traceback reaches the user and the interpreter exits 1
+    script = (
+        "import sys\n"
+        "from polaronlab import experiments\n"
+        "def boom(*args, **kwargs):\n"
+        "    raise ValueError('a programming error')\n"
+        "experiments.build_bundle = boom\n"
+        "from polaronlab.cli import main\n"
+        f"sys.exit(main(['build-kernels', '--out', {str(tmp_path)!r}]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(polaronlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert "ValueError: a programming error" in run.stderr
+    assert "invariant failure" not in run.stderr
 
 
 def test_solve_pekar_does_not_load_the_fock_layer(tmp_path):

@@ -83,6 +83,14 @@ def test_validation_rejects_bad_values():
         RunConfig(alphas=[-2.0]).validate()
     with pytest.raises(ConfigError):
         RunConfig(grid_n=7).validate()
+    # values that would otherwise fail deep inside a solver with a ValueError
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1).validate()
+    for bad in ({"alphas": [float("nan")]}, {"alphas": [float("inf")]},
+                {"box_length": float("nan")}, {"tau_final": float("inf")},
+                {"top_pop_limit": float("nan")}, {"pekar_tol": float("nan")}):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig(**bad).validate()
     # a key that nothing reads is refused, not echoed into the manifest
     with pytest.raises(ConfigError, match="unknown config key 'eta0'"):
         load_config(overrides={"eta0": "vacuum"})

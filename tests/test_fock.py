@@ -16,7 +16,6 @@ from polaronlab.config import load_config
 from polaronlab.grid import Grid3
 from polaronlab.modes import mode_preset
 from polaronlab.pekar import solve_discrete_pekar
-from polaronlab.resolvent import ResolventHandle, build_kernels, spectral_gap
 
 
 @pytest.fixture(scope="module")
@@ -304,10 +303,19 @@ def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config
     assert 0 < peak <= estimate["need"]
 
 
-@pytest.fixture(scope="module")
-def quad_xy_kernels(quad_xy_dsol):
-    rh = ResolventHandle(quad_xy_dsol, spectral_gap(quad_xy_dsol)["gap"])
-    return build_kernels(quad_xy_dsol, quad_xy_dsol.modes, rh)
+@pytest.mark.parametrize("preset", ["desk-small", "desk-standard"])
+def test_bundle_peak_memory_within_preflight_estimate(preset, monkeypatch):
+    cfg = load_config(preset=preset)
+    estimate = {}
+    monkeypatch.setattr(ex, "require_memory", lambda verb, need: estimate.update(need=need))
+    ex.preflight_bundle(cfg)
+    tracemalloc.start()
+    try:
+        ex.build_bundle(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= estimate["need"]
 
 
 @pytest.mark.parametrize(

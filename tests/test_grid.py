@@ -21,6 +21,7 @@ from polaronlab.grid import (
     shift_field,
     shift_phase,
 )
+from polaronlab.modes import mode_preset
 
 
 @pytest.fixture
@@ -50,6 +51,21 @@ def test_plane_wave_is_laplacian_eigenfunction(grid):
     lap = apply_laplacian(pw)
     expected = float(np.dot(k, k))
     assert np.allclose(lap.values, expected * pw.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_plane_wave_matches_three_dimensional_exponential(n):
+    g = Grid3(n, 4 * np.pi)
+    x, y, z = g.coords
+
+    def meshgrid_wave(k):
+        return np.exp(1j * (k[0] * x + k[1] * y + k[2] * z))
+
+    for name in ("pair-x", "quad-xy", "hex-xyz"):
+        for k in mode_preset(name, g.box_length).k_vectors:
+            assert np.array_equal(plane_wave(g, k).values, meshgrid_wave(k))
+    for k in ([0.5, 0.5, 0.0], [-0.5, -0.5, 0.0], [0.5, -1.0, 1.5]):
+        assert np.max(np.abs(plane_wave(g, k).values - meshgrid_wave(k))) <= 1e-14
 
 
 def test_plane_waves_orthonormal(grid):

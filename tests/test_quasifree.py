@@ -75,6 +75,66 @@ def test_ode_route_matches_exponential_route(gen):
     assert np.max(np.abs(via_map.pairing - via_ode.pairing)) <= 1e-6
 
 
+def rk4_reference(state0, gen, t, alpha, dt):
+    """The per-step RK4 loop over density_rhs that evolve_odes tabulates."""
+    nsteps = max(1, int(round(abs(t) / dt)))
+    h = t / nsteps
+    g, p = state0.gamma.copy(), state0.pairing.copy()
+    for _ in range(nsteps):
+        k1g, k1p = qf.density_rhs(gen, qf.QuasiFreeState(g, p), alpha)
+        s2 = qf.QuasiFreeState(g + 0.5 * h * k1g, p + 0.5 * h * k1p)
+        k2g, k2p = qf.density_rhs(gen, s2, alpha)
+        s3 = qf.QuasiFreeState(g + 0.5 * h * k2g, p + 0.5 * h * k2p)
+        k3g, k3p = qf.density_rhs(gen, s3, alpha)
+        s4 = qf.QuasiFreeState(g + h * k3g, p + h * k3p)
+        k4g, k4p = qf.density_rhs(gen, s4, alpha)
+        g = g + (h / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return qf.QuasiFreeState(gamma=g, pairing=p)
+
+
+@pytest.fixture(scope="module", params=["desk-small", "desk-standard"])
+def any_gen(request, gen, quad_xy_kernels):
+    return gen if request.param == "desk-small" else qf.build_generator(quad_xy_kernels)
+
+
+@pytest.mark.parametrize("start", ["vacuum", "tau1"])
+def test_tabulated_ode_matches_per_step_rk4(any_gen, start):
+    st0 = qf.vacuum_state(any_gen.M)
+    if start == "tau1":
+        st0 = qf.evolve_quasifree(st0, qf.propagate_map(any_gen, 1.0, 1.0))
+    ref = rk4_reference(st0, any_gen, 5.0, 1.0, dt=0.005)
+    got = qf.evolve_odes(st0, any_gen, 5.0, 1.0, dt=0.005)
+    assert np.max(np.abs(got.gamma - ref.gamma)) <= 1e-11
+    assert np.max(np.abs(got.pairing - ref.pairing)) <= 1e-11
+
+
+def test_affine_step_reproduces_rk4_step(any_gen, rng):
+    M, h, alpha = any_gen.M, 0.01, 2.0
+    g, p = (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)) for _ in range(2))
+    P, q = qf._rk4_affine(any_gen, h, alpha)
+    want = qf._pack(*qf._rk4_step(any_gen, g, p, h, alpha))
+    got = P @ qf._pack(g, p) + q
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_ode_cost_does_not_depend_on_dt(gen, monkeypatch):
+    calls = []
+    rhs = qf.density_rhs
+
+    def counted(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(qf, "density_rhs", counted)
+    counts = []
+    for dt in (0.01, 0.005):
+        calls.clear()
+        qf.evolve_odes(qf.vacuum_state(gen.M), gen, 5.0, 1.0, dt=dt)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 4 * (4 * gen.M**2 + 1)
+
+
 def test_ode_refuses_coarse_step(gen):
     with pytest.raises(ValueError, match="dt"):
         qf.evolve_odes(qf.vacuum_state(gen.M), gen, 1.0, 0.1, dt=50.0)
