@@ -216,9 +216,9 @@ def cmd_reduced_density(cfg, manifest):
 
 
 def cmd_selftest(cfg, manifest):
-    from .experiments import preflight_bundle, selftest_report
+    from .experiments import preflight_selftest, selftest_report
 
-    preflight_bundle(cfg)
+    preflight_selftest(cfg)
     with manifest.time_stage("selftest"):
         report = selftest_report(cfg, manifest)
     for name, value in report.items():

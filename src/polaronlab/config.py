@@ -88,6 +88,9 @@ _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
 def _parse_value(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
+    if key == "preset":
+        # a preset sets several keys; in a file it would only relabel the run
+        raise ConfigError("a config file cannot name a preset; use --preset")
     raw = raw.strip()
     if key == "alphas":
         try:

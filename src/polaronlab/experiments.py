@@ -14,7 +14,7 @@ from . import quasifree as qf
 from .config import RunConfig, require_memory
 from .grid import Grid3
 from .modes import ModeSet, mode_preset
-from .pekar import DiscretePekarSolution, _coupled_axes, solve_discrete_pekar
+from .pekar import DiscretePekarSolution, solve_discrete_pekar
 from .resolvent import KernelPair, ResolventHandle, build_kernels, spectral_gap
 
 
@@ -77,12 +77,11 @@ COMPARE_HEADER = [
 ]
 
 
-def preflight_bundle(cfg: RunConfig):
-    """Raise ConfigError when build_bundle's peak memory exceeds MemAvailable:
-    fourteen complex n^3 fields plus one per mode, and 64 KiB of small arrays
-    (traced peaks: 235-374 bytes per grid point for n = 8-32, M = 2-6)."""
-    M = mode_preset(cfg.mode_preset, cfg.box_length).M
-    require_memory("the model bundle", 16 * (14 + M) * cfg.grid_n**3 + (1 << 16))
+def _bundle_bytes(n: int, M: int) -> int:
+    """build_bundle's peak: fourteen complex n^3 fields plus one per mode, and
+    64 KiB of small arrays (traced peaks: 235-374 bytes per grid point for
+    n = 8-32, M = 2-6)."""
+    return 16 * (14 + M) * n**3 + (1 << 16)
 
 
 def _quadratic_bytes(M: int, n_max: int) -> int:
@@ -91,13 +90,28 @@ def _quadratic_bytes(M: int, n_max: int) -> int:
     return 160 * (n_max + 1) ** M * (1 + 2 * M**2)
 
 
+def preflight_bundle(cfg: RunConfig):
+    """Raise ConfigError when build_bundle's peak memory exceeds MemAvailable."""
+    M = mode_preset(cfg.mode_preset, cfg.box_length).M
+    require_memory("the model bundle", _bundle_bytes(cfg.grid_n, M))
+
+
+def preflight_selftest(cfg: RunConfig):
+    """Raise ConfigError when selftest_report's peak memory exceeds MemAvailable:
+    the bundle plus the normal-ordering check, the sparse H_quad on the n_max = 2
+    Fock space and the direct build on n_max = 3 (traced 12 MB at M = 6)."""
+    M = mode_preset(cfg.mode_preset, cfg.box_length).M
+    need = _bundle_bytes(cfg.grid_n, M) + _quadratic_bytes(M, 2) + _quadratic_bytes(M, 3)
+    require_memory("selftest", need)
+
+
 def preflight_compare(cfg: RunConfig):
     """Raise FockDimensionError when the estimated peak memory of
     compare_trajectory exceeds MemAvailable: 12 sector x Fock states (the
     initial and current states, the Chebyshev recurrence and the matvec's
     output and temporary, measured at 7 in all) plus the sparse H_quad."""
     modes = mode_preset(cfg.mode_preset, cfg.box_length)
-    state = cfg.grid_n ** len(_coupled_axes(modes)) * (cfg.n_max + 1) ** modes.M
+    state = cfg.grid_n ** len(modes.coupled_axes) * (cfg.n_max + 1) ** modes.M
     need = 16 * 12 * state + _quadratic_bytes(modes.M, cfg.n_max)
     require_memory("compare", need, fk.FockDimensionError)
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import laplacian_matrix
-from .pekar import DiscretePekarSolution, _coupled_axes, delta_g_field
+from .pekar import DiscretePekarSolution, delta_g_fields
 from .resolvent import KernelPair
 
 DEFAULT_DIM_CAP = 200_000
@@ -205,9 +205,9 @@ class CoupledHamiltonian:
 
     def __post_init__(self):
         dsol, grid, w = self.dsol, self.dsol.grid, self.dsol.modes.weights
-        axes = _coupled_axes(dsol.modes)
-        dg = [np.sqrt(w[i]) * delta_g_field(dsol, i).values for i in range(len(w))]
-        fields = np.stack([dsol.phi0.values, dsol.V_eff.values.real - dsol.lam] + dg)
+        axes = dsol.modes.coupled_axes
+        dg = np.sqrt(w)[:, None, None, None] * delta_g_fields(dsol)
+        fields = np.concatenate([[dsol.phi0.values, dsol.V_eff.values.real - dsol.lam], dg])
         # restrict to the sector: average over the uncoupled axes, which
         # must leave every field unchanged up to roundoff
         other = tuple(1 + a for a in range(3) if a not in axes)
@@ -215,7 +215,7 @@ class CoupledHamiltonian:
         spread = np.max(np.abs(fields - mean))
         if spread > 1e-10 * max(1.0, np.max(np.abs(fields))):
             raise SectorError(
-                f"phi0, V_eff or a delta_g_field varies by {spread:.3e} along an "
+                f"phi0, V_eff or a delta G field varies by {spread:.3e} along an "
                 "uncoupled axis; the coupled sector is not invariant"
             )
         phi, vshift, *dg = mean.reshape(len(fields), -1)

@@ -185,15 +185,13 @@ def plane_wave(grid: Grid3, k) -> Field:
     return Field(e0[:, None, None] * e1[:, None] * e2, grid)
 
 
-def gaussian(grid: Grid3, sigma: float, normalized: bool = True) -> Field:
-    """Centered isotropic Gaussian; |phi|^2 has per-axis variance sigma^2."""
+def gaussian(grid: Grid3, sigma: float) -> Field:
+    """Centered, normalized isotropic Gaussian; |phi|^2 has per-axis variance sigma^2."""
     x, y, z = grid.coords
     r2 = x**2 + y**2 + z**2
     vals = np.exp(-r2 / (4.0 * sigma**2)).astype(np.complex128)
     f = Field(vals, grid)
-    if normalized:
-        f = f * (1.0 / f.norm())
-    return f
+    return f * (1.0 / f.norm())
 
 
 def shift_phase(grid: Grid3, displacement, half: bool = False) -> np.ndarray:

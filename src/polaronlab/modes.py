@@ -1,4 +1,5 @@
-"""Finite phonon mode sets: momentum quadrature points with parity closure."""
+"""Finite phonon mode sets: momentum quadrature points with parity closure,
+their coupled axes and axis groups, and the table of coupling fields."""
 
 from __future__ import annotations
 
@@ -7,12 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .grid import Field, Grid3, plane_wave
+from .grid import Grid3, plane_wave
 
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Quadrature {k_i, w_i} over nonzero reciprocal vectors, closed under k -> -k."""
+    """Quadrature {k_i, w_i} over nonzero reciprocal vectors, closed under k -> -k.
+    ``coupled_axes``: the axes some k_i has a component along; ``axis_groups``:
+    the finest partition of the axes 0, 1, 2 with every k_i inside one group,
+    over which a sum of plane waves e^{i k_i.x} separates."""
 
     k_vectors: np.ndarray  # (M, 3)
     weights: np.ndarray  # (M,)
@@ -32,6 +36,14 @@ class ModeSet:
         if np.any(norms < 1e-12):
             raise ValueError("k = 0 is not allowed in a ModeSet")
         object.__setattr__(self, "parity", self._build_parity())
+        touched = [{a for a in range(3) if abs(ki[a]) > 1e-12} for ki in k]
+        groups = [{a} for a in range(3)]
+        for t in touched:
+            merged = set().union(*(g for g in groups if g & t))
+            groups = [g for g in groups if not g & t] + [merged]
+        groups = tuple(sorted(tuple(sorted(g)) for g in groups))
+        object.__setattr__(self, "coupled_axes", tuple(sorted(set().union(*touched))))
+        object.__setattr__(self, "axis_groups", groups)
 
     def _build_parity(self) -> np.ndarray:
         k = self.k_vectors
@@ -54,16 +66,13 @@ class ModeSet:
         """c_i = 1 / (2 pi |k_i|), the amplitude of G_x(k_i)."""
         return 1.0 / (2.0 * np.pi * np.linalg.norm(self.k_vectors, axis=1))
 
-    def check_commensurate(self, grid: Grid3):
-        for k in self.k_vectors:
-            if not grid.is_commensurate(k):
-                raise ValueError(f"mode k = {k} is not commensurate with the grid")
-
-    def coupling_field(self, grid: Grid3, i: int) -> Field:
-        """G_x(k_i) = exp(-i k_i . x) / (2 pi |k_i|) as a field over x."""
-        k = self.k_vectors[i]
-        pw = plane_wave(grid, k)
-        return Field(np.conj(pw.values) / (2.0 * np.pi * np.linalg.norm(k)), grid)
+    def coupling_fields(self, grid: Grid3) -> np.ndarray:
+        """Every G_x(k_i) = exp(-i k_i . x) / (2 pi |k_i|) as one (M, n, n, n)
+        array; ValueError if a k_i is not commensurate with the grid."""
+        return np.stack([
+            np.conj(plane_wave(grid, k).values) / (2.0 * np.pi * np.linalg.norm(k))
+            for k in self.k_vectors
+        ])
 
     def as_dict(self) -> dict:
         return {

@@ -37,6 +37,12 @@ from .grid import (
 GAUSSIAN_BOUND = -1.0 / (12.0 * np.pi)
 GAUSSIAN_OPT_SIGMA = 3.0 * np.sqrt(np.pi)
 
+DESCENT_STEP = 0.8
+DESCENT_MAX_ITER = 4000
+DISCRETE_DAMPING = 0.5
+DISCRETE_MAX_ITER = 400
+DISCRETE_SIGMA_INIT = 1.5
+
 
 class PekarError(RuntimeError):
     pass
@@ -166,7 +172,7 @@ def _euler_lagrange(phi: Field):
     return V, lam, Field(hphi.values - lam * phi.values, phi.grid)
 
 
-def _real_descent(grid: Grid3, step: float, tol: float, max_iter: int):
+def _real_descent(grid: Grid3, tol: float):
     """minimize_pekar's loop: the first iterate with residual <= tol, and the
     iteration count.  The iterate is real, so the loop runs on rfftn half
     spectra (ksq and the Coulomb kernel depend only on |k|, so their half
@@ -178,9 +184,9 @@ def _real_descent(grid: Grid3, step: float, tol: float, max_iter: int):
 
     phi = gaussian(grid, min(GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0)).values.real.copy()
     phi_hat = rfft(phi)
-    tau, phi_prev, z_prev, residual = step, None, None, np.inf
+    tau, phi_prev, z_prev, residual = DESCENT_STEP, None, None, np.inf
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, DESCENT_MAX_ITER + 1):
         # h phi with h = p^2 + V_eff, V_eff = -(phi^2 * 1/|x|)
         hphi = irfft(ksq * phi_hat) - irfft(rfft(phi * phi) * kern) * phi
         lam = np.vdot(phi, hphi) * dv
@@ -209,16 +215,14 @@ def _real_descent(grid: Grid3, step: float, tol: float, max_iter: int):
         phi_hat *= c
     else:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {residual:.3e})",
+            f"no convergence after {DESCENT_MAX_ITER} iterations (residual {residual:.3e})",
             residual=residual,
         )
 
     return phi, it
 
 
-def minimize_pekar(
-    grid: Grid3, step: float = 0.8, tol: float = 1e-7, max_iter: int = 4000
-) -> PekarSolution:
+def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
     """Normalized preconditioned gradient descent on the Pekar functional.
 
     Uses the Euler-Lagrange residual ||(h^phi - lambda) phi|| as the stopping
@@ -227,7 +231,7 @@ def minimize_pekar(
     the translation degeneracy.  The converged state is checked, and its
     scalars and residual recomputed, on complex Fields.
     """
-    phi, it = _real_descent(grid, step, tol, max_iter)
+    phi, it = _real_descent(grid, tol)
     phi = _fix_phase_positive(recenter(Field(phi, grid)))
     phi = phi * (1.0 / phi.norm())
     T, D, E = pekar_energy(phi)
@@ -296,52 +300,34 @@ class DiscretePekarSolution(PekarSolution):
         }
 
 
-def _discrete_potential(modes, grid: Grid3, f: np.ndarray) -> Field:
-    """V(x) = -2 Re sum_i w_i conj(G_x(k_i)) f_i."""
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for i in range(modes.M):
-        g = modes.coupling_field(grid, i)
-        acc += modes.weights[i] * np.conj(g.values) * f[i]
-    return Field((-2.0 * acc.real).astype(np.complex128), grid)
+def _discrete_potential(modes, G: np.ndarray, f: np.ndarray, grid: Grid3) -> Field:
+    """V(x) = -2 Re sum_i w_i conj(G_x(k_i)) f_i over the coupling-field
+    table G of ``ModeSet.coupling_fields``."""
+    V = -2.0 * np.tensordot(modes.weights * np.conj(f), G, axes=1).real
+    return Field(V.astype(np.complex128), grid)
 
 
-def _mode_amplitudes(modes, phi: Field) -> np.ndarray:
-    rho = Field(np.abs(phi.values) ** 2, phi.grid)
-    out = np.zeros(modes.M, dtype=np.complex128)
-    for i in range(modes.M):
-        g = modes.coupling_field(phi.grid, i)
-        # <phi, G phi> = int G(x) rho(x) dx
-        out[i] = np.sum(g.values * rho.values) * phi.grid.cell_volume
-    return out
+def _mode_amplitudes(G: np.ndarray, phi: Field) -> np.ndarray:
+    """<phi, G_x(k_i) phi> = int G_x(k_i) |phi(x)|^2 dx for every mode."""
+    rho = np.abs(phi.values.ravel()) ** 2
+    return (G.reshape(len(G), -1) @ rho) * phi.grid.cell_volume
 
 
-def _coupled_axes(modes):
-    k = np.asarray(modes.k_vectors)
-    return tuple(a for a in range(3) if np.any(np.abs(k[:, a]) > 1e-12))
-
-
-def _sweep_ground_state(modes, grid: Grid3, f: np.ndarray, axes):
+def _sweep_ground_state(modes, G: np.ndarray, f: np.ndarray, grid: Grid3):
     """V built from the amplitudes f, its ground-state energy, and the
     centred, phase-fixed, normalised ground state of p^2 + V."""
     from .resolvent import separable_spectrum  # deferred, no cycle at import time
 
-    V = _discrete_potential(modes, grid, f)
+    V = _discrete_potential(modes, G, f, grid)
     spec = separable_spectrum(V, modes)
     ground = np.zeros(grid.shape)
     ground.flat[0] = 1.0  # the product of the group ground vectors
     phi = Field(spec.transform(ground, inverse=True), grid)
-    phi = _fix_phase_positive(recenter(phi, axes=axes))
+    phi = _fix_phase_positive(recenter(phi, axes=modes.coupled_axes))
     return V, float(spec.eigenvalues().flat[0]), phi * (1.0 / phi.norm())
 
 
-def solve_discrete_pekar(
-    grid: Grid3,
-    modes,
-    damping: float = 0.5,
-    tol: float = 1e-9,
-    max_iter: int = 400,
-    sigma_init: float = 1.5,
-) -> DiscretePekarSolution:
+def solve_discrete_pekar(grid: Grid3, modes, tol: float = 1e-9) -> DiscretePekarSolution:
     """Damped fixed-point iteration for the finite-mode Pekar problem.
 
     Each sweep builds V from the current amplitudes f, takes the exact
@@ -349,16 +335,15 @@ def solve_discrete_pekar(
     and mixes the new amplitudes with damping.  Binding is enforced: the
     converged state must be localized along every coupled axis.
     """
-    modes.check_commensurate(grid)
-    axes = _coupled_axes(modes)
-    phi = gaussian(grid, sigma_init)
-    f = _mode_amplitudes(modes, phi)
+    G = modes.coupling_fields(grid)
+    phi = gaussian(grid, DISCRETE_SIGMA_INIT)
+    f = _mode_amplitudes(G, phi)
     trace = []
     resid = np.inf
 
-    for it in range(1, max_iter + 1):
-        _, _, phi = _sweep_ground_state(modes, grid, f, axes)
-        f_new = _mode_amplitudes(modes, phi)
+    for it in range(1, DISCRETE_MAX_ITER + 1):
+        _, _, phi = _sweep_ground_state(modes, G, f, grid)
+        f_new = _mode_amplitudes(G, phi)
         resid = float(np.max(np.abs(f_new - f)))
         T = inner(phi, apply_laplacian(phi)).real
         energy = T - float(np.sum(modes.weights * np.abs(f_new) ** 2))
@@ -366,21 +351,21 @@ def solve_discrete_pekar(
         if resid <= tol:
             f = f_new
             break
-        f = (1.0 - damping) * f + damping * f_new
+        f = (1.0 - DISCRETE_DAMPING) * f + DISCRETE_DAMPING * f_new
     else:
         raise ConvergenceError(
             f"discrete Pekar fixed point not converged (residual {resid:.3e})",
             residual=resid,
         )
 
-    V, lam, phi = _sweep_ground_state(modes, grid, f, axes)
-    f_final = _mode_amplitudes(modes, phi)
+    V, lam, phi = _sweep_ground_state(modes, G, f, grid)
+    f_final = _mode_amplitudes(G, phi)
     resid = float(np.max(np.abs(f_final - f)))
 
     # binding check: second moment along each coupled axis (minimum image)
     rho = np.abs(phi.values) ** 2
     coords = grid.coords
-    for a in axes:
+    for a in modes.coupled_axes:
         x2 = float(np.sum(rho * coords[a] ** 2) * grid.cell_volume)
         if x2 > (grid.box_length / 4.0) ** 2:
             raise DelocalizedError(
@@ -406,7 +391,6 @@ def solve_discrete_pekar(
     )
 
 
-def delta_g_field(dsol: DiscretePekarSolution, i: int) -> Field:
-    """delta G_x(k_i) = G_x(k_i) - f0(k_i) as a field over x."""
-    g = dsol.modes.coupling_field(dsol.grid, i)
-    return Field(g.values - dsol.f0[i], dsol.grid)
+def delta_g_fields(dsol: DiscretePekarSolution) -> np.ndarray:
+    """delta G_x(k_i) = G_x(k_i) - f0(k_i) for every mode, as one (M, n, n, n) array."""
+    return dsol.modes.coupling_fields(dsol.grid) - dsol.f0[:, None, None, None]

@@ -50,17 +50,6 @@ def apply_h(sol, f: Field) -> Field:
     return Field(apply_laplacian(f).values + sol.V_eff.values * f.values, f.grid)
 
 
-def axis_groups(modes: ModeSet) -> tuple:
-    """Finest partition of the axes 0, 1, 2 in which every mode k lies inside
-    one group; an axis no mode touches is a group of its own."""
-    groups = [{a} for a in range(3)]
-    for k in modes.k_vectors:
-        touched = {a for a in range(3) if abs(k[a]) > 1e-12}
-        merged = set().union(*(g for g in groups if g & touched))
-        groups = [g for g in groups if not g & touched] + [merged]
-    return tuple(sorted(tuple(sorted(g)) for g in groups))
-
-
 @dataclass
 class SeparableSpectrum:
     """h = p^2 + V for V = offset + sum_g V_g(x_g), diagonalised group by group.
@@ -105,8 +94,8 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
     axes less that; SeparationError if the split misses V by more than 1e-10
     relative, i.e. if V does not separate over the groups.
     """
-    grid, groups = V.grid, axis_groups(modes)
-    coupled = tuple(bool(np.any(np.abs(modes.k_vectors[:, g]) > 1e-12)) for g in groups)
+    grid, groups = V.grid, modes.axis_groups
+    coupled = tuple(g[0] in modes.coupled_axes for g in groups)
     vals = V.values.real
     offset = float(vals.mean())
     terms = [
@@ -250,7 +239,6 @@ def build_kernels(sol, modes: ModeSet, rh: ResolventHandle) -> KernelPair:
     K(k_i,k_j) = c_i c_j (t(i,j) + t(j,i)),
     G(k_i,k_j) = c_i c_j (t(par(i),j) + t(i,par(j))).
     """
-    modes.check_commensurate(sol.grid)
     grid = sol.grid
     M = modes.M
     c = modes.coupling_constants

@@ -114,6 +114,19 @@ def test_removed_propagator_keys_are_unknown(line, tmp_path, capsys):
     assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
+def test_config_file_cannot_name_a_preset(tmp_path, capsys):
+    # the line would relabel the run without applying the preset's keys
+    from polaronlab.cli import EXIT_INVARIANT, main
+
+    p = tmp_path / "run.cfg"
+    p.write_text("preset = desk-standard\n")
+    with pytest.raises(ConfigError, match="--preset"):
+        load_config(path=str(p))
+    code = main(["selftest", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert "--preset" in capsys.readouterr().err
+
+
 def test_tau_grid_monotone():
     cfg = RunConfig(tau_final=1.0, tau_samples=4)
     grid = cfg.tau_grid

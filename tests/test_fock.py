@@ -1,6 +1,7 @@
 """Truncated Fock-space oracle: enumeration, ladder algebra, Hamiltonians,
 propagation, and reduced objects."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -312,6 +313,21 @@ def test_bundle_peak_memory_within_preflight_estimate(preset, monkeypatch):
     tracemalloc.start()
     try:
         ex.build_bundle(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= estimate["need"]
+
+
+@pytest.mark.parametrize("mode_preset_name", ["pair-x", "hex-xyz"])
+def test_selftest_peak_memory_within_preflight_estimate(mode_preset_name, monkeypatch):
+    cfg = dataclasses.replace(load_config(preset="desk-small"), mode_preset=mode_preset_name)
+    estimate = {}
+    monkeypatch.setattr(ex, "require_memory", lambda verb, need: estimate.update(need=need))
+    ex.preflight_selftest(cfg)
+    tracemalloc.start()
+    try:
+        ex.selftest_report(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

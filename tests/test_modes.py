@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from polaronlab import grid as grid_module
+from polaronlab import modes as modes_module
+from polaronlab import pekar, resolvent
 from polaronlab.grid import Grid3
 from polaronlab.modes import ModeSet, axis_pair, mode_preset
 
@@ -31,11 +34,27 @@ def test_positive_weights_required():
         ModeSet(ks, np.array([1.0, -1.0]))
 
 
-def test_commensurability_check():
+def test_coupling_fields_reject_incommensurate_grid():
     ms = mode_preset("pair-x", 4 * np.pi)
-    ms.check_commensurate(Grid3(8, 4 * np.pi))
+    assert ms.coupling_fields(Grid3(8, 4 * np.pi)).shape == (2, 8, 8, 8)
     with pytest.raises(ValueError):
-        ms.check_commensurate(Grid3(8, 10.0))
+        ms.coupling_fields(Grid3(8, 10.0))
+
+
+def test_axis_groups_split_presets_and_merge_off_axis_modes():
+    for name, axes in [("pair-x", (0,)), ("quad-xy", (0, 1)), ("hex-xyz", (0, 1, 2))]:
+        ms = mode_preset(name, 4.0 * np.pi)
+        assert ms.axis_groups == ((0,), (1,), (2,))
+        assert ms.coupled_axes == axes
+    # pair-x plus the diagonal pair +-(0.5, 0.5, 0): x and y form one group
+    px = mode_preset("pair-x", 4.0 * np.pi)
+    diag = np.array([[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
+    ms = ModeSet(np.vstack([px.k_vectors, diag]), np.concatenate([px.weights, [16.0, 16.0]]))
+    assert ms.axis_groups == ((0, 1), (2,))
+    assert ms.coupled_axes == (0, 1)
+    diag_only = ModeSet(diag, np.array([16.0, 16.0]))
+    assert diag_only.axis_groups == ((0, 1), (2,))
+    assert diag_only.coupled_axes == (0, 1)
 
 
 def test_presets_shapes():
@@ -52,11 +71,31 @@ def test_preset_requires_commensurate_box():
         mode_preset("no-such-preset", 4 * np.pi)
 
 
-def test_coupling_field_amplitude():
+def test_coupling_fields_amplitude():
     grid = Grid3(8, 4 * np.pi)
     ms = mode_preset("pair-x", grid.box_length)
-    g = ms.coupling_field(grid, 0)
-    assert np.allclose(np.abs(g.values), 1.0 / np.pi)
+    g = ms.coupling_fields(grid)
+    assert np.allclose(np.abs(g), 1.0 / np.pi)
+    assert np.max(np.abs(g[1] - np.conj(g[0]))) <= 1e-15
+
+
+def test_discrete_solve_builds_each_plane_wave_once(monkeypatch):
+    # the coupling-field table is built once per solve, not once per sweep
+    calls = []
+    original = grid_module.plane_wave
+
+    def counting(grid, k):
+        calls.append(tuple(k))
+        return original(grid, k)
+
+    for module in (grid_module, modes_module, pekar, resolvent):
+        if hasattr(module, "plane_wave"):
+            monkeypatch.setattr(module, "plane_wave", counting)
+    grid = Grid3(8, 4 * np.pi)
+    ms = mode_preset("quad-xy", grid.box_length)
+    dsol = pekar.solve_discrete_pekar(grid, ms, tol=1e-7)
+    assert dsol.iterations > 1
+    assert len(calls) <= ms.M
 
 
 def test_dict_roundtrip():

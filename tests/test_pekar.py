@@ -15,7 +15,7 @@ from polaronlab.pekar import (
     DelocalizedError,
     NotNormalizedError,
     PekarSolution,
-    delta_g_field,
+    delta_g_fields,
     minimize_pekar,
     pekar_energy,
     solve_discrete_pekar,
@@ -172,9 +172,8 @@ class TestDiscreteModel:
 
     def test_delta_g_orthogonal_to_ground(self, dsol):
         # <phi0, delta G phi0> = 0 by construction of f0
-        for i in range(dsol.modes.M):
-            dg = delta_g_field(dsol, i)
-            val = inner(dsol.phi0, Field(dg.values * dsol.phi0.values, dsol.grid))
+        for dg in delta_g_fields(dsol):
+            val = inner(dsol.phi0, Field(dg * dsol.phi0.values, dsol.grid))
             assert abs(val) < 1e-9
 
     def test_unbound_modes_rejected(self):

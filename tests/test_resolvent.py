@@ -12,13 +12,11 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
 from polaronlab.grid import Field, plane_wave
-from polaronlab.modes import mode_preset
 from polaronlab.resolvent import (
     GapError,
     KernelPair,
     ResolventHandle,
     apply_h,
-    axis_groups,
     separable_spectrum,
     spectral_gap,
 )
@@ -195,12 +193,6 @@ def dsol_of(bundle, quad_xy_dsol, hex_xyz_dsol, diag_xy_dsol):
         "hex-xyz": hex_xyz_dsol,
         "diag-xy": diag_xy_dsol,
     }
-
-
-def test_axis_groups_split_presets_and_merge_off_axis_modes(diag_xy_dsol):
-    for name in ("pair-x", "quad-xy", "hex-xyz"):
-        assert axis_groups(mode_preset(name, 4.0 * np.pi)) == ((0,), (1,), (2,))
-    assert axis_groups(diag_xy_dsol.modes) == ((0, 1), (2,))
 
 
 @pytest.mark.parametrize("which", CASES)

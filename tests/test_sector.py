@@ -10,7 +10,7 @@ import pytest
 from polaronlab import experiments as ex
 from polaronlab import fock as fk
 from polaronlab.grid import Field
-from polaronlab.pekar import _coupled_axes, delta_g_field
+from polaronlab.pekar import delta_g_fields
 
 
 class FullGridHamiltonian:
@@ -26,8 +26,8 @@ class FullGridHamiltonian:
         self.ndiag = fs.occupations.sum(axis=1) / alpha**2
         self.aT = [fk.ladder(i, fs).toarray().T for i in range(fs.M)]
         self.dg = [
-            np.sqrt(dsol.modes.weights[i]) * delta_g_field(dsol, i).values.ravel()[:, None]
-            for i in range(fs.M)
+            np.sqrt(w) * dg.ravel()[:, None]
+            for w, dg in zip(dsol.modes.weights, delta_g_fields(dsol))
         ]
 
     def apply(self, psi):
@@ -76,7 +76,7 @@ def test_matrix_free_ladders_equal_sparse_products(M, n_max, rng):
 def test_sector_apply_matches_full_grid_oracle(which, bundle, quad_xy_dsol, hex_xyz_dsol, rng):
     dsol = {"pair-x": bundle.dsol, "quad-xy": quad_xy_dsol, "hex-xyz": hex_xyz_dsol}[which]
     fs = fk.FockSpace(dsol.modes.M, 2)
-    axes = _coupled_axes(dsol.modes)
+    axes = dsol.modes.coupled_axes
     H = fk.CoupledHamiltonian(dsol, fs, alpha=2.0)
     full = FullGridHamiltonian(dsol, fs, alpha=2.0)
     assert H.shape == (dsol.grid.n ** len(axes), fs.dim)
