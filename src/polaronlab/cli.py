@@ -253,8 +253,8 @@ def _failures():
 
     return (
         (experiments.InvariantError, quasifree.SymplecticError, resolvent.GapError,
-         resolvent.SeparationError, fock.FockDimensionError, fock.SectorError,
-         pekar.DelocalizedError, config.ConfigError),
+         resolvent.SeparationError, resolvent.KernelError, fock.FockDimensionError,
+         fock.SectorError, pekar.DelocalizedError, config.ConfigError),
         (pekar.PekarError, resolvent.ResolventError, fock.EvolutionError),
     )
 

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .grid import laplacian_matrix
 from .pekar import DiscretePekarSolution, delta_g_fields
-from .resolvent import KernelPair
+from .resolvent import KernelError, KernelPair
 
 DEFAULT_DIM_CAP = 200_000
 
@@ -135,7 +135,7 @@ def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
     H = H.tocsr()
     defect = abs(H - H.conj().T).max()
     if defect > 1e-10:
-        raise ValueError(f"quadratic Hamiltonian Hermiticity defect {defect:.3e}")
+        raise KernelError(f"quadratic Hamiltonian Hermiticity defect {defect:.3e}")
     return H
 
 

@@ -11,7 +11,7 @@ from .config import ConfigError
 from .grid import Grid3, plane_wave
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class ModeSet:
     """Quadrature {k_i, w_i} over nonzero reciprocal vectors, closed under k -> -k.
     ``coupled_axes``: the axes some k_i has a component along; ``axis_groups``:

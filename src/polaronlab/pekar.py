@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -67,12 +66,15 @@ def density(phi: Field) -> Field:
     return Field(np.abs(phi.values) ** 2, phi.grid)
 
 
+def _require_normalized(phi: Field) -> Field:
+    if not abs(phi.norm() - 1.0) <= 1e-8:
+        raise NotNormalizedError(f"|phi| = {phi.norm()}, expected 1")
+    return phi
+
+
 def pekar_energy(phi: Field):
     """Return (T, D, E) for a normalized phi; refuses unnormalized input."""
-    nrm = phi.norm()
-    if abs(nrm - 1.0) > 1e-8:
-        raise NotNormalizedError(f"|phi| = {nrm}, expected 1")
-    T = inner(phi, apply_laplacian(phi)).real
+    T = inner(_require_normalized(phi), apply_laplacian(phi)).real
     rho = density(phi)
     D = inner(rho, coulomb_convolve(rho)).real
     return T, D, T - 0.5 * D
@@ -172,47 +174,81 @@ def _euler_lagrange(phi: Field):
     return V, lam, Field(hphi.values - lam * phi.values, phi.grid)
 
 
+def _rfft3(f: np.ndarray) -> np.ndarray:
+    """np.fft.rfftn of a real n^3 array, in place after the first axis: bit-identical, faster."""
+    a = np.fft.rfft(f, axis=2)
+    np.fft.fft(a, axis=1, out=a)
+    return np.fft.fft(a, axis=0, out=a)
+
+
+def _irfft3(a: np.ndarray, n: int) -> np.ndarray:
+    """np.fft.irfftn of a half spectrum, bit-identical; overwrites a."""
+    np.fft.ifft(a, axis=0, out=a)
+    np.fft.ifft(a, axis=1, out=a)
+    return np.fft.irfft(a, n=n, axis=2)
+
+
+def _hdot(a: np.ndarray, b: np.ndarray, axis=None) -> complex:
+    """sum_k conj(a) b over the full spectrum of two real fields, from their rfftn
+    half spectra: weight 1 on the kz = 0 and kz = n/2 planes, 2 elsewhere.  With
+    an axis, vecdot sums along it first: no copy of slices strided on that axis."""
+    if axis is None:
+        return 2.0 * np.vdot(a, b) - np.vdot(a[..., 0], b[..., 0]) - np.vdot(a[..., -1], b[..., -1])
+    r = np.vecdot(a, b, axis=axis)
+    return 2.0 * r.sum() - r[..., 0].sum() - r[..., -1].sum()
+
+
+def _spectral_center(u: np.ndarray, grid: Grid3) -> np.ndarray:
+    """center_of_mass of u(x)^2 from the half spectrum u of the real u(x), via
+    rho_hat(e_a) = sum_k u(k) conj u(k - e_a) / n^3 summed over slice pairs.
+    On axis 2 the terms with kz < 1 mirror those with 1 <= kz <= n/2."""
+    s = [_hdot(u[-1:], u[:1]) + _hdot(u[:-1], u[1:]),
+         _hdot(u[:, -1:], u[:, :1], axis=1) + _hdot(u[:, :-1], u[:, 1:], axis=1),
+         2.0 * np.vecdot(u[..., :-1], u[..., 1:]).sum()]
+    # the samples sit at x_j = -L/2 + j dx: sum_x rho e^{2 pi i x/L} = -conj rho_hat(e_a)
+    return grid.box_length * np.angle(-np.conj(s)) / (2.0 * np.pi)
+
+
 def _real_descent(grid: Grid3, tol: float):
     """minimize_pekar's loop: the first iterate with residual <= tol, and the
-    iteration count.  The iterate is real, so the loop runs on rfftn half
-    spectra (ksq and the Coulomb kernel depend only on |k|, so their half
-    slices are exact) and carries phi's spectrum: six transforms per step."""
-    n, dv = grid.n, grid.cell_volume
+    iteration count.  The loop carries the rfftn half spectrum of the real
+    iterate (ksq and the Coulomb kernel depend only on |k|, so their half
+    slices are exact) and reads lambda, the residual, the step size, the norm
+    and the centre of mass off it: four real transforms per step."""
+    n, dv_hat = grid.n, grid.cell_volume / grid.size  # Parseval: sum_x f g = Re _hdot / n^3
     ksq, kern = grid.ksq[..., : n // 2 + 1], grid.coulomb_kernel[..., : n // 2 + 1]
-    rfft = partial(np.fft.rfftn, axes=(0, 1, 2))
-    irfft = partial(np.fft.irfftn, s=grid.shape, axes=(0, 1, 2))
 
     phi = gaussian(grid, min(GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0)).values.real.copy()
-    phi_hat = rfft(phi)
+    phi_hat = _rfft3(phi)
     tau, phi_prev, z_prev, residual = DESCENT_STEP, None, None, np.inf
 
     for it in range(1, DESCENT_MAX_ITER + 1):
-        # h phi with h = p^2 + V_eff, V_eff = -(phi^2 * 1/|x|)
-        hphi = irfft(ksq * phi_hat) - irfft(rfft(phi * phi) * kern) * phi
-        lam = np.vdot(phi, hphi) * dv
-        grad = hphi - lam * phi
-        residual = float(np.sqrt(np.vdot(grad, grad) * dv))
+        # h phi with h = p^2 + V_eff, V_eff = -(phi^2 * 1/|x|), then (h - lambda) phi in place
+        grad = ksq * phi_hat
+        grad -= _rfft3(_irfft3(_rfft3(phi * phi) * kern, n) * phi)
+        lam = _hdot(phi_hat, grad).real * dv_hat
+        grad -= lam * phi_hat
+        residual = float(np.sqrt(_hdot(grad, grad).real * dv_hat))
         if not np.isfinite(residual) or not np.isfinite(lam):
             raise PekarError("energy collapsed to NaN during descent")
         if residual <= tol:
             break
 
-        z_hat = rfft(grad) / (ksq + max(0.5, abs(lam)))
-        z = irfft(z_hat)
-        if phi_prev is not None:
-            dphi, dz = phi - phi_prev, z - z_prev
-            den = np.vdot(dphi, dz)
+        z = np.divide(grad, ksq + max(0.5, abs(lam)), out=grad)
+        if phi_prev is not None:  # -dphi and -dz, in place of the arrays they replace
+            phi_prev -= phi_hat
+            z_prev -= z
+            den = _hdot(phi_prev, z_prev).real
             if den > 0:
-                tau = float(np.clip(np.vdot(dphi, dphi) / den, 0.05, 20.0))
-        phi_prev, z_prev = phi, z
+                tau = float(np.clip(_hdot(phi_prev, phi_prev).real / den, 0.05, 20.0))
+        phi_prev, z_prev = phi_hat, z
 
-        # recenter phi - tau z on its spectrum, then fix the sign and the norm
-        d = -center_of_mass((phi - tau * z) ** 2, grid)
-        phi_hat = (phi_hat - tau * z_hat) * shift_phase(grid, d, half=True)
-        phi = irfft(phi_hat)
-        c = (1.0 if phi.sum() >= 0 else -1.0) / np.sqrt(np.vdot(phi, phi) * dv)
-        phi *= c
-        phi_hat *= c
+        # recenter phi - tau z, then fix the sign and the norm
+        phi_hat = phi_hat - tau * z
+        phi_hat *= shift_phase(grid, -_spectral_center(phi_hat, grid), half=True)
+        sign = 1.0 if phi_hat[0, 0, 0].real >= 0 else -1.0
+        phi_hat *= sign / np.sqrt(_hdot(phi_hat, phi_hat).real * dv_hat)
+        phi = _irfft3(phi_hat.copy(), n)
     else:
         raise ConvergenceError(
             f"no convergence after {DESCENT_MAX_ITER} iterations (residual {residual:.3e})",
@@ -228,41 +264,31 @@ def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
     Uses the Euler-Lagrange residual ||(h^phi - lambda) phi|| as the stopping
     criterion, with Barzilai-Borwein step adaptation on the preconditioned
     gradient.  The iterate is re-centered and phase-fixed every step to break
-    the translation degeneracy.  The converged state is checked, and its
-    scalars and residual recomputed, on complex Fields.
+    the translation degeneracy.  The converged state is checked on complex
+    Fields: one Euler-Lagrange pass gives V, lambda = T - D, D = -<rho, V>.
     """
     phi, it = _real_descent(grid, tol)
     phi = _fix_phase_positive(recenter(Field(phi, grid)))
-    phi = phi * (1.0 / phi.norm())
-    T, D, E = pekar_energy(phi)
+    phi = _require_normalized(phi * (1.0 / phi.norm()))
+    V, lam, grad = _euler_lagrange(phi)
+    D = -inner(density(phi), V).real
+    T, E = lam + D, lam + 0.5 * D  # E = T - D/2
     # the spread-out near-uniform state is a stationary point on small boxes;
     # a bound minimizer always has T comparable to |E| (virial: T = -E)
     if T < 0.01 * abs(E):
-        raise DelocalizedError(
-            f"descent collapsed to a delocalized state (T = {T:.3e}, E = {E:.3e}); "
-            "enlarge the box"
-        )
-    V, lam, grad = _euler_lagrange(phi)
-    return PekarSolution(
-        phi0=phi,
-        T=T,
-        D=D,
-        energy=E,
-        lam=lam,
-        V_eff=V,
-        residual=grad.norm(),
-        iterations=it,
-    )
+        raise DelocalizedError("descent collapsed to a delocalized state "
+                               f"(T = {T:.3e}, E = {E:.3e}); enlarge the box")
+    return PekarSolution(phi0=phi, T=T, D=D, energy=E, lam=lam, V_eff=V,
+                         residual=grad.norm(), iterations=it)
 
 
 def preflight_pekar(cfg: RunConfig):
     """Raise ConfigError when minimize_pekar's peak memory exceeds
     MemAvailable: five Grid3 caches (ksq, the Coulomb kernel, three
-    coordinate arrays) and eight real n^3 arrays of the descent, plus nine
-    complex rfftn half spectra, six of the descent and three inside numpy's
-    transforms (measured: 179 bytes of peak RSS per point at n = 64 and 96)."""
-    n = cfg.grid_n
-    require_memory("solve-pekar", 8 * 13 * n**3 + 16 * 9 * n**2 * (n // 2 + 1))
+    coordinate arrays) and seven complex n^3 arrays of the post-solve check,
+    which outweigh the descent's two real n^3 arrays and seven half spectra
+    (measured: 144 and 139 bytes of peak RSS per point at n = 64 and 96)."""
+    require_memory("solve-pekar", (8 * 5 + 16 * 7) * cfg.grid_n**3)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .resolvent import KernelPair
+from .resolvent import KernelError, KernelPair
 
 
 class SymplecticError(RuntimeError):
@@ -66,7 +66,7 @@ def build_generator(kp: KernelPair) -> Generator:
     A = np.block([[eye - G, K], [-K.conj(), -eye + G.conj()]])
     gen = Generator(A=A, kernels=kp)
     if gen.s_hermiticity_defect() > 1e-10:
-        raise ValueError("S.A is not Hermitian; refusing to build generator")
+        raise KernelError("S.A is not Hermitian; refusing to build generator")
     return gen
 
 

@@ -39,6 +39,10 @@ class GapError(RuntimeError):
     pass
 
 
+class KernelError(ValueError):
+    """K is not symmetric, G not Hermitian, or an operator built from them not Hermitian."""
+
+
 class SeparationError(ValueError):
     """V_eff does not split into one term per axis group."""
 
@@ -193,11 +197,11 @@ class KernelPair:
 
     def check(self, tol: float = 1e-10):
         if np.max(np.abs(self.K - self.K.T)) > tol:
-            raise ValueError("K is not symmetric")
+            raise KernelError("K is not symmetric")
         if np.max(np.abs(self.G - self.G.conj().T)) > tol:
-            raise ValueError("G is not Hermitian")
+            raise KernelError("G is not Hermitian")
         if abs(self.epsilon - 0.5 * np.trace(self.G).real) > tol:
-            raise ValueError("epsilon is not Tr(G)/2")
+            raise KernelError("epsilon is not Tr(G)/2")
 
     def save(self, outdir: str):
         os.makedirs(outdir, exist_ok=True)

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, artifacts, manifests."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import polaronlab
+from polaronlab import experiments, fock, resolvent
 from polaronlab.cli import EXIT_INVARIANT, EXIT_OK, main
 from polaronlab.fock import SectorError
 from polaronlab.resolvent import SeparationError
@@ -195,6 +198,40 @@ def test_mode_preset_the_box_cannot_hold_is_a_config_error(tmp_path, capsys):
     code = main(["build-kernels", "--preset", "pekar-hi", "--out", str(tmp_path)])
     assert code == EXIT_INVARIANT
     assert "not commensurate" in capsys.readouterr().err
+
+
+def _skewed_kernels(eps):
+    """build_kernels with K made asymmetric by eps below the diagonal."""
+
+    def build(*args, **kwargs):
+        kp = resolvent.build_kernels(*args, **kwargs)
+        return dataclasses.replace(kp, K=kp.K + eps * np.tril(np.ones_like(kp.K), -1))
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "defect, verb, message",
+    [
+        ("kernel-pair", "build-kernels", "K is not symmetric"),
+        ("generator", "build-kernels", "S.A is not Hermitian"),
+        ("quadratic-hamiltonian", "bogoliubov-check", "Hermiticity defect"),
+    ],
+)
+def test_kernel_defects_exit_as_invariant_failures(
+    defect, verb, message, tmp_path, monkeypatch, capsys
+):
+    if defect == "kernel-pair":  # far outside KernelPair.check's 1e-8
+        monkeypatch.setattr(experiments, "build_kernels", _skewed_kernels(1e-3))
+    elif defect == "generator":  # inside KernelPair.check, outside the S.A check's 1e-10
+        monkeypatch.setattr(experiments, "build_kernels", _skewed_kernels(1e-9))
+    else:  # a complex diagonal in H_quad
+        number_operator = fock.number_operator
+        monkeypatch.setattr(fock, "number_operator", lambda fs: number_operator(fs) * (1 + 1e-6j))
+    code = main([verb, "--out", str(tmp_path)])
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and message in err
 
 
 def test_plain_value_error_is_not_an_invariant_failure(tmp_path):

@@ -2,6 +2,9 @@
 a sibling; a helper two modules need is public in the one that owns it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import polaronlab
@@ -20,3 +23,18 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if a.name.startswith("_") and not a.name.startswith("__")
                 ]
     assert not found, "private names imported across modules:\n" + "\n".join(found)
+
+
+def test_no_module_loads_scipy_fft_or_special():
+    # importing scipy.fft pulls in scipy.special: about 65 ms on every cold start
+    script = (
+        "import importlib, pkgutil, sys, polaronlab\n"
+        "names = [m.name for m in pkgutil.iter_modules(polaronlab.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('polaronlab.' + name)\n"
+        "print(len(names), *[m for m in ('scipy.fft', 'scipy.special') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(len(list(SRC.glob("*.py"))) - 1)]

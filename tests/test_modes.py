@@ -103,3 +103,10 @@ def test_dict_roundtrip():
     back = ModeSet.from_dict(ms.as_dict())
     assert np.array_equal(back.k_vectors, ms.k_vectors)
     assert np.array_equal(back.weights, ms.weights)
+
+
+def test_mode_sets_compare_and_hash_by_identity():
+    # array fields: a generated == would raise on the ambiguous truth value
+    a, b = mode_preset("quad-xy", 4 * np.pi), mode_preset("quad-xy", 4 * np.pi)
+    assert a == a and a != b
+    assert {a: "a", b: "b"}[a] == "a"

@@ -2,11 +2,13 @@
 virial identities, and the discrete self-consistent model."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polaronlab import pekar
+from polaronlab.config import load_config
 from polaronlab.grid import Field, Grid3, gaussian, inner, shift_field
 from polaronlab.modes import ModeSet, axis_pair, mode_preset
 from polaronlab.pekar import (
@@ -114,6 +116,69 @@ def test_real_descent_matches_complex_reference(grid):
         assert abs(got - want) <= 1e-12
     assert np.max(np.abs(sol.phi0.values - phi.values)) <= 1e-12
     assert np.max(np.abs(sol.V_eff.values - V.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16, 48])
+def test_spectral_center_matches_center_of_mass(n):
+    # phi0 is even, so the descent's centre is about 0 at every step and a wrong
+    # formula would pass every Pekar test: check off-centre, noisy densities
+    grid = Grid3(n, 2.0 * n)
+    rng = np.random.default_rng(n)
+    for frac in [(0.0, 0.0, 0.0), (0.11, -0.23, 0.07), (-0.31, 0.18, -0.36), (0.03, 0.4, 0.27)]:
+        u = shift_field(gaussian(grid, n / 8.0), np.multiply(frac, grid.box_length)).values.real
+        u = u + 0.05 * u.max() * rng.standard_normal(grid.shape)
+        got = pekar._spectral_center(np.fft.rfftn(u), grid)
+        assert np.max(np.abs(got - pekar.center_of_mass(u**2, grid))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_half_spectrum_transforms_and_dot(n):
+    grid = Grid3(n, 10.0)
+    a, b = np.random.default_rng(n).standard_normal((2, *grid.shape))
+    a_hat, b_hat = pekar._rfft3(a), pekar._rfft3(b)
+    assert np.array_equal(a_hat, np.fft.rfftn(a))
+    a_back = np.fft.irfftn(a_hat, s=grid.shape, axes=(0, 1, 2))
+    assert np.array_equal(pekar._irfft3(a_hat.copy(), n), a_back)
+    dv = grid.cell_volume
+    want = np.vdot(a, b) * dv
+    scale = np.sqrt(np.vdot(a, a) * np.vdot(b, b)) * dv
+    for axis in (None, 0, 1):
+        got = pekar._hdot(a_hat, b_hat, axis=axis).real * dv / grid.size
+        assert abs(got - want) <= 1e-12 * scale
+
+
+def test_descent_spends_four_real_transforms_per_step(monkeypatch):
+    # a loop regression shows here without a benchmark run
+    counts = dict.fromkeys(["rfft", "irfft", "fft", "ifft", "rfftn", "irfftn", "fftn", "ifftn"], 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    sol = minimize_pekar(Grid3(48, 96.0))
+    # per step phi^2 and V phi forward, V and the new phi back; one forward to
+    # start, and the last step stops after its residual, one inverse short
+    assert counts["rfft"] + counts["irfft"] == 4 * sol.iterations
+    assert counts["rfftn"] == counts["irfftn"] == 0
+    # each real 3-D transform adds its complex passes along axes 0 and 1
+    assert counts["fft"] == 2 * counts["rfft"] and counts["ifft"] == 2 * counts["irfft"]
+    # the post-solve check: a recentring shift and one Euler-Lagrange pass
+    assert counts["fftn"] == counts["ifftn"] <= 3
+
+
+def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
+    cfg = load_config(preset="pekar-hi")
+    estimate = {}
+    monkeypatch.setattr(pekar, "require_memory", lambda verb, need: estimate.update(need=need))
+    pekar.preflight_pekar(cfg)
+    tracemalloc.start()
+    try:  # a fresh grid, so its caches count too
+        minimize_pekar(Grid3(cfg.grid_n, cfg.box_length))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= estimate["need"]
 
 
 def test_center_of_mass_reads_a_shifted_gaussian():
