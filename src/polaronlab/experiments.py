@@ -98,10 +98,11 @@ def preflight_bundle(cfg: RunConfig):
 
 def preflight_selftest(cfg: RunConfig):
     """Raise ConfigError when selftest_report's peak memory exceeds MemAvailable:
-    the bundle plus the normal-ordering check, the sparse H_quad on the n_max = 2
-    Fock space and the direct build on n_max = 3 (traced 12 MB at M = 6)."""
+    the bundle plus the normal-ordering check, whose direct build on the n_max = 3
+    Fock space dominates: 48 bytes per entry slot (1 + 2 M^2 a row) and 64 KiB
+    (the check traced 30 KB, 0.41 MB and 12.0 MB at M = 2, 4, 6)."""
     M = mode_preset(cfg.mode_preset, cfg.box_length).M
-    need = _bundle_bytes(cfg.grid_n, M) + _quadratic_bytes(M, 2) + _quadratic_bytes(M, 3)
+    need = _bundle_bytes(cfg.grid_n, M) + 48 * 4**M * (1 + 2 * M**2) + (1 << 16)
     require_memory("selftest", need)
 
 

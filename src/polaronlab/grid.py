@@ -194,25 +194,17 @@ def gaussian(grid: Grid3, sigma: float) -> Field:
     return f * (1.0 / f.norm())
 
 
-def shift_phase(grid: Grid3, displacement, half: bool = False) -> np.ndarray:
-    """The spectral multiplier exp(-i k.d) of a translation by d, broadcast from
-    three 1-D phases.  half=True gives it on the rfftn half spectrum with each
-    Nyquist factor replaced by its real part: the shifted spectrum of a real
-    field stays Hermitian, and irfftn returns the real part of the full shift
-    (exactly, but for the k with two or more components at Nyquist)."""
+def shift_phase(grid: Grid3, displacement) -> np.ndarray:
+    """The spectral multiplier exp(-i k.d) of a translation by d on the rfftn
+    half spectrum, broadcast from three 1-D phases, with each Nyquist factor
+    replaced by its real part: the shifted spectrum of a real field stays
+    Hermitian, and irfftn returns the real part of the full shift (exactly,
+    but for the k with two or more components at Nyquist)."""
     n = grid.n
     ph = [np.exp(-1j * grid.k_axis * d) for d in np.asarray(displacement, dtype=float)]
-    if half:
-        for p in ph:
-            p[n // 2] = p[n // 2].real
-        ph[2] = ph[2][: n // 2 + 1]
-    return ph[0][:, None, None] * ph[1][:, None] * ph[2]
-
-
-def shift_field(f: Field, displacement) -> Field:
-    """Translate a field by a (not necessarily lattice) displacement, spectrally."""
-    phase = shift_phase(f.grid, displacement)
-    return Field(np.fft.ifftn(np.fft.fftn(f.values) * phase), f.grid)
+    for p in ph:
+        p[n // 2] = p[n // 2].real
+    return ph[0][:, None, None] * ph[1][:, None] * ph[2][: n // 2 + 1]
 
 
 # ---------------------------------------------------------------------------

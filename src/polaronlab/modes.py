@@ -16,7 +16,8 @@ class ModeSet:
     """Quadrature {k_i, w_i} over nonzero reciprocal vectors, closed under k -> -k.
     ``coupled_axes``: the axes some k_i has a component along; ``axis_groups``:
     the finest partition of the axes 0, 1, 2 with every k_i inside one group,
-    over which a sum of plane waves e^{i k_i.x} separates."""
+    over which a sum of plane waves e^{i k_i.x} separates; ``span_basis``: the
+    indices of the k_i, taken greedily in order, that form a basis of their span."""
 
     k_vectors: np.ndarray  # (M, 3)
     weights: np.ndarray  # (M,)
@@ -44,6 +45,8 @@ class ModeSet:
         groups = tuple(sorted(tuple(sorted(g)) for g in groups))
         object.__setattr__(self, "coupled_axes", tuple(sorted(set().union(*touched))))
         object.__setattr__(self, "axis_groups", groups)
+        ranks = [np.linalg.matrix_rank(k[: i + 1]) for i in range(k.shape[0])]
+        object.__setattr__(self, "span_basis", np.flatnonzero(np.diff(ranks, prepend=0)))
 
     def _build_parity(self) -> np.ndarray:
         k = self.k_vectors

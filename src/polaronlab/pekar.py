@@ -26,9 +26,9 @@ from .grid import (
     inner,
     load_field,
     save_field,
-    shift_field,
     shift_phase,
 )
+from .modes import ModeSet
 
 # Analytic Gaussian upper bound: the width-sigma Gaussian gives
 # E = 3/(4 sigma^2) - 1/(2 sigma sqrt(pi)), minimized at sigma = 3 sqrt(pi)
@@ -80,30 +80,10 @@ def pekar_energy(phi: Field):
     return T, D, T - 0.5 * D
 
 
-def center_of_mass(rho_vals: np.ndarray, grid: Grid3, axes=(0, 1, 2)) -> np.ndarray:
-    """Periodic (circular-mean) center of mass of a density along axes (zero
-    along the others), each from the 1-D marginal of its axis."""
-    w = rho_vals.real
-    ph = np.exp(2j * np.pi * grid.axis / grid.box_length)
-    com = np.zeros(3)
-    for a in axes:
-        marginal = w.sum(axis=tuple(b for b in range(3) if b != a))
-        com[a] = grid.box_length * np.angle(marginal @ ph) / (2.0 * np.pi)
-    return com
-
-
-def recenter(phi: Field, axes=(0, 1, 2)) -> Field:
-    """Shift phi so the (circular) center of mass of |phi|^2 sits at the origin."""
-    d = center_of_mass(np.abs(phi.values) ** 2, phi.grid, axes)
-    if np.all(d == 0.0):
-        return phi
-    return shift_field(phi, -d)
-
-
 def _fix_phase_positive(phi: Field) -> Field:
     s = np.sum(phi.values.real) * phi.grid.cell_volume
     vals = phi.values if s >= 0 else -phi.values
-    # solver iterates stay real up to FFT noise
+    # solver iterates stay real up to roundoff
     return Field(vals.real.astype(np.complex128), phi.grid)
 
 
@@ -199,7 +179,8 @@ def _hdot(a: np.ndarray, b: np.ndarray, axis=None) -> complex:
 
 
 def _spectral_center(u: np.ndarray, grid: Grid3) -> np.ndarray:
-    """center_of_mass of u(x)^2 from the half spectrum u of the real u(x), via
+    """The periodic (circular-mean) centre of mass of u(x)^2 along each axis,
+    from the half spectrum u of the real u(x), via
     rho_hat(e_a) = sum_k u(k) conj u(k - e_a) / n^3 summed over slice pairs.
     On axis 2 the terms with kz < 1 mirror those with 1 <= kz <= n/2."""
     s = [_hdot(u[-1:], u[:1]) + _hdot(u[:-1], u[1:]),
@@ -245,7 +226,7 @@ def _real_descent(grid: Grid3, tol: float):
 
         # recenter phi - tau z, then fix the sign and the norm
         phi_hat = phi_hat - tau * z
-        phi_hat *= shift_phase(grid, -_spectral_center(phi_hat, grid), half=True)
+        phi_hat *= shift_phase(grid, -_spectral_center(phi_hat, grid))
         sign = 1.0 if phi_hat[0, 0, 0].real >= 0 else -1.0
         phi_hat *= sign / np.sqrt(_hdot(phi_hat, phi_hat).real * dv_hat)
         phi = _irfft3(phi_hat.copy(), n)
@@ -268,7 +249,7 @@ def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
     Fields: one Euler-Lagrange pass gives V, lambda = T - D, D = -<rho, V>.
     """
     phi, it = _real_descent(grid, tol)
-    phi = _fix_phase_positive(recenter(Field(phi, grid)))
+    phi = Field(phi, grid)
     phi = _require_normalized(phi * (1.0 / phi.norm()))
     V, lam, grad = _euler_lagrange(phi)
     D = -inner(density(phi), V).real
@@ -301,7 +282,7 @@ class DiscretePekarSolution(PekarSolution):
     """Self-consistent ground state of p^2 + V with V built from a ModeSet;
     D = 2 sum_i w_i |f0_i|^2 is the finite-mode analogue of D."""
 
-    modes: "object"  # ModeSet; kept duck-typed to avoid an import cycle
+    modes: ModeSet
     f0: np.ndarray  # coupling amplitudes <phi0, G_x(k_i) phi0>, length M
     energy_trace: list = field(default_factory=list)
 
@@ -316,8 +297,6 @@ class DiscretePekarSolution(PekarSolution):
 
     @classmethod
     def _from_scalars(cls, s: dict) -> dict:
-        from .modes import ModeSet
-
         return {
             **super()._from_scalars(s),
             "modes": ModeSet.from_dict(s["modes"]),
@@ -326,7 +305,7 @@ class DiscretePekarSolution(PekarSolution):
         }
 
 
-def _discrete_potential(modes, G: np.ndarray, f: np.ndarray, grid: Grid3) -> Field:
+def _discrete_potential(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3) -> Field:
     """V(x) = -2 Re sum_i w_i conj(G_x(k_i)) f_i over the coupling-field
     table G of ``ModeSet.coupling_fields``."""
     V = -2.0 * np.tensordot(modes.weights * np.conj(f), G, axes=1).real
@@ -339,41 +318,54 @@ def _mode_amplitudes(G: np.ndarray, phi: Field) -> np.ndarray:
     return (G.reshape(len(G), -1) @ rho) * phi.grid.cell_volume
 
 
-def _sweep_ground_state(modes, G: np.ndarray, f: np.ndarray, grid: Grid3):
-    """V built from the amplitudes f, its ground-state energy, and the
-    centred, phase-fixed, normalised ground state of p^2 + V."""
-    from .resolvent import separable_spectrum  # deferred, no cycle at import time
+def _pin_translation(modes: ModeSet, f: np.ndarray) -> np.ndarray:
+    """Fix the translation gauge on the amplitudes: moving the density by d
+    turns f_i into f_i e^{-i k_i.d}.  d solves k_j.d = arg f_j over the span
+    basis of the k_i (least squares: the basis may span fewer axes than it
+    touches), so those amplitudes come out real and nonnegative."""
+    basis = modes.span_basis
+    d = np.linalg.lstsq(modes.k_vectors[basis], np.angle(f[basis]), rcond=None)[0]
+    return f * np.exp(-1j * (modes.k_vectors @ d))
+
+
+def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3):
+    """The sign-fixed, normalised ground state phi of h = p^2 + V with V built
+    from the amplitudes f, its eigenvalue lambda, V, and the kinetic energy
+    T = lambda - <phi, V phi>."""
+    # deferred: resolvent imports scipy.sparse.linalg, a cold import of about
+    # 0.45 s against 0.12 s for this module, which solve-pekar need not pay
+    from .resolvent import separable_spectrum
 
     V = _discrete_potential(modes, G, f, grid)
     spec = separable_spectrum(V, modes)
     ground = np.zeros(grid.shape)
     ground.flat[0] = 1.0  # the product of the group ground vectors
-    phi = Field(spec.transform(ground, inverse=True), grid)
-    phi = _fix_phase_positive(recenter(phi, axes=modes.coupled_axes))
-    return V, float(spec.eigenvalues().flat[0]), phi * (1.0 / phi.norm())
+    phi = _fix_phase_positive(Field(spec.transform(ground, inverse=True), grid))
+    phi = phi * (1.0 / phi.norm())
+    lam = float(spec.eigenvalues().flat[0])
+    T = lam - float(np.vdot(np.abs(phi.values) ** 2, V.values).real) * grid.cell_volume
+    return phi, lam, V, T
 
 
-def solve_discrete_pekar(grid: Grid3, modes, tol: float = 1e-9) -> DiscretePekarSolution:
+def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> DiscretePekarSolution:
     """Damped fixed-point iteration for the finite-mode Pekar problem.
 
     Each sweep builds V from the current amplitudes f, takes the exact
     ground state of p^2 + V (a product over the axis groups of the modes),
-    and mixes the new amplitudes with damping.  Binding is enforced: the
-    converged state must be localized along every coupled axis.
+    pins the translation gauge of its amplitudes and mixes them in with
+    damping.  Binding is enforced: the converged state must be localized
+    along every coupled axis.
     """
     G = modes.coupling_fields(grid)
-    phi = gaussian(grid, DISCRETE_SIGMA_INIT)
-    f = _mode_amplitudes(G, phi)
+    f = _mode_amplitudes(G, gaussian(grid, DISCRETE_SIGMA_INIT))
     trace = []
     resid = np.inf
 
     for it in range(1, DISCRETE_MAX_ITER + 1):
-        _, _, phi = _sweep_ground_state(modes, G, f, grid)
-        f_new = _mode_amplitudes(G, phi)
+        phi, _, _, T = _sweep_ground_state(modes, G, f, grid)
+        f_new = _pin_translation(modes, _mode_amplitudes(G, phi))
         resid = float(np.max(np.abs(f_new - f)))
-        T = inner(phi, apply_laplacian(phi)).real
-        energy = T - float(np.sum(modes.weights * np.abs(f_new) ** 2))
-        trace.append(energy)
+        trace.append(T - float(np.sum(modes.weights * np.abs(f_new) ** 2)))
         if resid <= tol:
             f = f_new
             break
@@ -384,9 +376,8 @@ def solve_discrete_pekar(grid: Grid3, modes, tol: float = 1e-9) -> DiscretePekar
             residual=resid,
         )
 
-    V, lam, phi = _sweep_ground_state(modes, G, f, grid)
-    f_final = _mode_amplitudes(G, phi)
-    resid = float(np.max(np.abs(f_final - f)))
+    phi, lam, V, T = _sweep_ground_state(modes, G, f, grid)
+    resid = float(np.max(np.abs(_mode_amplitudes(G, phi) - f)))
 
     # binding check: second moment along each coupled axis (minimum image)
     rho = np.abs(phi.values) ** 2
@@ -399,16 +390,14 @@ def solve_discrete_pekar(grid: Grid3, modes, tol: float = 1e-9) -> DiscretePekar
                 f"{a} (<x^2> = {x2:.3g}); increase coupling weights or modes"
             )
 
-    T = inner(phi, apply_laplacian(phi)).real
     coupling = float(np.sum(modes.weights * np.abs(f) ** 2))
-    energy = T - coupling
     return DiscretePekarSolution(
         phi0=phi,
         modes=modes,
         f0=f,
         T=T,
         D=2.0 * coupling,
-        energy=energy,
+        energy=T - coupling,
         lam=lam,
         V_eff=V,
         residual=resid,

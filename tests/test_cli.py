@@ -151,7 +151,7 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
         raise AssertionError("the preflight should stop the run before any solve")
 
     # below every desk-small estimate (bogoliubov-check needs about 0.23 MiB,
-    # 243,360 B; selftest 227 KiB; build-kernels 192 KiB; solve-pekar about 97 KiB)
+    # 243,360 B; selftest 263 KiB; build-kernels 192 KiB; solve-pekar about 97 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 16)
     monkeypatch.setattr(experiments, "build_bundle", no_solve)
     monkeypatch.setattr(pekar, "minimize_pekar", no_solve)
@@ -164,7 +164,7 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
 
 def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypatch, capsys):
     # hex-xyz (M = 6): the bundle alone needs 224 KiB, the normal-ordering
-    # check's Fock spaces (3^6 and 4^6 states) bring the estimate to 54 MiB
+    # check's direct build on 4^6 Fock states brings the estimate to 14 MiB
     from polaronlab import config, experiments
 
     def no_solve(*args, **kwargs):
@@ -176,7 +176,7 @@ def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypat
     cfg.write_text("mode_preset = hex-xyz\n")
     code = main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVARIANT
-    assert "selftest needs about 54 MiB" in capsys.readouterr().err
+    assert "selftest needs about 14 MiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [SectorError, SeparationError], ids=lambda e: e.__name__)

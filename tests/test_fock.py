@@ -319,8 +319,8 @@ def test_bundle_peak_memory_within_preflight_estimate(preset, monkeypatch):
     assert 0 < peak <= estimate["need"]
 
 
-@pytest.mark.parametrize("mode_preset_name", ["pair-x", "hex-xyz"])
-def test_selftest_peak_memory_within_preflight_estimate(mode_preset_name, monkeypatch):
+def _selftest_estimate_and_peak(mode_preset_name, monkeypatch):
+    """The selftest preflight estimate and the traced peak of selftest_report."""
     cfg = dataclasses.replace(load_config(preset="desk-small"), mode_preset=mode_preset_name)
     estimate = {}
     monkeypatch.setattr(ex, "require_memory", lambda verb, need: estimate.update(need=need))
@@ -331,7 +331,21 @@ def test_selftest_peak_memory_within_preflight_estimate(mode_preset_name, monkey
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= estimate["need"]
+    return estimate["need"], peak
+
+
+@pytest.mark.parametrize("mode_preset_name", ["pair-x", "hex-xyz"])
+def test_selftest_peak_memory_within_preflight_estimate(mode_preset_name, monkeypatch):
+    need, peak = _selftest_estimate_and_peak(mode_preset_name, monkeypatch)
+    assert 0 < peak <= need
+
+
+@pytest.mark.parametrize("mode_preset_name", ["quad-xy", "hex-xyz"])
+def test_selftest_preflight_estimate_is_tight(mode_preset_name, monkeypatch):
+    # the estimate must not refuse a selftest the machine could run: at M = 4
+    # and 6 the normal-ordering check dominates, and its fit stays within 2x
+    need, peak = _selftest_estimate_and_peak(mode_preset_name, monkeypatch)
+    assert 0 < peak <= need <= 2 * peak
 
 
 @pytest.mark.parametrize(

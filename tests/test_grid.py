@@ -18,7 +18,6 @@ from polaronlab.grid import (
     plane_wave,
     save_array,
     save_field,
-    shift_field,
     shift_phase,
 )
 from polaronlab.modes import mode_preset
@@ -106,36 +105,30 @@ def test_fourier_coefficient_of_plane_wave(grid):
     assert abs(fourier_coefficient(f, [1.0, 0, 0])) < 1e-8
 
 
-def test_shift_field_translates(grid):
-    g = gaussian(grid, 1.0)
+def _half_shift(x: np.ndarray, grid: Grid3, d) -> np.ndarray:
+    """A real field translated by d on its half spectrum."""
+    return np.fft.irfftn(np.fft.rfftn(x) * shift_phase(grid, d), s=grid.shape, axes=(0, 1, 2))
+
+
+def test_shift_phase_translates_by_a_lattice_step(grid):
+    g = gaussian(grid, 1.0).values.real
     d = np.array([grid.box_length / grid.n, 0, 0])  # one lattice step
-    shifted = shift_field(g, d)
-    assert np.allclose(np.roll(g.values, 1, axis=0), shifted.values, atol=1e-10)
-
-
-def test_shift_field_matches_three_dimensional_phase(grid):
-    # the broadcast 1-D phases against exp(-i k.d) taken on the 3-D k grid
-    rng = np.random.default_rng(5)
-    f = Field(rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape), grid)
-    d = np.array([0.37, -1.21, 2.5])  # no lattice vector
-    kx, ky, kz = np.meshgrid(grid.k_axis, grid.k_axis, grid.k_axis, indexing="ij")
-    phase = np.exp(-1j * (kx * d[0] + ky * d[1] + kz * d[2]))
-    want = np.fft.ifftn(np.fft.fftn(f.values) * phase)
-    assert np.max(np.abs(shift_field(f, d).values - want)) <= 1e-13
+    assert np.allclose(np.roll(g, 1, axis=0), _half_shift(g, grid, d), atol=1e-10)
 
 
 def test_half_spectrum_shift_is_real_part_of_full_shift(grid):
+    # the broadcast 1-D phases against exp(-i k.d) taken on the 3-D k grid;
     # exact once the k with two components at Nyquist carry nothing
     rng = np.random.default_rng(6)
     spec = np.fft.fftn(rng.standard_normal(grid.shape))
     h = grid.n // 2
     spec[h, h, :] = spec[h, :, h] = spec[:, h, h] = 0.0
     x = np.fft.ifftn(spec).real
-    d = np.array([0.37, -1.21, 2.5])
-    half = np.fft.rfftn(x, axes=(0, 1, 2)) * shift_phase(grid, d, half=True)
-    got = np.fft.irfftn(half, s=grid.shape, axes=(0, 1, 2))
-    want = shift_field(Field(x, grid), d).values.real
-    assert np.max(np.abs(got - want)) <= 1e-13
+    d = np.array([0.37, -1.21, 2.5])  # no lattice vector
+    kx, ky, kz = np.meshgrid(grid.k_axis, grid.k_axis, grid.k_axis, indexing="ij")
+    phase = np.exp(-1j * (kx * d[0] + ky * d[1] + kz * d[2]))
+    want = np.fft.ifftn(np.fft.fftn(x) * phase).real
+    assert np.max(np.abs(_half_shift(x, grid, d) - want)) <= 1e-13
 
 
 def test_field_arithmetic_grid_mismatch(grid):

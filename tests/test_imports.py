@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports a private name from
-a sibling; a helper two modules need is public in the one that owns it."""
+a sibling; a helper two modules need is public in the one that owns it; a
+public function or class has a caller in the package or the benchmark."""
 
 import ast
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import polaronlab
 
 SRC = Path(polaronlab.__file__).parent
+BENCH = SRC.parents[1] / "bench"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
@@ -23,6 +25,31 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if a.name.startswith("_") and not a.name.startswith("__")
                 ]
     assert not found, "private names imported across modules:\n" + "\n".join(found)
+
+
+def _names(node):
+    """Every name a syntax tree loads, reads as an attribute or imports."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+
+
+def test_every_public_function_and_class_has_a_caller():
+    # tests do not count: code only a test calls is dead in the package
+    assert BENCH.is_dir(), f"no benchmark sources at {BENCH}"
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in [*SRC.glob("*.py"), *BENCH.rglob("*.py")]}
+    used = {name for tree in trees.values() for stmt in tree.body
+            for name in _names(stmt) if name != getattr(stmt, "name", None)}
+    dead = [f"{path.name}:{stmt.lineno} {stmt.name}"
+            for path, tree in trees.items() if path.parent == SRC for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_") and stmt.name not in used]
+    assert not dead, "public definitions nothing in src/ or bench/ refers to:\n" + "\n".join(dead)
 
 
 def test_no_module_loads_scipy_fft_or_special():

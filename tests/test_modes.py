@@ -57,6 +57,17 @@ def test_axis_groups_split_presets_and_merge_off_axis_modes():
     assert diag_only.coupled_axes == (0, 1)
 
 
+def test_span_basis_takes_the_first_independent_vectors():
+    # a parity partner adds no direction; the diagonal pair spans fewer axes
+    # (one) than its group holds (two)
+    assert mode_preset("hex-xyz", 4.0 * np.pi).span_basis.tolist() == [0, 2, 4]
+    px = mode_preset("pair-x", 4.0 * np.pi)
+    diag = np.array([[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
+    ms = ModeSet(np.vstack([px.k_vectors, diag]), np.concatenate([px.weights, [16.0, 16.0]]))
+    assert ms.span_basis.tolist() == [0, 2]
+    assert ModeSet(diag, np.array([16.0, 16.0])).span_basis.tolist() == [0]
+
+
 def test_presets_shapes():
     for name, M in [("pair-x", 2), ("quad-xy", 4), ("hex-xyz", 6)]:
         ms = mode_preset(name, 4 * np.pi)

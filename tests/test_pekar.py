@@ -9,7 +9,7 @@ import pytest
 
 from polaronlab import pekar
 from polaronlab.config import load_config
-from polaronlab.grid import Field, Grid3, gaussian, inner, shift_field
+from polaronlab.grid import Field, Grid3, gaussian, inner, shift_phase
 from polaronlab.modes import ModeSet, axis_pair, mode_preset
 from polaronlab.pekar import (
     GAUSSIAN_BOUND,
@@ -118,6 +118,17 @@ def test_real_descent_matches_complex_reference(grid):
     assert np.max(np.abs(sol.V_eff.values - V.values)) <= 1e-12
 
 
+def center_of_mass(rho: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Periodic (circular-mean) centre of mass of a density along each axis,
+    from the 1-D marginal of the axis."""
+    ph = np.exp(2j * np.pi * grid.axis / grid.box_length)
+    com = np.zeros(3)
+    for a in range(3):
+        marginal = rho.sum(axis=tuple(b for b in range(3) if b != a))
+        com[a] = grid.box_length * np.angle(marginal @ ph) / (2.0 * np.pi)
+    return com
+
+
 @pytest.mark.parametrize("n", [8, 16, 48])
 def test_spectral_center_matches_center_of_mass(n):
     # phi0 is even, so the descent's centre is about 0 at every step and a wrong
@@ -125,10 +136,12 @@ def test_spectral_center_matches_center_of_mass(n):
     grid = Grid3(n, 2.0 * n)
     rng = np.random.default_rng(n)
     for frac in [(0.0, 0.0, 0.0), (0.11, -0.23, 0.07), (-0.31, 0.18, -0.36), (0.03, 0.4, 0.27)]:
-        u = shift_field(gaussian(grid, n / 8.0), np.multiply(frac, grid.box_length)).values.real
+        u_hat = np.fft.rfftn(gaussian(grid, n / 8.0).values.real)
+        u_hat *= shift_phase(grid, np.multiply(frac, grid.box_length))
+        u = np.fft.irfftn(u_hat, s=grid.shape, axes=(0, 1, 2))
         u = u + 0.05 * u.max() * rng.standard_normal(grid.shape)
         got = pekar._spectral_center(np.fft.rfftn(u), grid)
-        assert np.max(np.abs(got - pekar.center_of_mass(u**2, grid))) <= 1e-12
+        assert np.max(np.abs(got - center_of_mass(u**2, grid))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -163,8 +176,8 @@ def test_descent_spends_four_real_transforms_per_step(monkeypatch):
     assert counts["rfftn"] == counts["irfftn"] == 0
     # each real 3-D transform adds its complex passes along axes 0 and 1
     assert counts["fft"] == 2 * counts["rfft"] and counts["ifft"] == 2 * counts["irfft"]
-    # the post-solve check: a recentring shift and one Euler-Lagrange pass
-    assert counts["fftn"] == counts["ifftn"] <= 3
+    # the post-solve check: one Euler-Lagrange pass, p^2 phi and the Coulomb potential
+    assert counts["fftn"] == counts["ifftn"] == 2
 
 
 def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
@@ -179,15 +192,6 @@ def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
     finally:
         tracemalloc.stop()
     assert 0 < peak <= estimate["need"]
-
-
-def test_center_of_mass_reads_a_shifted_gaussian():
-    # the center of the unlisted axis 1 is kept, the listed ones move to 0
-    grid = Grid3(32, 24.0)
-    d = np.array([0.37, -1.21, 2.5])
-    phi = pekar.recenter(shift_field(gaussian(grid, 1.0), d), axes=(0, 2))
-    com = pekar.center_of_mass(np.abs(phi.values) ** 2, grid)
-    assert np.max(np.abs(com - [0.0, d[1], 0.0])) <= 1e-12
 
 
 def test_solution_roundtrip(tmp_path):
@@ -264,3 +268,49 @@ class TestDiscreteModel:
         # every scalar is written: a field nothing sets would read null
         scalars = json.loads((tmp_path / "scalars.json").read_text())
         assert None not in scalars.values()
+
+
+DIAG_PAIR = np.array([[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
+
+
+@pytest.mark.parametrize("weight", [16.0, 32.0])
+def test_diagonal_stripe_converges_and_is_refused_as_delocalized(weight):
+    # the single pair +-(0.5, 0.5, 0) binds only across the diagonal: the fixed
+    # point is a stripe along it, which the binding check refuses
+    with pytest.raises(DelocalizedError):
+        solve_discrete_pekar(Grid3(8, 4 * np.pi), ModeSet(DIAG_PAIR, [weight, weight]))
+
+
+def test_axis_plus_diagonal_pair_converges(diag_xy_dsol):
+    assert abs(diag_xy_dsol.lam - -7.576090078517094) <= 1e-12
+
+
+def test_pinned_amplitudes_do_not_see_a_translation(diag_xy_dsol):
+    # a density moved by d turns each f_i by e^{-i k_i.d}; pinning takes the
+    # two amplitude sets to the same one, real on the span basis
+    modes, grid = diag_xy_dsol.modes, diag_xy_dsol.grid
+    G = modes.coupling_fields(grid)
+    rng = np.random.default_rng(11)
+    rho = rng.random(grid.shape)
+    d = rng.uniform(-0.5, 0.5, 3) * grid.box_length  # no lattice vector
+    rho_d = np.fft.irfftn(np.fft.rfftn(rho) * shift_phase(grid, d), s=grid.shape, axes=(0, 1, 2))
+    f, f_d = (np.tensordot(G, r, axes=3) * grid.cell_volume for r in (rho, rho_d))
+    assert np.max(np.abs(f_d - f * np.exp(-1j * (modes.k_vectors @ d)))) <= 1e-12
+    pinned = pekar._pin_translation(modes, f)
+    assert np.max(np.abs(pekar._pin_translation(modes, f_d) - pinned)) <= 1e-12
+    assert np.all(np.abs(pinned[modes.span_basis].imag) <= 1e-12)
+    assert np.all(pinned[modes.span_basis].real > 0)
+
+
+def test_discrete_solve_makes_no_fft(monkeypatch):
+    # the gauge is pinned on the amplitudes and T read off the separable spectrum
+    counts = dict.fromkeys((n for n in np.fft.__all__ if "freq" not in n and "shift" not in n), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    grid = Grid3(16, 4 * np.pi)
+    solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
+    assert not any(counts.values()), counts
