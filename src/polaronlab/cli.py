@@ -77,8 +77,7 @@ def cmd_solve_pekar(cfg, manifest):
     grid = Grid3(cfg.grid_n, cfg.box_length)
     with manifest.time_stage("minimize"):
         sol = minimize_pekar(grid, tol=cfg.pekar_tol)
-    outdir = os.path.join(cfg.out_dir, "pekar")
-    sol.save(outdir)
+    sol.save(os.path.join(cfg.out_dir, "pekar"))
     virial = abs(sol.D - 4.0 * sol.T) / sol.D
     lam_ratio = abs(sol.lam - 3.0 * sol.energy) / abs(sol.energy)
     manifest.record_check("energy_below_gaussian_bound", sol.energy <= GAUSSIAN_BOUND, sol.energy)
@@ -88,7 +87,7 @@ def cmd_solve_pekar(cfg, manifest):
     print(f"E = {sol.energy:.8f}  T = {sol.T:.8f}  D = {sol.D:.8f}  lambda = {sol.lam:.8f}")
     print(f"virial |D-4T|/D = {virial:.3e}   |lambda-3E|/|E| = {lam_ratio:.3e}")
     print(f"residual = {sol.residual:.3e}  iterations = {sol.iterations}")
-    manifest.hash_inputs(outdir)
+    manifest.hash_inputs(cfg.out_dir, "pekar")
 
 
 def cmd_build_kernels(cfg, manifest):
@@ -102,7 +101,7 @@ def cmd_build_kernels(cfg, manifest):
         f"lambda = {bundle.dsol.lam:.8f}  sector gap = {bundle.sector_gap:.8f}  "
         f"epsilon = {bundle.kernels.epsilon:.8f}"
     )
-    manifest.hash_inputs(cfg.out_dir)
+    manifest.hash_inputs(cfg.out_dir, "kernels", "ground")
 
 
 def _run_compares(cfg, manifest):

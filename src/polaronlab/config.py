@@ -42,8 +42,10 @@ class RunConfig:
             raise ConfigError(
                 "alphas, tau_final, box_length, top_pop_limit and pekar_tol must be finite"
             )
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ConfigError("alphas must be a nonempty list of positive reals")
+        if not self.alphas or min(self.alphas) <= 0 or len(set(self.alphas)) < len(self.alphas):
+            raise ConfigError("alphas must be a nonempty list of distinct positive reals")
+        if self.top_pop_limit <= 0 or self.pekar_tol <= 0:
+            raise ConfigError("top_pop_limit and pekar_tol must be positive")
         if self.tau_final < 0 or self.tau_samples < 1:
             raise ConfigError("tau schedule must be nonnegative with >= 1 samples")
         if self.grid_n < 4 or self.grid_n % 2:
@@ -194,12 +196,15 @@ class RunManifest:
     def record_check(self, name: str, passed: bool, value=None):
         self.checks[name] = {"passed": bool(passed), "value": value}
 
-    def hash_inputs(self, outdir: str):
-        for root, _, files in os.walk(outdir):
-            for fn in sorted(files):
-                if fn.endswith(".pfld"):
-                    p = os.path.join(root, fn)
-                    self.input_hashes[os.path.relpath(p, outdir)] = file_sha256(p)
+    def hash_inputs(self, outdir: str, *subdirs: str):
+        """Hash the .pfld files this run wrote under outdir/subdir, keyed by
+        their path relative to outdir, where manifest.json goes."""
+        for sub in subdirs:
+            for root, _, files in os.walk(os.path.join(outdir, sub)):
+                for fn in sorted(files):
+                    if fn.endswith(".pfld"):
+                        p = os.path.join(root, fn)
+                        self.input_hashes[os.path.relpath(p, outdir)] = file_sha256(p)
 
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks.values())

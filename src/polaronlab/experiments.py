@@ -299,6 +299,12 @@ def selftest_report(cfg: RunConfig, manifest=None) -> dict:
     report["symplectic_defect"] = bmap.symplectic_defect()
     st = qf.evolve_quasifree(qf.vacuum_state(bundle.modes.M), bmap)
     report["purity_defect"] = st.purity_defect()
+    # criterion 5: the exponential map against the density ODEs at tau = 5
+    vac = qf.vacuum_state(bundle.modes.M)
+    via_map = qf.evolve_quasifree(vac, qf.propagate_map(bundle.generator, 5.0, 1.0))
+    via_ode = qf.evolve_odes(vac, bundle.generator, 5.0, 1.0, dt=0.005)
+    report["map_vs_ode"] = float(max(np.max(np.abs(via_map.gamma - via_ode.gamma)),
+                                     np.max(np.abs(via_map.pairing - via_ode.pairing))))
     # normal-ordering identity on a tiny Fock space
     fs = fk.FockSpace(bundle.modes.M, 2)
     Hq = fk.build_quadratic_hamiltonian(kp, fs)
@@ -313,6 +319,7 @@ def selftest_report(cfg: RunConfig, manifest=None) -> dict:
             "resolvent_residual": 1e-8,
             "symplectic_defect": 1e-8,
             "purity_defect": 1e-8,
+            "map_vs_ode": 1e-6,
             "normal_ordering_defect": 1e-10,
         }
         for name, tol in tolerances.items():

@@ -175,9 +175,9 @@ def coulomb_convolve(rho: Field) -> Field:
 
 def plane_wave(grid: Grid3, k) -> Field:
     """The field exp(i k.x) for a commensurate reciprocal vector k, broadcast
-    from three 1-D phases exp(i k_a x_a) as in shift_phase: n complex
-    exponentials per axis instead of n^3, and bit-identical to the 3-D
-    exponential for an axis-aligned k, whose other two phases are exactly 1."""
+    from three 1-D phases exp(i k_a x_a): n complex exponentials per axis
+    instead of n^3, and bit-identical to the 3-D exponential for an
+    axis-aligned k, whose other two phases are exactly 1."""
     k = np.asarray(k, dtype=float)
     if not grid.is_commensurate(k):
         raise ValueError(f"wave vector {k} is not commensurate with the grid")
@@ -192,19 +192,6 @@ def gaussian(grid: Grid3, sigma: float) -> Field:
     vals = np.exp(-r2 / (4.0 * sigma**2)).astype(np.complex128)
     f = Field(vals, grid)
     return f * (1.0 / f.norm())
-
-
-def shift_phase(grid: Grid3, displacement) -> np.ndarray:
-    """The spectral multiplier exp(-i k.d) of a translation by d on the rfftn
-    half spectrum, broadcast from three 1-D phases, with each Nyquist factor
-    replaced by its real part: the shifted spectrum of a real field stays
-    Hermitian, and irfftn returns the real part of the full shift (exactly,
-    but for the k with two or more components at Nyquist)."""
-    n = grid.n
-    ph = [np.exp(-1j * grid.k_axis * d) for d in np.asarray(displacement, dtype=float)]
-    for p in ph:
-        p[n // 2] = p[n // 2].real
-    return ph[0][:, None, None] * ph[1][:, None] * ph[2][: n // 2 + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .grid import (
     inner,
     load_field,
     save_field,
-    shift_phase,
 )
 from .modes import ModeSet
 
@@ -168,34 +167,24 @@ def _irfft3(a: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(a, n=n, axis=2)
 
 
-def _hdot(a: np.ndarray, b: np.ndarray, axis=None) -> complex:
+def _hdot(a: np.ndarray, b: np.ndarray) -> complex:
     """sum_k conj(a) b over the full spectrum of two real fields, from their rfftn
-    half spectra: weight 1 on the kz = 0 and kz = n/2 planes, 2 elsewhere.  With
-    an axis, vecdot sums along it first: no copy of slices strided on that axis."""
-    if axis is None:
-        return 2.0 * np.vdot(a, b) - np.vdot(a[..., 0], b[..., 0]) - np.vdot(a[..., -1], b[..., -1])
-    r = np.vecdot(a, b, axis=axis)
-    return 2.0 * r.sum() - r[..., 0].sum() - r[..., -1].sum()
-
-
-def _spectral_center(u: np.ndarray, grid: Grid3) -> np.ndarray:
-    """The periodic (circular-mean) centre of mass of u(x)^2 along each axis,
-    from the half spectrum u of the real u(x), via
-    rho_hat(e_a) = sum_k u(k) conj u(k - e_a) / n^3 summed over slice pairs.
-    On axis 2 the terms with kz < 1 mirror those with 1 <= kz <= n/2."""
-    s = [_hdot(u[-1:], u[:1]) + _hdot(u[:-1], u[1:]),
-         _hdot(u[:, -1:], u[:, :1], axis=1) + _hdot(u[:, :-1], u[:, 1:], axis=1),
-         2.0 * np.vecdot(u[..., :-1], u[..., 1:]).sum()]
-    # the samples sit at x_j = -L/2 + j dx: sum_x rho e^{2 pi i x/L} = -conj rho_hat(e_a)
-    return grid.box_length * np.angle(-np.conj(s)) / (2.0 * np.pi)
+    half spectra: weight 1 on the kz = 0 and kz = n/2 planes, 2 elsewhere."""
+    return 2.0 * np.vdot(a, b) - np.vdot(a[..., 0], b[..., 0]) - np.vdot(a[..., -1], b[..., -1])
 
 
 def _real_descent(grid: Grid3, tol: float):
     """minimize_pekar's loop: the first iterate with residual <= tol, and the
     iteration count.  The loop carries the rfftn half spectrum of the real
     iterate (ksq and the Coulomb kernel depend only on |k|, so their half
-    slices are exact) and reads lambda, the residual, the step size, the norm
-    and the centre of mass off it: four real transforms per step."""
+    slices are exact) and reads lambda, the residual, the step size and the
+    norm off it: four real transforms per step.
+
+    The minimizer is unique only up to translations, yet the iterate needs no
+    recentring: it starts from the centred Gaussian on a grid that x -> -x
+    maps onto itself, and p^2, the |k|-only kernel and preconditioner and the
+    pointwise products all commute with that reflection.  The iterate stays
+    even, so its centre stays at the origin up to roundoff."""
     n, dv_hat = grid.n, grid.cell_volume / grid.size  # Parseval: sum_x f g = Re _hdot / n^3
     ksq, kern = grid.ksq[..., : n // 2 + 1], grid.coulomb_kernel[..., : n // 2 + 1]
 
@@ -224,9 +213,8 @@ def _real_descent(grid: Grid3, tol: float):
                 tau = float(np.clip(_hdot(phi_prev, phi_prev).real / den, 0.05, 20.0))
         phi_prev, z_prev = phi_hat, z
 
-        # recenter phi - tau z, then fix the sign and the norm
+        # phi - tau z, then fix the sign and the norm
         phi_hat = phi_hat - tau * z
-        phi_hat *= shift_phase(grid, -_spectral_center(phi_hat, grid))
         sign = 1.0 if phi_hat[0, 0, 0].real >= 0 else -1.0
         phi_hat *= sign / np.sqrt(_hdot(phi_hat, phi_hat).real * dv_hat)
         phi = _irfft3(phi_hat.copy(), n)
@@ -244,9 +232,10 @@ def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
 
     Uses the Euler-Lagrange residual ||(h^phi - lambda) phi|| as the stopping
     criterion, with Barzilai-Borwein step adaptation on the preconditioned
-    gradient.  The iterate is re-centered and phase-fixed every step to break
-    the translation degeneracy.  The converged state is checked on complex
-    Fields: one Euler-Lagrange pass gives V, lambda = T - D, D = -<rho, V>.
+    gradient.  The iterate is sign-fixed every step; the reflection symmetry
+    of its centred start fixes the translation gauge (see _real_descent).
+    The converged state is checked on complex Fields: one Euler-Lagrange
+    pass gives V, lambda = T - D, D = -<rho, V>.
     """
     phi, it = _real_descent(grid, tol)
     phi = Field(phi, grid)

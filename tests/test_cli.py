@@ -12,6 +12,7 @@ import pytest
 import polaronlab
 from polaronlab import experiments, fock, resolvent
 from polaronlab.cli import EXIT_INVARIANT, EXIT_OK, main
+from polaronlab.config import file_sha256
 from polaronlab.fock import SectorError
 from polaronlab.resolvent import SeparationError
 
@@ -39,6 +40,14 @@ def test_selftest_rerun_manifest_differs_only_in_timings(tmp_path):
         manifest.pop("wall_time")
         manifests.append(manifest)
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("preset", ["desk-small", "desk-standard"])
+def test_selftest_records_map_vs_ode(preset, tmp_path):
+    # criterion 5's second route: the exponential map against the density ODEs
+    assert main(["selftest", "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+    check = json.loads((tmp_path / "manifest.json").read_text())["checks"]["map_vs_ode"]
+    assert check["passed"] and check["value"] <= 1e-6
 
 
 def test_solve_pekar_writes_artifacts(tmp_path):
@@ -92,6 +101,15 @@ def test_build_kernels_writes_kernel_directory(tmp_path):
     kp.check(tol=1e-10)
 
 
+def test_build_kernels_hashes_only_its_own_artifacts(tmp_path):
+    # a continuum solve left in the same directory is not part of this run
+    assert main(["solve-pekar", "--preset", "pekar-hi", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["build-kernels", "--out", str(tmp_path)]) == EXIT_OK
+    hashes = json.loads((tmp_path / "manifest.json").read_text())["input_hashes"]
+    assert {key.split("/")[0] for key in hashes} == {"kernels", "ground"}
+    assert hashes["ground/phi0.pfld"] == file_sha256(tmp_path / "ground" / "phi0.pfld")
+
+
 def test_bogoliubov_check_table(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tau_final = 2.0\nn_max = 8\n")
@@ -124,6 +142,22 @@ def test_scan_alpha_requires_three_points(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert not manifest["checks"]["run_completed"]["passed"]
+
+
+def test_duplicate_alphas_and_zero_pekar_tol_exit_before_any_work(tmp_path, capsys):
+    # a repeated alpha would rewrite its compare CSV and fit a slope through
+    # two points; a zero tolerance would run the solve to its iteration cap
+    out = tmp_path / "out"
+    argv = ["scan-alpha", "--out", str(out), "--alpha", "2", "--alpha", "2", "--alpha", "4"]
+    assert main(argv) == EXIT_INVARIANT
+    assert "distinct" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("compare_alpha*.csv"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pekar_tol = 0\n")
+    argv = ["solve-pekar", "--preset", "pekar-hi", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == EXIT_INVARIANT
+    assert "pekar_tol" in capsys.readouterr().err
+    assert not (out / "pekar").exists()
 
 
 def test_compare_single_alpha(tmp_path):

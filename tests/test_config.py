@@ -86,10 +86,22 @@ def test_validation_rejects_bad_values():
     # values that would otherwise fail deep inside a solver with a ValueError
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(seed=-1).validate()
-    for bad in ({"alphas": [float("nan")]}, {"alphas": [float("inf")]},
-                {"box_length": float("nan")}, {"tau_final": float("inf")},
-                {"top_pop_limit": float("nan")}, {"pekar_tol": float("nan")}):
-        with pytest.raises(ConfigError, match="finite"):
+    # a duplicate alpha would rewrite its compare CSV and weigh twice in the
+    # slope fit; a zero tolerance can never be met
+    for bad, match in [
+        ({"alphas": [float("nan")]}, "finite"),
+        ({"alphas": [float("inf")]}, "finite"),
+        ({"box_length": float("nan")}, "finite"),
+        ({"tau_final": float("inf")}, "finite"),
+        ({"top_pop_limit": float("nan")}, "finite"),
+        ({"pekar_tol": float("nan")}, "finite"),
+        ({"alphas": [2.0, 2.0, 4.0]}, "distinct"),
+        ({"pekar_tol": 0.0}, "positive"),
+        ({"pekar_tol": -1e-7}, "positive"),
+        ({"top_pop_limit": 0.0}, "positive"),
+        ({"top_pop_limit": -2e-3}, "positive"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
             RunConfig(**bad).validate()
     # a key that nothing reads is refused, not echoed into the manifest
     with pytest.raises(ConfigError, match="unknown config key 'eta0'"):

@@ -18,7 +18,6 @@ from polaronlab.grid import (
     plane_wave,
     save_array,
     save_field,
-    shift_phase,
 )
 from polaronlab.modes import mode_preset
 
@@ -103,50 +102,6 @@ def test_fourier_coefficient_of_plane_wave(grid):
     # continuum convention: the matching wave integrates to the box volume
     assert abs(fourier_coefficient(f, k) - grid.box_length**3) < 1e-8
     assert abs(fourier_coefficient(f, [1.0, 0, 0])) < 1e-8
-
-
-def _half_shift(x: np.ndarray, grid: Grid3, d) -> np.ndarray:
-    """A real field translated by d on its half spectrum."""
-    return np.fft.irfftn(np.fft.rfftn(x) * shift_phase(grid, d), s=grid.shape, axes=(0, 1, 2))
-
-
-def test_shift_phase_translates_by_a_lattice_step(grid):
-    g = gaussian(grid, 1.0).values.real
-    d = np.array([grid.box_length / grid.n, 0, 0])  # one lattice step
-    assert np.allclose(np.roll(g, 1, axis=0), _half_shift(g, grid, d), atol=1e-10)
-
-
-def test_shift_field_matches_three_dimensional_phase(grid):
-    # the broadcast 1-D phases against exp(-i k.d) taken on the 3-D half k grid,
-    # with the factor of each Nyquist component taken as its real part
-    d = np.array([0.37, -1.21, 2.5])  # no lattice vector
-    k_half = grid.k_axis[: grid.n // 2 + 1]
-    k = np.meshgrid(grid.k_axis, grid.k_axis, k_half, indexing="ij")
-    nyquist = [np.abs(ka) == np.pi * grid.n / grid.box_length for ka in k]
-    want = np.ones(k[0].shape, dtype=complex)
-    for ka, da, ny in zip(k, d, nyquist):
-        want *= np.where(ny, np.cos(ka * da), np.exp(-1j * ka * da))
-    got = shift_phase(grid, d)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13
-    plain = ~(nyquist[0] | nyquist[1] | nyquist[2])
-    full = np.exp(-1j * (k[0] * d[0] + k[1] * d[1] + k[2] * d[2]))
-    assert np.max(np.abs(got[plain] - full[plain])) <= 1e-13
-
-
-def test_half_spectrum_shift_is_real_part_of_full_shift(grid):
-    # the broadcast 1-D phases against exp(-i k.d) taken on the 3-D k grid;
-    # exact once the k with two components at Nyquist carry nothing
-    rng = np.random.default_rng(6)
-    spec = np.fft.fftn(rng.standard_normal(grid.shape))
-    h = grid.n // 2
-    spec[h, h, :] = spec[h, :, h] = spec[:, h, h] = 0.0
-    x = np.fft.ifftn(spec).real
-    d = np.array([0.37, -1.21, 2.5])  # no lattice vector
-    kx, ky, kz = np.meshgrid(grid.k_axis, grid.k_axis, grid.k_axis, indexing="ij")
-    phase = np.exp(-1j * (kx * d[0] + ky * d[1] + kz * d[2]))
-    want = np.fft.ifftn(np.fft.fftn(x) * phase).real
-    assert np.max(np.abs(_half_shift(x, grid, d) - want)) <= 1e-13
 
 
 def test_field_arithmetic_grid_mismatch(grid):

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports a private name from
 a sibling; a helper two modules need is public in the one that owns it; a
-public function or class has a caller in the package or the benchmark."""
+top-level function or class, public or private, has a caller in the package
+or the benchmark."""
 
 import ast
 import os
@@ -39,7 +40,8 @@ def _names(node):
 
 
 def test_every_public_function_and_class_has_a_caller():
-    # tests do not count: code only a test calls is dead in the package
+    # private ones too, so a helper cannot outlive its last caller; tests do
+    # not count: code only a test calls is dead in the package
     assert BENCH.is_dir(), f"no benchmark sources at {BENCH}"
     trees = {p: ast.parse(p.read_text(), filename=str(p))
              for p in [*SRC.glob("*.py"), *BENCH.rglob("*.py")]}
@@ -47,9 +49,8 @@ def test_every_public_function_and_class_has_a_caller():
             for name in _names(stmt) if name != getattr(stmt, "name", None)}
     dead = [f"{path.name}:{stmt.lineno} {stmt.name}"
             for path, tree in trees.items() if path.parent == SRC for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_") and stmt.name not in used]
-    assert not dead, "public definitions nothing in src/ or bench/ refers to:\n" + "\n".join(dead)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in used]
+    assert not dead, "definitions nothing in src/ or bench/ refers to:\n" + "\n".join(dead)
 
 
 def test_no_module_loads_scipy_fft_or_special():
