@@ -141,6 +141,8 @@ def cmd_scan_alpha(cfg, manifest):
 
     if len(cfg.alphas) < 3:
         raise InvariantError("scan-alpha needs at least 3 alpha values")
+    if len({tau for tau in cfg.tau_grid if tau > 0}) < 2:
+        raise InvariantError("scan-alpha needs tau_final > 0 and tau_samples >= 2")
     curves = _run_compares(cfg, manifest)
     alphas = sorted(curves)
     eff_final = [curves[a][-1][2] for a in alphas]
@@ -176,14 +178,13 @@ def cmd_scan_alpha(cfg, manifest):
 
 def cmd_bogoliubov_check(cfg, manifest):
     from .config import write_csv
-    from .experiments import BOGOLIUBOV_HEADER, bogoliubov_table, build_bundle
-    from .experiments import preflight_bogoliubov
+    from .experiments import BOGOLIUBOV_HEADER, bogoliubov_cutoffs, bogoliubov_table
+    from .experiments import build_bundle, preflight_bogoliubov
 
-    n_max_list = sorted({max(2, cfg.n_max - 4), max(3, cfg.n_max - 2), cfg.n_max, cfg.n_max + 4})
-    preflight_bogoliubov(cfg, n_max_list[-1])
+    preflight_bogoliubov(cfg)
     bundle = build_bundle(cfg, manifest)
     with manifest.time_stage("truncation_table"):
-        rows = bogoliubov_table(bundle.kernels, cfg.tau_final, n_max_list)
+        rows = bogoliubov_table(bundle.kernels, cfg.tau_final, bogoliubov_cutoffs(cfg.n_max))
     write_csv(os.path.join(cfg.out_dir, "bogoliubov_check.csv"), BOGOLIUBOV_HEADER, rows)
     final_dev = max(rows[-1][1], rows[-1][2])
     manifest.record_check("deviation_at_top_cutoff", final_dev <= 1e-4, final_dev)

@@ -12,10 +12,10 @@ import numpy as np
 from . import fock as fk
 from . import quasifree as qf
 from .config import RunConfig, require_memory
-from .grid import Grid3
+from .grid import Field, Grid3
 from .modes import ModeSet, mode_preset
 from .pekar import DiscretePekarSolution, solve_discrete_pekar
-from .resolvent import KernelPair, ResolventHandle, build_kernels, spectral_gap
+from .resolvent import KernelPair, ResolventHandle, apply_h, build_kernels
 
 
 class InvariantError(RuntimeError):
@@ -44,21 +44,18 @@ def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
     modes = mode_preset(cfg.mode_preset, grid.box_length)
     with stage("solve_ground_state"):
         dsol = solve_discrete_pekar(grid, modes, tol=cfg.pekar_tol)
-    with stage("spectral_gap"):
-        gaps = spectral_gap(dsol)
-    rh = ResolventHandle(dsol, gaps["gap"])
+    rh = ResolventHandle(dsol)
     with stage("build_kernels"):
-        kp = build_kernels(dsol, modes, rh)
+        kp = build_kernels(rh)
     gen = qf.build_generator(kp)
     if manifest is not None:
-        sector_gap = gaps["sector_gap"]
-        manifest.record_check("spectral_gap_positive", sector_gap > 0, sector_gap)
+        manifest.record_check("spectral_gap_positive", rh.sector_gap > 0, rh.sector_gap)
         manifest.record_check(
             "generator_s_hermitian",
             gen.s_hermiticity_defect() <= 1e-10,
             gen.s_hermiticity_defect(),
         )
-    return ModelBundle(grid, modes, dsol, gaps["gap"], gaps["sector_gap"], rh, kp, gen)
+    return ModelBundle(grid, modes, dsol, rh.gap, rh.sector_gap, rh, kp, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +114,17 @@ def preflight_compare(cfg: RunConfig):
     require_memory("compare", need, fk.FockDimensionError)
 
 
-def preflight_bogoliubov(cfg: RunConfig, n_max: int):
-    """Raise FockDimensionError when H_quad at the top cutoff n_max exceeds MemAvailable."""
+def bogoliubov_cutoffs(n_max: int) -> list:
+    """The bogoliubov-check cutoffs: n_max - 4 (at least 2), n_max - 2 (at least
+    3), the preset's own n_max and n_max + 4, where the deviation gate is read."""
+    return sorted({max(2, n_max - 4), max(3, n_max - 2), n_max, n_max + 4})
+
+
+def preflight_bogoliubov(cfg: RunConfig):
+    """Raise FockDimensionError when H_quad at the top cutoff exceeds MemAvailable."""
     M = mode_preset(cfg.mode_preset, cfg.box_length).M
-    require_memory("bogoliubov-check", _quadratic_bytes(M, n_max), fk.FockDimensionError)
+    top = bogoliubov_cutoffs(cfg.n_max)[-1]
+    require_memory("bogoliubov-check", _quadratic_bytes(M, top), fk.FockDimensionError)
 
 
 def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
@@ -199,7 +203,8 @@ def fit_envelope(curves: dict):
 
     curves maps alpha -> list of (tau, err) with tau > 0.  A least-squares
     line through log(err * alpha) vs tau gives (log C, c); C is then inflated
-    so the envelope bounds every sample.  Returns (C, c).
+    so the envelope bounds every sample.  Returns (C, c); InvariantError
+    unless the samples span two distinct tau, as one tau fixes no slope.
     """
     taus, ys = [], []
     for alpha, pts in curves.items():
@@ -207,8 +212,8 @@ def fit_envelope(curves: dict):
             if tau > 0 and err > 0:
                 taus.append(tau)
                 ys.append(np.log(err * alpha))
-    if len(taus) < 2:
-        raise InvariantError("not enough samples to fit an envelope")
+    if len(set(taus)) < 2:
+        raise InvariantError("an envelope needs samples at two distinct tau > 0")
     return _bounding_exponential(np.asarray(taus), np.asarray(ys))
 
 
@@ -280,9 +285,6 @@ def selftest_report(cfg: RunConfig, manifest=None) -> dict:
     report["diag_cross_route"] = float(np.max(np.abs(t_norm_sq - kp.diag_rayleigh)))
     # resolvent identity spot check
     rng = np.random.default_rng(cfg.seed)
-    from .grid import Field
-    from .resolvent import apply_h
-
     v = Field(
         rng.standard_normal(bundle.grid.shape)
         + 1j * rng.standard_normal(bundle.grid.shape),

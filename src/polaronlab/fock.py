@@ -351,12 +351,6 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 def trace_distance_to_ground(psi: np.ndarray, v0: np.ndarray) -> float:
     """Trace distance between Tr_F |psi><psi| and |v0><v0| for a unit
-    electron vector v0 (``CoupledHamiltonian.electron``), computed in the
-    span of the Fock columns of psi together with v0."""
-    cols = np.concatenate([psi, v0[:, None]], axis=1)
-    q, _ = np.linalg.qr(cols)
-    psi_s = q.conj().T @ psi
-    v0_s = q.conj().T @ v0
-    rho = psi_s @ psi_s.conj().T
-    ref = np.outer(v0_s, v0_s.conj())
-    return trace_distance(rho, ref)
+    electron vector v0 (``CoupledHamiltonian.electron``), on the S x S
+    electron sector."""
+    return trace_distance(psi @ psi.conj().T, np.outer(v0, v0.conj()))

@@ -72,11 +72,9 @@ def build_generator(kp: KernelPair) -> Generator:
 
 @dataclass
 class BogoliubovMap:
-    """Symplectic map V(t) = exp(-i (t/alpha^2) A) with timestamp metadata."""
+    """Symplectic map V(t) = exp(-i (t/alpha^2) A)."""
 
     V: np.ndarray
-    t: float
-    alpha: float
 
     @property
     def M(self) -> int:
@@ -109,7 +107,7 @@ def propagate_map(gen: Generator, t: float, alpha: float) -> BogoliubovMap:
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     V = _expm(-1j * (t / alpha**2) * gen.A)
-    bmap = BogoliubovMap(V=V, t=t, alpha=alpha)
+    bmap = BogoliubovMap(V)
     defect = bmap.symplectic_defect()
     if defect > SYMPLECTIC_FAIL:
         raise SymplecticError(f"symplectic defect {defect:.3e} exceeds hard limit")

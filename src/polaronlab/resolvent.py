@@ -25,8 +25,7 @@ from scipy.sparse.linalg import cg  # noqa: F401
 
 from .config import write_json
 from .grid import (
-    Field, Grid3, apply_laplacian, inner, laplacian_matrix, load_array, plane_wave, plane_waves,
-    save_array,
+    Field, Grid3, apply_laplacian, inner, laplacian_matrix, load_array, plane_waves, save_array,
 )
 from .modes import ModeSet
 
@@ -127,42 +126,32 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
     return SeparableSpectrum(grid, groups, coupled, bases, levels, offset)
 
 
-def spectral_gap(sol):
-    """Lowest eigenvalue of h^{phi0}, the gap above it and the in-sector gap
-    (the smallest step within a coupled group, leaving out free motion along
-    uncoupled axes); asserts lambda0 matches the stored multiplier and that
-    the gap is strictly positive."""
-    spec = separable_spectrum(sol.V_eff, sol.modes)
-    lam0 = float(spec.eigenvalues().flat[0])
-    if abs(lam0 - sol.lam) > 1e-6:
-        raise GapError(f"lowest eigenvalue {lam0} disagrees with stored lambda {sol.lam}")
-    steps = [float(e[1] - e[0]) for e in spec.levels]
-    gap = min(steps)
-    if gap <= 0:
-        raise GapError(f"spectral gap is not positive: {gap}")
-    sector_gap = min(s for s, c in zip(steps, spec.coupled) if c)
-    return {"lambda0": lam0, "lambda1": lam0 + gap, "gap": gap, "sector_gap": sector_gap}
-
-
-@dataclass
 class ResolventHandle:
-    """Applies R = Q (h - lambda)^{-1} Q exactly in the separable eigenbasis
-    of h, and checks the residual of every solve."""
+    """The spectrum of h^{phi0}, its gap and its in-sector gap (the smallest
+    step within a coupled group, leaving out free motion along uncoupled
+    axes), and R = Q (h - lambda)^{-1} Q applied exactly in that eigenbasis,
+    with the residual of every solve checked.  GapError if the lowest
+    eigenvalue misses the stored lambda by more than 1e-6 or the gap is not
+    positive."""
 
-    sol: "object"
-    gap: float
-
-    def __post_init__(self):
+    def __init__(self, sol):
+        self.sol = sol
+        self.spectrum = spec = separable_spectrum(sol.V_eff, sol.modes)
+        shift = spec.eigenvalues() - sol.lam
+        if abs(shift.flat[0]) > 1e-6:
+            raise GapError(f"lowest eigenvalue disagrees with stored lambda {sol.lam} "
+                           f"by {shift.flat[0]:.3e}")
+        steps = [float(e[1] - e[0]) for e in spec.levels]
+        self.gap = min(steps)
         if not self.gap > 0:
-            raise GapError("resolvent requires a positive spectral gap")
-        self._spec = separable_spectrum(self.sol.V_eff, self.sol.modes)
-        shift = self._spec.eigenvalues() - self.sol.lam
+            raise GapError(f"spectral gap is not positive: {self.gap}")
+        self.sector_gap = min(s for s, c in zip(steps, spec.coupled) if c)
         shift.flat[0] = np.inf  # the ground mode, which Q projects out
         self._inv = 1.0 / shift
 
     def apply(self, v: Field) -> Field:
         """u = R v: u is orthogonal to phi0 and (h - lambda) u = Q v."""
-        grid, spec = self.sol.grid, self._spec
+        grid, spec = self.sol.grid, self.spectrum
         if v.grid != grid:
             raise ValueError("field grid mismatch in resolvent apply")
         u = spec.transform(self._inv * spec.transform(v.values), inverse=True)
@@ -236,37 +225,31 @@ class KernelPair:
         )
 
 
-def build_kernels(sol, modes: ModeSet, rh: ResolventHandle) -> KernelPair:
-    """One resolvent solve per mode, then assemble K, G and eps.
-
-    t(a, b) = <phi0, e^{-i k_a x} R e^{-i k_b x} phi0>;
+def build_kernels(rh: ResolventHandle) -> KernelPair:
+    """One resolvent solve u_j = R s_j per mode, s_j = e^{-i k_j x} phi0 =
+    G_j phi0 / c_j off the coupling-field table, then K, G and eps:
+    t(a, b) = <s_par(a), u_b> = <phi0, e^{-i k_a x} R e^{-i k_b x} phi0>, a
+    bilinear product of G_a phi0 / c_a with u_b (conj G_par(a) = G_a, phi0 real);
     K(k_i,k_j) = c_i c_j (t(i,j) + t(j,i)),
     G(k_i,k_j) = c_i c_j (t(par(i),j) + t(i,par(j))).
     """
-    grid = sol.grid
+    sol = rh.sol
+    grid, modes, phi = sol.grid, sol.modes, sol.phi0.values
     M = modes.M
     c = modes.coupling_constants
     w = modes.weights
     par = modes.parity
-    phi = sol.phi0
-
-    u = []
-    diag_rayleigh = np.zeros(M)
-    for j in range(M):
-        pw = plane_wave(grid, modes.k_vectors[j])
-        src = Field(np.conj(pw.values) * phi.values, grid)  # e^{-i k_j x} phi0
-        uj = rh.apply(src)
-        u.append(uj)
-        # independent Rayleigh route: ||R^{1/2} src||^2 = <u_j, (h-lambda) u_j>
-        hu = apply_h(sol, uj)
-        diag_rayleigh[j] = inner(uj, Field(hu.values - sol.lam * uj.values, grid)).real
+    G = modes.coupling_fields(grid).reshape(M, -1)
 
     t = np.zeros((M, M), dtype=np.complex128)
-    for a in range(M):
-        pw = plane_wave(grid, modes.k_vectors[a])
-        bra = Field(pw.values * phi.values, grid)  # conj gives e^{-i k_a x} phi0
-        for b in range(M):
-            t[a, b] = inner(bra, u[b])
+    diag_rayleigh = np.zeros(M)
+    for j in range(M):
+        # one solution at a time: stacking all M overruns _bundle_bytes
+        uj = rh.apply(Field(G[j].reshape(grid.shape) * phi / c[j], grid))
+        t[:, j] = G @ (phi * uj.values).ravel() * grid.cell_volume / c
+        # independent Rayleigh route: ||R^{1/2} s_j||^2 = <u_j, (h-lambda) u_j>
+        hu = apply_h(sol, uj)
+        diag_rayleigh[j] = inner(uj, Field(hu.values - sol.lam * uj.values, grid)).real
 
     cc = np.outer(c, c)
     sw = np.sqrt(np.outer(w, w))

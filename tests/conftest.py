@@ -9,7 +9,7 @@ from polaronlab.experiments import ModelBundle, build_bundle
 from polaronlab.grid import Grid3
 from polaronlab.modes import ModeSet, mode_preset
 from polaronlab.pekar import solve_discrete_pekar
-from polaronlab.resolvent import ResolventHandle, build_kernels, spectral_gap
+from polaronlab.resolvent import ResolventHandle, build_kernels
 
 
 @pytest.fixture(scope="session")
@@ -36,8 +36,7 @@ def quad_xy_dsol():
 
 @pytest.fixture(scope="session")
 def quad_xy_kernels(quad_xy_dsol):
-    rh = ResolventHandle(quad_xy_dsol, spectral_gap(quad_xy_dsol)["gap"])
-    return build_kernels(quad_xy_dsol, quad_xy_dsol.modes, rh)
+    return build_kernels(ResolventHandle(quad_xy_dsol))
 
 
 @pytest.fixture(scope="session")

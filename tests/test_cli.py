@@ -123,6 +123,18 @@ def test_bogoliubov_check_table(tmp_path):
     assert len(lines) == 5  # header + four cutoffs
 
 
+def test_bogoliubov_cutoffs_bracket_the_preset_cutoff():
+    assert experiments.bogoliubov_cutoffs(8) == [4, 6, 8, 12]
+    assert experiments.bogoliubov_cutoffs(6) == [2, 4, 6, 10]
+    assert experiments.bogoliubov_cutoffs(3) == [2, 3, 7]
+
+
+def test_fit_envelope_needs_two_distinct_tau():
+    one_tau = {a: [(0.0, 0.0), (1.0, 0.1 / a)] for a in (2.0, 4.0, 8.0)}
+    with pytest.raises(experiments.InvariantError, match="two distinct tau"):
+        experiments.fit_envelope(one_tau)
+
+
 def test_bogoliubov_check_desk_standard_passes_above_the_preset_cutoff(tmp_path):
     out = tmp_path / "out"
     code = main(["bogoliubov-check", "--preset", "desk-standard", "--out", str(out)])
@@ -142,6 +154,19 @@ def test_scan_alpha_requires_three_points(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert not manifest["checks"]["run_completed"]["passed"]
+
+
+@pytest.mark.parametrize("schedule", ["tau_samples = 1", "tau_final = 0"])
+def test_scan_alpha_refuses_a_tau_schedule_without_two_positive_tau(schedule, tmp_path,
+                                                                    capsys):
+    # one positive tau leaves the envelope exponent undetermined; none leaves
+    # only zero errors, whose logarithm the slope fit cannot take
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(schedule + "\n")
+    out = tmp_path / "out"
+    assert main(["scan-alpha", "--config", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
+    assert "tau_samples >= 2" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_duplicate_alphas_and_zero_pekar_tol_exit_before_any_work(tmp_path, capsys):

@@ -359,7 +359,8 @@ def test_bogoliubov_peak_memory_within_preflight_estimate(
     assert kp.modes.M == mode_preset(cfg.mode_preset, cfg.box_length).M
     estimate = {}
     monkeypatch.setattr(ex, "require_memory", lambda verb, need, error: estimate.update(need=need))
-    ex.preflight_bogoliubov(cfg, cutoffs[-1])
+    assert cutoffs[-1] == ex.bogoliubov_cutoffs(cfg.n_max)[-1]
+    ex.preflight_bogoliubov(cfg)
     tracemalloc.start()
     try:
         ex.bogoliubov_table(kp, cfg.tau_final, cutoffs)
@@ -407,3 +408,16 @@ def test_trace_distance_to_ground_product_state(bundle):
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
     psi = np.outer(H.electron, fs.vacuum())
     assert fk.trace_distance_to_ground(psi, H.electron) <= 1e-10
+
+
+@pytest.mark.parametrize("b", [0.1, 0.5, 0.9])
+def test_trace_distance_to_ground_closed_form(b):
+    # psi = a v0 (x) e_0 + b chi (x) e_1 with chi orthogonal to v0 leaves the
+    # electron in a^2 |v0><v0| + b^2 |chi><chi|: distance 2 b^2 from |v0><v0|
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    v0, chi = q[:, 0], q[:, 1]
+    psi = np.zeros((6, 4), dtype=np.complex128)
+    psi[:, 0] = np.sqrt(1.0 - b**2) * v0
+    psi[:, 1] = b * chi
+    assert abs(fk.trace_distance_to_ground(psi, v0) - 2.0 * b**2) <= 1e-12

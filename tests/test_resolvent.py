@@ -5,12 +5,15 @@ replaced, which live here as oracles: projected conjugate gradients for the
 resolvent and a dense eigendecomposition of h on the full grid.
 """
 
+import dataclasses
 from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
+from polaronlab import resolvent
+from polaronlab.experiments import build_bundle
 from polaronlab.grid import Field, plane_wave
 from polaronlab.resolvent import (
     GapError,
@@ -18,7 +21,6 @@ from polaronlab.resolvent import (
     ResolventHandle,
     apply_h,
     separable_spectrum,
-    spectral_gap,
 )
 
 
@@ -49,9 +51,25 @@ def test_resolvent_annihilates_ground_state(bundle):
     assert u.norm() <= 1e-10
 
 
-def test_gap_requires_positive_value(bundle):
-    with pytest.raises(GapError):
-        ResolventHandle(bundle.dsol, gap=0.0)
+def test_stale_lambda_is_a_gap_error(bundle):
+    # the stored multiplier must be the lowest eigenvalue of the h it came with
+    with pytest.raises(GapError, match="disagrees with stored lambda"):
+        ResolventHandle(dataclasses.replace(bundle.dsol, lam=bundle.dsol.lam + 1e-3))
+
+
+def test_build_bundle_diagonalises_h_once_after_the_pekar_sweeps(desk_small_config,
+                                                                 monkeypatch):
+    # one spectrum per sweep, one for the final sweep, one for the handle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return separable_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "separable_spectrum", counted)
+    bundle = build_bundle(desk_small_config)
+    assert len(calls) == bundle.dsol.iterations + 2
+    assert bundle.gap == bundle.rh.gap and bundle.sector_gap == bundle.rh.sector_gap
 
 
 def test_kernel_symmetries(bundle):
@@ -198,10 +216,9 @@ def dsol_of(bundle, quad_xy_dsol, hex_xyz_dsol, diag_xy_dsol):
 @pytest.mark.parametrize("which", CASES)
 def test_separable_resolvent_matches_projected_cg(which, dsol_of, rng):
     sol = dsol_of[which]
-    gaps = spectral_gap(sol)
-    rh = ResolventHandle(sol, gaps["gap"])
+    rh = ResolventHandle(sol)
     v = _random_field(sol.grid, rng)
-    want = projected_cg_resolvent(sol, v, shift=gaps["gap"])
+    want = projected_cg_resolvent(sol, v, shift=rh.gap)
     assert np.max(np.abs(rh.apply(v).values - want.values)) <= 1e-10
 
 
@@ -209,19 +226,19 @@ def test_separable_resolvent_matches_projected_cg(which, dsol_of, rng):
 def test_lowest_eigenvalues_match_dense_full_grid(which, dsol_of):
     sol = dsol_of[which]
     dense = np.linalg.eigvalsh(dense_full_grid_h(sol))[:8]
-    spec = separable_spectrum(sol.V_eff, sol.modes)
+    rh = ResolventHandle(sol)
+    spec = rh.spectrum
     assert np.max(np.abs(np.sort(spec.eigenvalues(), axis=None)[:8] - dense)) <= 1e-10
-    gaps = spectral_gap(sol)
-    assert abs(gaps["gap"] - (dense[1] - dense[0])) <= 1e-10
+    assert abs(rh.gap - (dense[1] - dense[0])) <= 1e-10
     if all(spec.coupled):
-        assert abs(gaps["sector_gap"] - gaps["gap"]) <= 1e-12
+        assert abs(rh.sector_gap - rh.gap) <= 1e-12
 
 
 def test_sector_gap_leaves_out_the_free_axis(quad_xy_dsol):
-    gaps = spectral_gap(quad_xy_dsol)
+    rh = ResolventHandle(quad_xy_dsol)
     # free motion along z sets the box gap (2 pi / L)^2
-    assert abs(gaps["gap"] - 0.25) <= 1e-12
-    assert abs(gaps["sector_gap"] - 1.6695207) <= 1e-6
+    assert abs(rh.gap - 0.25) <= 1e-12
+    assert abs(rh.sector_gap - 1.6695207) <= 1e-6
 
 
 def test_non_separable_potential_is_rejected(hex_xyz_dsol):
