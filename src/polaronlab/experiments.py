@@ -143,7 +143,7 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     qbounds = fk.gershgorin_bounds(Hq)
     eta = fs.vacuum()
     psi0 = np.outer(H.electron, eta)
-    ndiag = fs.occupations.sum(axis=1).astype(np.float64)
+    ndiag = fs.numbers
 
     rows = []
     psi = psi0.copy()

@@ -16,7 +16,6 @@ truncation); runs are expected to monitor the top-level population.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,9 @@ class SectorError(ValueError):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated bosonic Fock space: occupations (n_1..n_M), n_i <= n_max."""
+    """Truncated bosonic Fock space: occupations (n_1..n_M), n_i <= n_max, in
+    the C order of the M-axis box ``shape``; ``numbers`` holds the total
+    occupation of each basis state."""
 
     M: int
     n_max: int
@@ -56,23 +57,22 @@ class FockSpace:
             raise FockDimensionError(
                 f"dim {(self.n_max + 1)}^{self.M} exceeds cap {DEFAULT_DIM_CAP}"
             )
-        occs = np.array(
-            list(itertools.product(range(self.n_max + 1), repeat=self.M)), dtype=np.int64
-        )
+        occs = np.indices(self.shape, dtype=np.int64).reshape(self.M, -1).T
         object.__setattr__(self, "occupations", occs)
+        object.__setattr__(self, "numbers", occs.sum(axis=1).astype(np.float64))
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n_max + 1,) * self.M
 
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** self.M
 
     def index(self, occ) -> int:
-        """Mixed-radix index of an occupation tuple (inverse of occupations[i])."""
-        idx = 0
-        for n in occ:
-            if not 0 <= n <= self.n_max:
-                raise ValueError(f"occupation {occ} outside cutoff")
-            idx = idx * (self.n_max + 1) + int(n)
-        return idx
+        """Mixed-radix index of an occupation tuple (inverse of occupations[i]);
+        ValueError outside the cutoff."""
+        return int(np.ravel_multi_index(tuple(occ), self.shape))
 
     @property
     def vacuum_index(self) -> int:
@@ -113,7 +113,7 @@ def apply_ladder(psi: np.ndarray, i: int, fs: FockSpace, dagger: bool = False) -
 
 
 def number_operator(fs: FockSpace) -> sp.csr_matrix:
-    return sp.diags(fs.occupations.sum(axis=1).astype(np.float64)).tocsr()
+    return sp.diags(fs.numbers).tocsr()
 
 
 def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
@@ -178,7 +178,7 @@ def build_effective_operator_direct(kp: KernelPair, fs: FockSpace) -> sp.csr_mat
         big.dim, format="csr"
     )
     # embed indices of the small space inside the enlarged one
-    keep = np.array([big.index(occ) for occ in fs.occupations])
+    keep = np.ravel_multi_index(fs.occupations.T, big.shape)
     return H_big.tocsr()[np.ix_(keep, keep)].tocsr()
 
 
@@ -221,7 +221,7 @@ class CoupledHamiltonian:
         phi, vshift, *dg = mean.reshape(len(fields), -1)
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
         self._lap, self._d = laplacian_matrix(grid), len(axes)
-        self._diag = vshift.real[:, None] + self.fs.occupations.sum(axis=1) / self.alpha**2
+        self._diag = vshift.real[:, None] + self.fs.numbers / self.alpha**2
         # alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag; times sqrt(n)
         # on the (sector, r^i, r, r^(M-1-i)) state view, and conjugated for a_i
         self._dg = [g / self.alpha for g in dg]
@@ -325,16 +325,12 @@ def propagate(apply_h, psi0: np.ndarray, t: float, bounds) -> np.ndarray:
 
 
 def reduced_densities(psi: np.ndarray, fs: FockSpace):
-    """(gamma, pairing) with gamma_ij = <a_j psi, a_i psi>, pairing_ij = <psi, a_j a_i psi>."""
-    apsi = [apply_ladder(psi, i, fs) for i in range(fs.M)]
-    M = fs.M
-    gamma = np.zeros((M, M), dtype=np.complex128)
-    pairing = np.zeros((M, M), dtype=np.complex128)
-    for i in range(M):
-        for j in range(M):
-            gamma[i, j] = np.vdot(apsi[j], apsi[i])
-            pairing[i, j] = np.vdot(psi, apply_ladder(apsi[i], j, fs))
-    return gamma, pairing
+    """(gamma, pairing) with gamma_ij = <a_j psi, a_i psi> and pairing_ij =
+    <psi, a_j a_i psi> = <a_j^dag psi, a_i psi>, summed over any leading axes
+    of psi: two stacked ladder passes and two contractions."""
+    low = np.stack([apply_ladder(psi, i, fs) for i in range(fs.M)]).reshape(fs.M, -1)
+    up = np.stack([apply_ladder(psi, j, fs, dagger=True) for j in range(fs.M)])
+    return low @ low.conj().T, low @ up.reshape(fs.M, -1).conj().T
 
 
 def top_level_population(psi: np.ndarray, fs: FockSpace) -> float:

@@ -163,13 +163,7 @@ def laplacian_matrix(grid: Grid3) -> np.ndarray:
 
 def coulomb_convolve(rho: Field) -> Field:
     """Convolve a real density with 1/|x| (truncated at L/2) in Fourier space."""
-    vals = rho.values
-    if not rho.is_real(1e-10):
-        import warnings
-
-        warnings.warn("coulomb_convolve: non-real density, using real part")
-    r = vals.real
-    out = np.fft.ifftn(np.fft.fftn(r) * rho.grid.coulomb_kernel).real
+    out = np.fft.ifftn(np.fft.fftn(rho.values.real) * rho.grid.coulomb_kernel).real
     return Field(out.astype(np.complex128), rho.grid)
 
 

@@ -159,32 +159,21 @@ def expected_number(state: QuasiFreeState) -> float:
 
 
 def evolve_quasifree(state: QuasiFreeState, bmap: BogoliubovMap) -> QuasiFreeState:
-    """Transform (gamma, pairing) through the Bogoliubov map.
+    """Transform (gamma, pairing) through the Bogoliubov map as one congruence
+    Gamma -> T Gamma T^+ of the generalized one-body density (Bach, Lieb &
+    Solovej, J. Stat. Phys. 76, 3 (1994)).
 
-    With a_i(t) = sum_j U_ij a_j + W_ij a_j^dag the transformed densities are
-
-      gamma' = U gamma U^+ + W (1 + gamma^T) W^+ + U pairing W^+ + W pairing^- U^+
-      pair'  = U pairing U^T + W pairing^- W^T + U gamma W^T + W (1 + gamma^T) U^T
-
-    where pairing^- = conj(pairing).
+    With a_i(t) = sum_j U_ij a_j + W_ij a_j^dag the vector (a, a^dag) moves
+    by T = [[U, W], [W^-, U^-]], and Gamma_IJ = <(a, a^dag)_J^dag (a, a^dag)_I>
+    is [[gamma, pairing], [pairing^-, 1 + gamma^T]], where ^- conjugates
+    entrywise; the new gamma and pairing are the upper blocks of T Gamma T^+.
     """
     U, W = bmap.heisenberg_blocks()
-    g0, p0 = state.gamma, state.pairing
-    eye = np.eye(state.M)
-    gamma = (
-        U @ g0 @ U.conj().T
-        + W @ (eye + g0.T) @ W.conj().T
-        + U @ p0 @ W.conj().T
-        + W @ p0.conj() @ U.conj().T
-    )
-    pairing = (
-        U @ p0 @ U.T
-        + W @ p0.conj() @ W.T
-        + U @ g0 @ W.T
-        + W @ (eye + g0.T) @ U.T
-    )
-    out = QuasiFreeState(gamma=gamma, pairing=pairing)
-    return out
+    g, p, M = state.gamma, state.pairing, state.M
+    T = np.block([[U, W], [W.conj(), U.conj()]])
+    Gamma = np.block([[g, p], [p.conj(), np.eye(M) + g.T]])
+    upper = T[:M] @ Gamma @ T.conj().T
+    return QuasiFreeState(gamma=upper[:, :M], pairing=upper[:, M:])
 
 
 def density_rhs(gen: Generator, state: QuasiFreeState, alpha: float):

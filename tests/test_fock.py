@@ -2,6 +2,7 @@
 propagation, and reduced objects."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,20 @@ def test_dimension_and_index_bijection(fs):
     assert fs.dim == 25
     for i, occ in enumerate(fs.occupations):
         assert fs.index(occ) == i
+
+
+@pytest.mark.parametrize("M, n_max", [(1, 0), (2, 4), (3, 2)])
+def test_occupations_enumerate_the_box_in_product_order(M, n_max):
+    space = fk.FockSpace(M, n_max)
+    ref = np.array(list(itertools.product(range(n_max + 1), repeat=M)))
+    assert np.array_equal(space.occupations, ref)
+    assert np.array_equal(space.numbers, ref.sum(axis=1))
+
+
+@pytest.mark.parametrize("occ", [(5, 0), (0, 5), (-1, 0), (2, -3)])
+def test_index_outside_the_cutoff_is_a_value_error(fs, occ):
+    with pytest.raises(ValueError):
+        fs.index(occ)
 
 
 def test_dimension_cap():
@@ -77,6 +92,40 @@ def test_single_excitation_density(fs):
     g, p = fk.reduced_densities(psi, fs)
     assert np.allclose(g, np.diag([1.0, 0.0]))
     assert np.max(np.abs(p)) == 0.0
+
+
+def test_reduced_densities_make_two_ladder_passes(monkeypatch):
+    space, calls = fk.FockSpace(3, 3), []
+    apply = fk.apply_ladder
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(fk, "apply_ladder", counted)
+    fk.reduced_densities(space.vacuum(), space)
+    assert len(calls) == 2 * space.M
+
+
+def test_reduced_densities_of_a_stacked_state_sum_its_rows():
+    # a random (S, dim) state with weight at the cutoff: the stacked call
+    # equals the sum over rows, and each row the sparse-ladder expectations
+    # <a_j^dag a_i> and <a_j a_i>
+    space, S = fk.FockSpace(3, 3), 5
+    rng = np.random.default_rng(15)
+    psi = rng.standard_normal((S, space.dim)) + 1j * rng.standard_normal((S, space.dim))
+    a = [fk.ladder(i, space) for i in range(space.M)]
+    g, p = fk.reduced_densities(psi, space)
+    g_rows, p_rows = 0.0, 0.0
+    for row in psi:
+        gr, pr = fk.reduced_densities(row, space)
+        g_rows, p_rows = g_rows + gr, p_rows + pr
+        g_ref = [[np.vdot(a[j] @ row, a[i] @ row) for j in range(space.M)] for i in range(space.M)]
+        p_ref = [[np.vdot(row, a[j] @ (a[i] @ row)) for j in range(space.M)] for i in range(space.M)]
+        assert np.max(np.abs(gr - np.array(g_ref))) <= 1e-12 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(pr - np.array(p_ref))) <= 1e-12 * np.max(np.abs(p_ref))
+    assert np.max(np.abs(g - g_rows)) <= 1e-12 * np.max(np.abs(g))
+    assert np.max(np.abs(p - p_rows)) <= 1e-12 * np.max(np.abs(p))
 
 
 def test_quadratic_hamiltonian_hermitian(bundle, fs):

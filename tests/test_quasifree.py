@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polaronlab import quasifree as qf
 
@@ -107,6 +108,56 @@ def test_tabulated_ode_matches_per_step_rk4(any_gen, start):
     got = qf.evolve_odes(st0, any_gen, 5.0, 1.0, dt=0.005)
     assert np.max(np.abs(got.gamma - ref.gamma)) <= 1e-11
     assert np.max(np.abs(got.pairing - ref.pairing)) <= 1e-11
+
+
+def eight_term_reference(state, bmap):
+    """(gamma, pairing) through the map by the block products that the
+    congruence of evolve_quasifree expands, with a_i(t) = U a + W a^dag:
+
+      gamma' = U gamma U^+ + W (1 + gamma^T) W^+ + U pairing W^+ + W pairing^- U^+
+      pair'  = U pairing U^T + W pairing^- W^T + U gamma W^T + W (1 + gamma^T) U^T
+    """
+    U, W = bmap.heisenberg_blocks()
+    g0, p0 = state.gamma, state.pairing
+    eye = np.eye(state.M)
+    gamma = (
+        U @ g0 @ U.conj().T
+        + W @ (eye + g0.T) @ W.conj().T
+        + U @ p0 @ W.conj().T
+        + W @ p0.conj() @ U.conj().T
+    )
+    pairing = U @ p0 @ U.T + W @ p0.conj() @ W.T + U @ g0 @ W.T + W @ (eye + g0.T) @ U.T
+    return qf.QuasiFreeState(gamma=gamma, pairing=pairing)
+
+
+@pytest.mark.parametrize("start", ["vacuum", "mixed"])
+def test_congruence_matches_eight_term_formula(any_gen, start):
+    M = any_gen.M
+    st0 = qf.vacuum_state(M)
+    if start == "mixed":
+        # a thermal state sent through the map at tau = 1: mixed, with pairing
+        thermal = qf.QuasiFreeState(np.diag(0.3 / 3.0 ** np.arange(M)), np.zeros((M, M)))
+        st0 = eight_term_reference(thermal, qf.propagate_map(any_gen, 1.0, 1.0))
+        assert np.max(np.abs(st0.pairing)) > 1e-2 and st0.purity_defect() > 1e-2
+    bmap = qf.propagate_map(any_gen, 5.0, 1.0)
+    got, want = qf.evolve_quasifree(st0, bmap), eight_term_reference(st0, bmap)
+    assert np.max(np.abs(got.gamma - want.gamma)) <= 1e-13
+    assert np.max(np.abs(got.pairing - want.pairing)) <= 1e-13
+    assert np.max(np.abs(got.gamma - got.gamma.conj().T)) <= 1e-13
+    assert np.max(np.abs(got.pairing - got.pairing.T)) <= 1e-13
+
+
+def test_preset_maps_never_reach_scipy_expm(any_gen, monkeypatch):
+    # scipy.linalg.expm runs on scipy's bundled BLAS, a second thread pool
+    # next to numpy's that slowed a later Pekar solve in the same process; the
+    # preset generators have well-conditioned eigenvectors, so _expm takes
+    # the eigendecomposition route and never falls back to it
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagate_map reached scipy.linalg.expm")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    for tau in (1.0, 5.0, 10.0):
+        qf.propagate_map(any_gen, tau, 1.0)
 
 
 def test_affine_step_reproduces_rk4_step(any_gen, rng):
