@@ -49,7 +49,6 @@ def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
         kp = build_kernels(rh)
     gen = qf.build_generator(kp)
     if manifest is not None:
-        manifest.record_check("spectral_gap_positive", rh.sector_gap > 0, rh.sector_gap)
         manifest.record_check(
             "generator_s_hermitian",
             gen.s_hermiticity_defect() <= 1e-10,

@@ -275,14 +275,15 @@ class CoupledHamiltonian:
 
 def _chebyshev_coefficients(x: float) -> np.ndarray:
     """c_k = (2 - delta_k0) (-i)^k J_k(x) of exp(-i x y) = sum_k c_k T_k(y),
-    from an FFT of exp(-i x cos theta) at 2n angles, cut after the last
-    |c_k| > 1e-13.  Orders above n alias onto the kept ones; n = 2|x| + 64
-    puts them below roundoff (a margin of 64 over |x| leaves 2e-11 at 500)."""
-    n = 2 * int(abs(x)) + 64
+    from an FFT of exp(-i x cos theta) at 2n angles, cut at the first k > |x|
+    with |c_k| < 1e-13, where J_k(x) falls monotonically (the FFT's roundoff in
+    the tail reaches 1e-13 past |x| ~ 1e4).  Orders above n alias onto the kept
+    ones; n = 2|x| + 64 puts them below roundoff (a margin of 64 leaves 2e-11 at 500)."""
+    n, edge = 2 * int(abs(x)) + 64, int(abs(x)) + 1
     theta = np.pi * np.arange(2 * n) / n
     c = np.fft.fft(np.exp(-1j * x * np.cos(theta)))[: n + 1] / (2 * n)
     c[1:] *= 2
-    return c[: np.flatnonzero(np.abs(c) > 1e-13)[-1] + 1]
+    return c[: edge + np.flatnonzero(np.abs(c[edge:]) < 1e-13)[0]]
 
 
 def propagate(apply_h, psi0: np.ndarray, t: float, bounds) -> np.ndarray:

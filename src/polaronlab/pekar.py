@@ -153,52 +153,52 @@ def _euler_lagrange(phi: Field):
     return V, lam, Field(hphi.values - lam * phi.values, phi.grid)
 
 
-def _rfft3(f: np.ndarray) -> np.ndarray:
-    """np.fft.rfftn of a real n^3 array, in place after the first axis: bit-identical, faster."""
-    a = np.fft.rfft(f, axis=2)
-    np.fft.fft(a, axis=1, out=a)
-    return np.fft.fft(a, axis=0, out=a)
+def _cosine_matrix(n: int):
+    """(C, w): on indices 0..n/2, the DFT of a field even about index 0 is
+    C[m, j] = c_j cos(2 pi j m / n), with c_j = 1 at j = 0, n/2 and 2
+    elsewhere, the full-axis points index j stands for.  C C = n I, and a
+    full-grid sum is the octant sum weighted by w = c_a c_b c_c, in x and k."""
+    j = np.arange(n // 2 + 1)
+    c = np.where((j == 0) | (j == n // 2), 1.0, 2.0)
+    return np.cos(2.0 * np.pi * (np.outer(j, j) % n) / n) * c, c[:, None, None] * c[:, None] * c
 
 
-def _irfft3(a: np.ndarray, n: int) -> np.ndarray:
-    """np.fft.irfftn of a half spectrum, bit-identical; overwrites a."""
-    np.fft.ifft(a, axis=0, out=a)
-    np.fft.ifft(a, axis=1, out=a)
-    return np.fft.irfft(a, n=n, axis=2)
-
-
-def _hdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """sum_k conj(a) b over the full spectrum of two real fields, from their rfftn
-    half spectra: weight 1 on the kz = 0 and kz = n/2 planes, 2 elsewhere."""
-    return 2.0 * np.vdot(a, b) - np.vdot(a[..., 0], b[..., 0]) - np.vdot(a[..., -1], b[..., -1])
+def _cos3(a: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """C along each axis of an octant array: three real matmuls."""
+    h = len(C)
+    for _ in range(3):  # contract the leading axis, append the transformed one
+        a = a.reshape(h, -1).T @ C.T
+    return a.reshape(h, h, h)
 
 
 def _real_descent(grid: Grid3, tol: float):
     """minimize_pekar's loop: the first iterate with residual <= tol, and the
-    iteration count.  The loop carries the rfftn half spectrum of the real
-    iterate (ksq and the Coulomb kernel depend only on |k|, so their half
-    slices are exact) and reads lambda, the residual, the step size and the
-    norm off it: four real transforms per step.
+    iteration count.  The minimizer is unique only up to translations, yet
+    the iterate needs no recentring: it starts from the centred Gaussian, and
+    p^2, the |k|-only kernel and preconditioner and the pointwise products
+    all commute with the reflection of each axis on its own.  So it stays even
+    along every axis, and the loop holds its (n/2+1)^3 octant in x and in k:
+    four cosine transforms a step (_cosine_matrix), lambda, the residual, the
+    step and the norm read off the spectrum, and unfolding j -> min(j, n - j)."""
+    n, h = grid.n, grid.n // 2 + 1
+    C, w = _cosine_matrix(n)
+    dot = lambda a, b: float(np.vdot(w * a, b))  # a sum over the full grid
+    dv_hat = grid.cell_volume / grid.size  # Parseval: sum_x f g = dot(F, G) / n^3
+    ksq, kern = grid.ksq[:h, :h, :h], grid.coulomb_kernel[:h, :h, :h] / grid.size
 
-    The minimizer is unique only up to translations, yet the iterate needs no
-    recentring: it starts from the centred Gaussian on a grid that x -> -x
-    maps onto itself, and p^2, the |k|-only kernel and preconditioner and the
-    pointwise products all commute with that reflection.  The iterate stays
-    even, so its centre stays at the origin up to roundoff."""
-    n, dv_hat = grid.n, grid.cell_volume / grid.size  # Parseval: sum_x f g = Re _hdot / n^3
-    ksq, kern = grid.ksq[..., : n // 2 + 1], grid.coulomb_kernel[..., : n // 2 + 1]
-
-    phi = gaussian(grid, min(GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0)).values.real.copy()
-    phi_hat = _rfft3(phi)
+    g = np.exp(-grid.axis[:h] ** 2 / (4.0 * min(GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0) ** 2))
+    phi = g[:, None, None] * g[:, None] * g
+    phi /= np.sqrt(dot(phi, phi) * grid.cell_volume)
+    phi_hat = _cos3(phi, C)  # inverse: C / n, its 1/n^3 folded into kern and below
     tau, phi_prev, z_prev, residual = DESCENT_STEP, None, None, np.inf
 
     for it in range(1, DESCENT_MAX_ITER + 1):
         # h phi with h = p^2 + V_eff, V_eff = -(phi^2 * 1/|x|), then (h - lambda) phi in place
         grad = ksq * phi_hat
-        grad -= _rfft3(_irfft3(_rfft3(phi * phi) * kern, n) * phi)
-        lam = _hdot(phi_hat, grad).real * dv_hat
+        grad -= _cos3(_cos3(_cos3(phi * phi, C) * kern, C) * phi, C)
+        lam = dot(phi_hat, grad) * dv_hat
         grad -= lam * phi_hat
-        residual = float(np.sqrt(_hdot(grad, grad).real * dv_hat))
+        residual = float(np.sqrt(dot(grad, grad) * dv_hat))
         if not np.isfinite(residual) or not np.isfinite(lam):
             raise PekarError("energy collapsed to NaN during descent")
         if residual <= tol:
@@ -208,38 +208,37 @@ def _real_descent(grid: Grid3, tol: float):
         if phi_prev is not None:  # -dphi and -dz, in place of the arrays they replace
             phi_prev -= phi_hat
             z_prev -= z
-            den = _hdot(phi_prev, z_prev).real
+            den = dot(phi_prev, z_prev)
             if den > 0:
-                tau = float(np.clip(_hdot(phi_prev, phi_prev).real / den, 0.05, 20.0))
+                tau = float(np.clip(dot(phi_prev, phi_prev) / den, 0.05, 20.0))
         phi_prev, z_prev = phi_hat, z
 
         # phi - tau z, then fix the sign and the norm
         phi_hat = phi_hat - tau * z
-        sign = 1.0 if phi_hat[0, 0, 0].real >= 0 else -1.0
-        phi_hat *= sign / np.sqrt(_hdot(phi_hat, phi_hat).real * dv_hat)
-        phi = _irfft3(phi_hat.copy(), n)
+        sign = 1.0 if phi_hat[0, 0, 0] >= 0 else -1.0
+        phi_hat *= sign / np.sqrt(dot(phi_hat, phi_hat) * dv_hat)
+        phi = _cos3(phi_hat, C) / grid.size
     else:
         raise ConvergenceError(
             f"no convergence after {DESCENT_MAX_ITER} iterations (residual {residual:.3e})",
             residual=residual,
         )
 
-    return phi, it
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    return phi[np.ix_(fold, fold, fold)], it
 
 
 def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
-    """Normalized preconditioned gradient descent on the Pekar functional.
-
-    Uses the Euler-Lagrange residual ||(h^phi - lambda) phi|| as the stopping
-    criterion, with Barzilai-Borwein step adaptation on the preconditioned
-    gradient.  The iterate is sign-fixed every step; the reflection symmetry
-    of its centred start fixes the translation gauge (see _real_descent).
-    The converged state is checked on complex Fields: one Euler-Lagrange
-    pass gives V, lambda = T - D, D = -<rho, V>.
+    """Normalized preconditioned gradient descent on the Pekar functional,
+    stopped on the Euler-Lagrange residual ||(h^phi - lambda) phi||, with
+    Barzilai-Borwein steps on the preconditioned gradient.  The iterate is
+    sign-fixed every step and even along each axis, which fixes the
+    translation gauge and lets the descent hold only its octant (see
+    _real_descent).  The unfolded state is checked on complex Fields of the
+    full grid: one Euler-Lagrange pass gives V, lambda = T - D, D = -<rho, V>.
     """
     phi, it = _real_descent(grid, tol)
-    phi = Field(phi, grid)
-    phi = _require_normalized(phi * (1.0 / phi.norm()))
+    phi = _require_normalized(Field(phi, grid))  # normalised in k by the descent, checked in x
     V, lam, grad = _euler_lagrange(phi)
     D = -inner(density(phi), V).real
     T, E = lam + D, lam + 0.5 * D  # E = T - D/2
@@ -254,10 +253,10 @@ def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
 
 def preflight_pekar(cfg: RunConfig):
     """Raise ConfigError when minimize_pekar's peak memory exceeds
-    MemAvailable: five Grid3 caches (ksq, the Coulomb kernel, three
-    coordinate arrays) and seven complex n^3 arrays of the post-solve check,
-    which outweigh the descent's two real n^3 arrays and seven half spectra
-    (measured: 144 and 139 bytes of peak RSS per point at n = 64 and 96)."""
+    MemAvailable: seven complex n^3 arrays of the full-grid check (the
+    descent holds (n/2+1)^3 octants) and five Grid3 caches, ksq, the Coulomb
+    kernel and three coordinate arrays a caller may have built (measured
+    without those three: 118 and 120 B of peak RSS a point at n = 64, 96)."""
     require_memory("solve-pekar", (8 * 5 + 16 * 7) * cfg.grid_n**3)
 
 

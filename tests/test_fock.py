@@ -202,6 +202,17 @@ def test_chebyshev_coefficients_match_bessel(x):
     assert abs(c[-1]) > 1e-13 >= abs(2.0 * scipy.special.jv(len(c), x))
 
 
+@pytest.mark.parametrize("x, terms", [(1.2e4, 12_209), (2.5158e4, 25_424), (5e4, 50_332)])
+def test_long_chebyshev_series_stops_past_the_turning_point(x, terms):
+    # past x of about 1e4 the FFT's roundoff in the tail (2-5e-13 here) crosses
+    # 1e-13; the series stops at the first small coefficient past k = x
+    c = fk._chebyshev_coefficients(x)
+    assert len(c) == terms
+    k = np.arange(len(c))
+    exact = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * scipy.special.jv(k, x)
+    assert np.max(np.abs(c - exact)) <= 1e-12
+
+
 def test_propagate_rejects_unnormalized(bundle):
     fs = fk.FockSpace(2, 4)
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)

@@ -138,39 +138,50 @@ def reflected(v: np.ndarray) -> np.ndarray:
     return np.roll(v[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_half_spectrum_transforms_and_dot(n):
-    grid = Grid3(n, 10.0)
-    a, b = np.random.default_rng(n).standard_normal((2, *grid.shape))
-    a_hat, b_hat = pekar._rfft3(a), pekar._rfft3(b)
-    assert np.array_equal(a_hat, np.fft.rfftn(a))
-    a_back = np.fft.irfftn(a_hat, s=grid.shape, axes=(0, 1, 2))
-    assert np.array_equal(pekar._irfft3(a_hat.copy(), n), a_back)
-    dv = grid.cell_volume
-    want = np.vdot(a, b) * dv
-    scale = np.sqrt(np.vdot(a, a) * np.vdot(b, b)) * dv
-    got = pekar._hdot(a_hat, b_hat).real * dv / grid.size
-    assert abs(got - want) <= 1e-12 * scale
+def unfold(octant: np.ndarray, n: int) -> np.ndarray:
+    """The full n^3 field that is even along each axis about index 0 and
+    holds ``octant`` on indices 0..n/2."""
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    return octant[np.ix_(fold, fold, fold)]
+
+
+@pytest.mark.parametrize("n", [8, 16, 48])
+def test_cosine_transform_is_the_dft_of_the_unfolded_field(n):
+    C, w = pekar._cosine_matrix(n)
+    a, b = np.random.default_rng(n).standard_normal((2, *w.shape))
+    full_a, full_b = unfold(a, n), unfold(b, n)
+    spectrum = np.fft.fftn(full_a)
+    scale = np.max(np.abs(spectrum))
+    assert np.max(np.abs(spectrum.imag)) <= 1e-13 * scale
+    assert np.max(np.abs(spectrum.real - unfold(pekar._cos3(a, C), n))) <= 1e-13 * scale
+    assert np.max(np.abs(C @ C / n - np.eye(len(C)))) <= 1e-13
+    scale = np.sqrt(np.vdot(full_a, full_a) * np.vdot(full_b, full_b))
+    assert abs(np.vdot(w * a, b) - np.vdot(full_a, full_b)) <= 1e-12 * scale
+    # the descent's unfolded iterate is exactly even along each axis on its own
+    phi, _ = pekar._real_descent(Grid3(n, 2.0 * n), 1e-7)
+    for axis in range(3):
+        assert np.array_equal(np.roll(np.flip(phi, axis), 1, axis), phi)
 
 
 def test_descent_spends_four_real_transforms_per_step(monkeypatch):
     # a loop regression shows here without a benchmark run
-    counts = dict.fromkeys(["rfft", "irfft", "fft", "ifft", "rfftn", "irfftn", "fftn", "ifftn"], 0)
+    counts = dict.fromkeys((n for n in np.fft.__all__ if "freq" not in n and "shift" not in n), 0)
     for name in counts:
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    cos3 = []
+    monkeypatch.setattr(pekar, "_cos3", lambda a, C, _fn=pekar._cos3: cos3.append(1) or _fn(a, C))
     sol = minimize_pekar(Grid3(48, 96.0))
     # per step phi^2 and V phi forward, V and the new phi back; one forward to
     # start, and the last step stops after its residual, one inverse short
-    assert counts["rfft"] + counts["irfft"] == 4 * sol.iterations
-    assert counts["rfftn"] == counts["irfftn"] == 0
-    # each real 3-D transform adds its complex passes along axes 0 and 1
-    assert counts["fft"] == 2 * counts["rfft"] and counts["ifft"] == 2 * counts["irfft"]
-    # the post-solve check: one Euler-Lagrange pass, p^2 phi and the Coulomb potential
-    assert counts["fftn"] == counts["ifftn"] == 2
+    assert len(cos3) == 4 * sol.iterations
+    # no FFT in the descent; the post-solve check is one Euler-Lagrange pass,
+    # p^2 phi and the Coulomb potential
+    assert counts.pop("fftn") == counts.pop("ifftn") == 2
+    assert not any(counts.values()), counts
 
 
 def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
