@@ -71,12 +71,18 @@ class Grid3:
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        kx, ky, kz = np.meshgrid(self.k_axis, self.k_axis, self.k_axis, indexing="ij")
-        return kx**2 + ky**2 + kz**2
+        k2 = self.k_axis**2
+        return k2[:, None, None] + k2[:, None] + k2
+
+    @cached_property
+    def half_ksq(self) -> np.ndarray:
+        """|k|^2 on the ``rfftn`` half spectrum, shape (n, n, n/2+1)."""
+        k2 = self.k_axis**2
+        return k2[:, None, None] + k2[:, None] + k2[: self.n // 2 + 1]
 
     @cached_property
     def coulomb_kernel(self) -> np.ndarray:
-        """Fourier multiplier of the 1/|x| kernel truncated at radius L/2.
+        """Fourier multiplier of 1/|x| truncated at radius L/2, on the half spectrum.
 
         The spherical truncation makes the periodic convolution agree with the
         free-space Coulomb integral for densities localized well inside the
@@ -84,7 +90,7 @@ class Grid3:
         bare zero-mode-subtracted kernel.
         """
         rc = 0.5 * self.box_length
-        ksq = self.ksq
+        ksq = self.half_ksq
         k = np.sqrt(ksq)
         with np.errstate(divide="ignore", invalid="ignore"):
             kern = 4.0 * np.pi * (1.0 - np.cos(k * rc)) / ksq
@@ -161,10 +167,11 @@ def laplacian_matrix(grid: Grid3) -> np.ndarray:
     return ((waves * k**2) @ waves.conj().T).real
 
 
-def coulomb_convolve(rho: Field) -> Field:
-    """Convolve a real density with 1/|x| (truncated at L/2) in Fourier space."""
-    out = np.fft.ifftn(np.fft.fftn(rho.values.real) * rho.grid.coulomb_kernel).real
-    return Field(out.astype(np.complex128), rho.grid)
+def coulomb_convolve(rho: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Convolve a real density with 1/|x| (truncated at L/2), real to real."""
+    axes = (0, 1, 2)
+    half = np.fft.rfftn(rho, axes=axes) * grid.coulomb_kernel
+    return np.fft.irfftn(half, s=grid.shape, axes=axes)
 
 
 def plane_wave(grid: Grid3, k) -> Field:

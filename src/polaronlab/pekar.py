@@ -61,10 +61,6 @@ class ConvergenceError(PekarError):
         self.residual = residual
 
 
-def density(phi: Field) -> Field:
-    return Field(np.abs(phi.values) ** 2, phi.grid)
-
-
 def _require_normalized(phi: Field) -> Field:
     if not abs(phi.norm() - 1.0) <= 1e-8:
         raise NotNormalizedError(f"|phi| = {phi.norm()}, expected 1")
@@ -74,8 +70,8 @@ def _require_normalized(phi: Field) -> Field:
 def pekar_energy(phi: Field):
     """Return (T, D, E) for a normalized phi; refuses unnormalized input."""
     T = inner(_require_normalized(phi), apply_laplacian(phi)).real
-    rho = density(phi)
-    D = inner(rho, coulomb_convolve(rho)).real
+    rho = np.abs(phi.values) ** 2
+    D = float(np.vdot(rho, coulomb_convolve(rho, phi.grid))) * phi.grid.cell_volume
     return T, D, T - 0.5 * D
 
 
@@ -144,13 +140,16 @@ class PekarSolution:
         )
 
 
-def _euler_lagrange(phi: Field):
-    """V_eff of phi, lambda = <phi, h phi> and the residual (h - lambda) phi,
-    with h = p^2 + V_eff."""
-    V = -1.0 * coulomb_convolve(density(phi))  # V(x) = -(|phi|^2 * 1/|x|)(x)
-    hphi = apply_laplacian(phi) + Field(V.values * phi.values, phi.grid)
-    lam = inner(phi, hphi).real
-    return V, lam, Field(hphi.values - lam * phi.values, phi.grid)
+def _euler_lagrange(phi: np.ndarray, grid: Grid3):
+    """V_eff of a real phi, lambda = <phi, h phi> with h = p^2 + V_eff, D and
+    the residual ||(h - lambda) phi||, by real FFTs and sums on the full grid."""
+    axes, dv, rho = (0, 1, 2), grid.cell_volume, phi * phi
+    V = -coulomb_convolve(rho, grid)  # V(x) = -(|phi|^2 * 1/|x|)(x)
+    grad = np.fft.irfftn(grid.half_ksq * np.fft.rfftn(phi, axes=axes), s=grid.shape, axes=axes)
+    grad += V * phi
+    lam = float(np.vdot(phi, grad)) * dv
+    grad -= lam * phi
+    return V, lam, -float(np.vdot(rho, V)) * dv, float(np.sqrt(np.vdot(grad, grad) * dv))
 
 
 def _cosine_matrix(n: int):
@@ -184,7 +183,7 @@ def _real_descent(grid: Grid3, tol: float):
     C, w = _cosine_matrix(n)
     dot = lambda a, b: float(np.vdot(w * a, b))  # a sum over the full grid
     dv_hat = grid.cell_volume / grid.size  # Parseval: sum_x f g = dot(F, G) / n^3
-    ksq, kern = grid.ksq[:h, :h, :h], grid.coulomb_kernel[:h, :h, :h] / grid.size
+    ksq, kern = grid.half_ksq[:h, :h, :h], grid.coulomb_kernel[:h, :h, :h] / grid.size
 
     g = np.exp(-grid.axis[:h] ** 2 / (4.0 * min(GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0) ** 2))
     phi = g[:, None, None] * g[:, None] * g
@@ -234,30 +233,29 @@ def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
     Barzilai-Borwein steps on the preconditioned gradient.  The iterate is
     sign-fixed every step and even along each axis, which fixes the
     translation gauge and lets the descent hold only its octant (see
-    _real_descent).  The unfolded state is checked on complex Fields of the
-    full grid: one Euler-Lagrange pass gives V, lambda = T - D, D = -<rho, V>.
+    _real_descent).  The unfolded state is checked on the full grid by real
+    FFTs: one Euler-Lagrange pass gives V, lambda = T - D, D = -<rho, V>.
     """
     phi, it = _real_descent(grid, tol)
-    phi = _require_normalized(Field(phi, grid))  # normalised in k by the descent, checked in x
-    V, lam, grad = _euler_lagrange(phi)
-    D = -inner(density(phi), V).real
+    V, lam, D, residual = _euler_lagrange(phi, grid)
     T, E = lam + D, lam + 0.5 * D  # E = T - D/2
     # the spread-out near-uniform state is a stationary point on small boxes;
     # a bound minimizer always has T comparable to |E| (virial: T = -E)
     if T < 0.01 * abs(E):
         raise DelocalizedError("descent collapsed to a delocalized state "
                                f"(T = {T:.3e}, E = {E:.3e}); enlarge the box")
-    return PekarSolution(phi0=phi, T=T, D=D, energy=E, lam=lam, V_eff=V,
-                         residual=grad.norm(), iterations=it)
+    phi0 = _require_normalized(Field(phi, grid))  # normalised in k by the descent, checked in x
+    return PekarSolution(phi0=phi0, T=T, D=D, energy=E, lam=lam, V_eff=Field(V, grid),
+                         residual=residual, iterations=it)
 
 
 def preflight_pekar(cfg: RunConfig):
     """Raise ConfigError when minimize_pekar's peak memory exceeds
-    MemAvailable: seven complex n^3 arrays of the full-grid check (the
-    descent holds (n/2+1)^3 octants) and five Grid3 caches, ksq, the Coulomb
-    kernel and three coordinate arrays a caller may have built (measured
-    without those three: 118 and 120 B of peak RSS a point at n = 64, 96)."""
-    require_memory("solve-pekar", (8 * 5 + 16 * 7) * cfg.grid_n**3)
+    MemAvailable: 72 B a grid point, at its end the complex phi0 and V_eff,
+    their real arrays and the half-spectrum caches (traced peaks: 62, 57 and
+    57 B a point at n = 32, 48, 64; peak RSS, with pocketfft's scratch: 72
+    and 67 B at n = 64, 96)."""
+    require_memory("solve-pekar", 72 * cfg.grid_n**3)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +271,7 @@ class DiscretePekarSolution(PekarSolution):
     modes: ModeSet
     f0: np.ndarray  # coupling amplitudes <phi0, G_x(k_i) phi0>, length M
     energy_trace: list = field(default_factory=list)
+    spectrum: object = field(default=None, repr=False, compare=False)  # of the last sweep
 
     def scalars(self) -> dict:
         return {
@@ -318,8 +317,8 @@ def _pin_translation(modes: ModeSet, f: np.ndarray) -> np.ndarray:
 
 def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3):
     """The sign-fixed, normalised ground state phi of h = p^2 + V with V built
-    from the amplitudes f, its eigenvalue lambda, V, and the kinetic energy
-    T = lambda - <phi, V phi>."""
+    from the amplitudes f, its eigenvalue lambda, V, the kinetic energy
+    T = lambda - <phi, V phi> and the spectrum of h."""
     # deferred: resolvent imports scipy.sparse.linalg, a cold import of about
     # 0.45 s against 0.12 s for this module, which solve-pekar need not pay
     from .resolvent import separable_spectrum
@@ -332,7 +331,7 @@ def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid
     phi = phi * (1.0 / phi.norm())
     lam = float(spec.eigenvalues().flat[0])
     T = lam - float(np.vdot(np.abs(phi.values) ** 2, V.values).real) * grid.cell_volume
-    return phi, lam, V, T
+    return phi, lam, V, T, spec
 
 
 def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> DiscretePekarSolution:
@@ -350,7 +349,7 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
     resid = np.inf
 
     for it in range(1, DISCRETE_MAX_ITER + 1):
-        phi, _, _, T = _sweep_ground_state(modes, G, f, grid)
+        phi, _, _, T, _ = _sweep_ground_state(modes, G, f, grid)
         f_new = _pin_translation(modes, _mode_amplitudes(G, phi))
         resid = float(np.max(np.abs(f_new - f)))
         trace.append(T - float(np.sum(modes.weights * np.abs(f_new) ** 2)))
@@ -364,7 +363,7 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
             residual=resid,
         )
 
-    phi, lam, V, T = _sweep_ground_state(modes, G, f, grid)
+    phi, lam, V, T, spec = _sweep_ground_state(modes, G, f, grid)
     resid = float(np.max(np.abs(_mode_amplitudes(G, phi) - f)))
 
     # binding check: second moment along each coupled axis (minimum image)
@@ -391,6 +390,7 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
         residual=resid,
         iterations=it,
         energy_trace=trace,
+        spectrum=spec,
     )
 
 

@@ -127,16 +127,16 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
 
 
 class ResolventHandle:
-    """The spectrum of h^{phi0}, its gap and its in-sector gap (the smallest
-    step within a coupled group, leaving out free motion along uncoupled
-    axes), and R = Q (h - lambda)^{-1} Q applied exactly in that eigenbasis,
-    with the residual of every solve checked.  GapError if the lowest
-    eigenvalue misses the stored lambda by more than 1e-6 or the gap is not
-    positive."""
+    """The spectrum of h^{phi0} (the solve's last sweep's, if it carries one),
+    its gap and in-sector gap (the smallest step within a coupled group,
+    leaving out free motion along uncoupled axes), and R = Q (h - lambda)^{-1} Q
+    applied exactly in that eigenbasis, with the residual of every solve
+    checked.  GapError if the lowest eigenvalue misses the stored lambda by
+    more than 1e-6 or the gap is not positive."""
 
     def __init__(self, sol):
         self.sol = sol
-        self.spectrum = spec = separable_spectrum(sol.V_eff, sol.modes)
+        self.spectrum = spec = sol.spectrum or separable_spectrum(sol.V_eff, sol.modes)
         shift = spec.eigenvalues() - sol.lam
         if abs(shift.flat[0]) > 1e-6:
             raise GapError(f"lowest eigenvalue disagrees with stored lambda {sol.lam} "

@@ -210,8 +210,8 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
         raise AssertionError("the preflight should stop the run before any solve")
 
     # below every desk-small estimate (bogoliubov-check needs about 0.23 MiB,
-    # 243,360 B; selftest 263 KiB; build-kernels 192 KiB; solve-pekar about 97 KiB)
-    monkeypatch.setattr(config, "available_memory", lambda: 1 << 16)
+    # 243,360 B; selftest 263 KiB; build-kernels 192 KiB; solve-pekar 36 KiB)
+    monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
     monkeypatch.setattr(experiments, "build_bundle", no_solve)
     monkeypatch.setattr(pekar, "minimize_pekar", no_solve)
     code = main([verb, "--out", str(tmp_path)])

@@ -9,7 +9,7 @@ import pytest
 
 from polaronlab import pekar
 from polaronlab.config import load_config
-from polaronlab.grid import Field, Grid3, gaussian, inner
+from polaronlab.grid import Field, Grid3, apply_laplacian, gaussian, inner
 from polaronlab.modes import ModeSet, axis_pair, mode_preset
 from polaronlab.pekar import (
     GAUSSIAN_BOUND,
@@ -79,13 +79,27 @@ def _reference_recenter(phi: Field) -> Field:
     return Field(np.fft.ifftn(np.fft.fftn(phi.values) * phase), g)
 
 
+def _complex_euler_lagrange(phi: Field):
+    """Reference: the Euler-Lagrange pass on complex Fields with full complex
+    FFTs.  Returns V, lambda, D and the residual field (h - lambda) phi."""
+    g = phi.grid
+    fold = np.minimum(np.arange(g.n), g.n - np.arange(g.n))
+    rho = np.abs(phi.values) ** 2
+    # the 1/|x| multiplier depends on |k| alone: unfold its half spectrum
+    V = -np.fft.ifftn(np.fft.fftn(rho) * g.coulomb_kernel[..., fold]).real
+    hphi = apply_laplacian(phi).values + V * phi.values
+    lam = inner(phi, Field(hphi, g)).real
+    D = -float(np.vdot(rho, V)) * g.cell_volume
+    return Field(V, g), lam, D, Field(hphi - lam * phi.values, g)
+
+
 def _complex_descent(grid, step=0.8, tol=1e-7, max_iter=4000):
     """Reference: minimize_pekar's descent on complex Fields, with full
     complex FFTs (8 n-d transforms per step) and the 3-D phase shift."""
     phi = gaussian(grid, min(pekar.GAUSSIAN_OPT_SIGMA, grid.box_length / 8.0))
     tau, z_prev, phi_prev = step, None, None
     for it in range(1, max_iter + 1):
-        _, lam, grad = pekar._euler_lagrange(phi)
+        _, lam, _, grad = _complex_euler_lagrange(phi)
         if grad.norm() <= tol:
             break
         shift = max(0.5, abs(lam))
@@ -103,7 +117,7 @@ def _complex_descent(grid, step=0.8, tol=1e-7, max_iter=4000):
     phi = pekar._fix_phase_positive(_reference_recenter(phi))
     phi = phi * (1.0 / phi.norm())
     T, D, E = pekar_energy(phi)
-    V, lam, _ = pekar._euler_lagrange(phi)
+    V, lam, _, _ = _complex_euler_lagrange(phi)
     return it, phi, V, T, D, E, lam
 
 
@@ -120,6 +134,19 @@ def test_real_descent_matches_complex_reference(grid):
     phi0 = sol.phi0.values
     assert np.max(np.abs(center_of_mass(np.abs(phi0) ** 2, grid))) <= 1e-12
     assert np.max(np.abs(phi0 - reflected(phi0))) / 2.0 <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [Grid3(40, 80.0), Grid3(48, 96.0)], ids=["40", "48"])
+def test_real_check_matches_complex_euler_lagrange(grid):
+    # the full-grid check in real arithmetic against the complex pass on the
+    # same unfolded descent state
+    phi, _ = pekar._real_descent(grid, 1e-7)
+    V, lam, D, residual = pekar._euler_lagrange(phi, grid)
+    V_ref, lam_ref, D_ref, grad_ref = _complex_euler_lagrange(Field(phi, grid))
+    assert np.max(np.abs(V - V_ref.values)) <= 1e-12
+    assert abs(lam - lam_ref) <= 1e-12
+    assert abs(D - D_ref) <= 1e-12
+    assert abs(residual - grad_ref.norm()) <= 1e-12
 
 
 def center_of_mass(rho: np.ndarray, grid: Grid3) -> np.ndarray:
@@ -174,14 +201,17 @@ def test_descent_spends_four_real_transforms_per_step(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     cos3 = []
     monkeypatch.setattr(pekar, "_cos3", lambda a, C, _fn=pekar._cos3: cos3.append(1) or _fn(a, C))
-    sol = minimize_pekar(Grid3(48, 96.0))
+    grid = Grid3(48, 96.0)
+    sol = minimize_pekar(grid)
     # per step phi^2 and V phi forward, V and the new phi back; one forward to
     # start, and the last step stops after its residual, one inverse short
     assert len(cos3) == 4 * sol.iterations
-    # no FFT in the descent; the post-solve check is one Euler-Lagrange pass,
-    # p^2 phi and the Coulomb potential
-    assert counts.pop("fftn") == counts.pop("ifftn") == 2
+    # no FFT in the descent; the post-solve check is one real Euler-Lagrange
+    # pass, p^2 phi and the Coulomb potential, with no complex transform
+    assert counts.pop("rfftn") == counts.pop("irfftn") == 2
     assert not any(counts.values()), counts
+    # and the solve builds no full-spectrum |k|^2
+    assert "ksq" not in vars(grid)
 
 
 def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
@@ -195,7 +225,7 @@ def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= estimate["need"]
+    assert 0 < peak <= estimate["need"] <= 2 * peak
 
 
 def test_solution_roundtrip(tmp_path):
