@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Verbs: solve-pekar, build-kernels, compare, scan-alpha, bogoliubov-check,
-reduced-density, selftest.  Exit codes: 0 success, 2 invariant failure
+selftest.  Exit codes: 0 success, 2 invariant failure
 (including a bad configuration), 3 numerical non-convergence; any other
 exception is a programming error and leaves with its traceback (exit 1).
 """
@@ -128,9 +128,14 @@ def cmd_compare(cfg, manifest):
         manifest.record_check(
             f"err_zero_at_t0_alpha{alpha:g}", rows[0][2] <= 1e-12, rows[0][2]
         )
+        # the electron trace distance is bounded by twice the state error
+        manifest.record_check(
+            f"trace_distance_bound_alpha{alpha:g}",
+            all(r[7] <= 2.0 * r[2] + 1e-12 for r in rows),
+        )
         print(
             f"alpha = {alpha:g}: err_effective({final[1]:g}) = {final[2]:.4e}  "
-            f"err_phase_only = {final[3]:.4e}"
+            f"err_phase_only = {final[3]:.4e}  trace distance = {final[7]:.4e}"
         )
 
 
@@ -192,29 +197,6 @@ def cmd_bogoliubov_check(cfg, manifest):
         print(f"n_max = {r[0]:2d}: dev_gamma = {r[1]:.3e}  dev_pairing = {r[2]:.3e}")
 
 
-def cmd_reduced_density(cfg, manifest):
-    from .config import write_csv
-
-    for alpha, rows in _run_compares(cfg, manifest).items():
-        table = [[r[0], r[1], r[7], r[2]] for r in rows]
-        write_csv(
-            os.path.join(cfg.out_dir, f"reduced_density_alpha{alpha:g}.csv"),
-            [
-                "t [strong-coupling units]",
-                "tau = t/alpha^2",
-                "trace_distance_to_ground",
-                "err_effective [state norm]",
-            ],
-            table,
-        )
-        bound_ok = all(r[7] <= 2.0 * r[2] + 1e-12 for r in rows)
-        manifest.record_check(f"trace_distance_bound_alpha{alpha:g}", bound_ok)
-        print(
-            f"alpha = {alpha:g}: final trace distance = {rows[-1][7]:.4e} "
-            f"(bound 2*err = {2*rows[-1][2]:.4e})"
-        )
-
-
 def cmd_selftest(cfg, manifest):
     from .experiments import preflight_selftest, selftest_report
 
@@ -241,7 +223,6 @@ _COMMANDS = {
     "bogoliubov-check": (
         cmd_bogoliubov_check, "truncated-oracle vs quasi-free map at n_max - 4 ... n_max + 4"
     ),
-    "reduced-density": (cmd_reduced_density, "electron reduced-density trace-distance curves"),
     "selftest": (cmd_selftest, "fast invariant sweep on the configured preset"),
 }
 

@@ -1,6 +1,6 @@
 """Experiment pipelines: model assembly, memory preflights, effective-vs-full
-comparisons, coupling-strength scans, truncation tables and reduced-density
-distances."""
+comparisons with their electron trace distances, coupling-strength scans and
+truncation tables."""
 
 from __future__ import annotations
 
@@ -74,10 +74,10 @@ COMPARE_HEADER = [
 
 
 def _bundle_bytes(n: int, M: int) -> int:
-    """build_bundle's peak: fourteen complex n^3 fields plus one per mode, and
-    64 KiB of small arrays (traced peaks: 235-374 bytes per grid point for
+    """build_bundle's peak: twelve complex n^3 fields plus one per mode, and
+    64 KiB of small arrays (traced peaks: 209-306 bytes per grid point for
     n = 8-32, M = 2-6)."""
-    return 16 * (14 + M) * n**3 + (1 << 16)
+    return 16 * (12 + M) * n**3 + (1 << 16)
 
 
 def _quadratic_bytes(M: int, n_max: int) -> int:

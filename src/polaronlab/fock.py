@@ -69,11 +69,6 @@ class FockSpace:
     def dim(self) -> int:
         return (self.n_max + 1) ** self.M
 
-    def index(self, occ) -> int:
-        """Mixed-radix index of an occupation tuple (inverse of occupations[i]);
-        ValueError outside the cutoff."""
-        return int(np.ravel_multi_index(tuple(occ), self.shape))
-
     @property
     def vacuum_index(self) -> int:
         return 0
@@ -207,7 +202,7 @@ class CoupledHamiltonian:
         dsol, grid, w = self.dsol, self.dsol.grid, self.dsol.modes.weights
         axes = dsol.modes.coupled_axes
         dg = np.sqrt(w)[:, None, None, None] * delta_g_fields(dsol)
-        fields = np.concatenate([[dsol.phi0.values, dsol.V_eff.values.real - dsol.lam], dg])
+        fields = np.concatenate([[dsol.phi0.values, dsol.V_eff.values - dsol.lam], dg])
         # restrict to the sector: average over the uncoupled axes, which
         # must leave every field unchanged up to roundoff
         other = tuple(1 + a for a in range(3) if a not in axes)

@@ -65,11 +65,6 @@ class Grid3:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     @cached_property
-    def coords(self):
-        x = self.axis
-        return np.meshgrid(x, x, x, indexing="ij")
-
-    @cached_property
     def ksq(self) -> np.ndarray:
         k2 = self.k_axis**2
         return k2[:, None, None] + k2[:, None] + k2
@@ -105,13 +100,16 @@ class Grid3:
 
 @dataclass
 class Field:
-    """Complex scalar field sampled on a :class:`Grid3`."""
+    """Scalar field sampled on a :class:`Grid3`.  It keeps the dtype of its
+    data, upcast to float64 or complex128: electron-side data (the ground
+    state, the potential) stays real, phonon-side sources stay complex."""
 
     values: np.ndarray
     grid: Grid3
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        self.values = np.ascontiguousarray(values, dtype=np.result_type(values, np.float64))
         if self.values.shape != self.grid.shape:
             raise GridMismatchError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
@@ -119,9 +117,6 @@ class Field:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.values.imag))) <= tol
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)
@@ -187,11 +182,10 @@ def plane_wave(grid: Grid3, k) -> Field:
 
 
 def gaussian(grid: Grid3, sigma: float) -> Field:
-    """Centered, normalized isotropic Gaussian; |phi|^2 has per-axis variance sigma^2."""
-    x, y, z = grid.coords
-    r2 = x**2 + y**2 + z**2
-    vals = np.exp(-r2 / (4.0 * sigma**2)).astype(np.complex128)
-    f = Field(vals, grid)
+    """Centered, normalized isotropic Gaussian; |phi|^2 has per-axis variance
+    sigma^2.  A product of three 1-D factors exp(-x_a^2 / 4 sigma^2)."""
+    g = np.exp(-grid.axis**2 / (4.0 * sigma**2))
+    f = Field(g[:, None, None] * g[:, None] * g, grid)
     return f * (1.0 / f.norm())
 
 
@@ -250,8 +244,7 @@ def load_array(path: str):
 
 
 def save_field(f: Field, path: str, tag: str = "field"):
-    arr = f.values.real if f.is_real(0.0) else f.values
-    save_array(arr, path, tag=tag, grid=f.grid)
+    save_array(f.values, path, tag=tag, grid=f.grid)
 
 
 def load_field(path: str, grid: Grid3 | None = None) -> Field:
@@ -263,4 +256,4 @@ def load_field(path: str, grid: Grid3 | None = None) -> Field:
         raise FieldIOError(
             f"{path}: grid mismatch, file has n={file_grid.n} L={file_grid.box_length}"
         )
-    return Field(arr.astype(np.complex128), file_grid)
+    return Field(arr, file_grid)

@@ -78,8 +78,9 @@ def pekar_energy(phi: Field):
 def _fix_phase_positive(phi: Field) -> Field:
     s = np.sum(phi.values.real) * phi.grid.cell_volume
     vals = phi.values if s >= 0 else -phi.values
-    # solver iterates stay real up to roundoff
-    return Field(vals.real.astype(np.complex128), phi.grid)
+    # real: only the plane-wave bases of uncoupled axes make the transform
+    # complex, and their constant ground vector has no imaginary part
+    return Field(vals.real, phi.grid)
 
 
 @dataclass(kw_only=True)
@@ -251,10 +252,11 @@ def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
 
 def preflight_pekar(cfg: RunConfig):
     """Raise ConfigError when minimize_pekar's peak memory exceeds
-    MemAvailable: 72 B a grid point, at its end the complex phi0 and V_eff,
-    their real arrays and the half-spectrum caches (traced peaks: 62, 57 and
-    57 B a point at n = 32, 48, 64; peak RSS, with pocketfft's scratch: 72
-    and 67 B at n = 64, 96)."""
+    MemAvailable: 72 B a grid point.  The peak falls in _euler_lagrange, whose
+    transform temporaries take about 41 B a point on top of the unfolded phi
+    (8 B) and the half-spectrum caches (8 B): traced peaks of 58, 57 and 57 B
+    a point at n = 32, 48, 64; peak RSS, with pocketfft's scratch, 61 and 58 B
+    at n = 64, 96."""
     require_memory("solve-pekar", 72 * cfg.grid_n**3)
 
 
@@ -295,8 +297,7 @@ class DiscretePekarSolution(PekarSolution):
 def _discrete_potential(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3) -> Field:
     """V(x) = -2 Re sum_i w_i conj(G_x(k_i)) f_i over the coupling-field
     table G of ``ModeSet.coupling_fields``."""
-    V = -2.0 * np.tensordot(modes.weights * np.conj(f), G, axes=1).real
-    return Field(V.astype(np.complex128), grid)
+    return Field(-2.0 * np.tensordot(modes.weights * np.conj(f), G, axes=1).real, grid)
 
 
 def _mode_amplitudes(G: np.ndarray, phi: Field) -> np.ndarray:
@@ -330,7 +331,7 @@ def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid
     phi = _fix_phase_positive(Field(spec.transform(ground, inverse=True), grid))
     phi = phi * (1.0 / phi.norm())
     lam = float(spec.eigenvalues().flat[0])
-    T = lam - float(np.vdot(np.abs(phi.values) ** 2, V.values).real) * grid.cell_volume
+    T = lam - float(np.vdot(phi.values**2, V.values)) * grid.cell_volume
     return phi, lam, V, T, spec
 
 
@@ -366,11 +367,12 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
     phi, lam, V, T, spec = _sweep_ground_state(modes, G, f, grid)
     resid = float(np.max(np.abs(_mode_amplitudes(G, phi) - f)))
 
-    # binding check: second moment along each coupled axis (minimum image)
-    rho = np.abs(phi.values) ** 2
-    coords = grid.coords
+    # binding check: second moment along each coupled axis (minimum image),
+    # from the 1-D marginal of the density along that axis
+    rho = phi.values**2
     for a in modes.coupled_axes:
-        x2 = float(np.sum(rho * coords[a] ** 2) * grid.cell_volume)
+        marginal = rho.sum(axis=tuple(b for b in range(3) if b != a))
+        x2 = float(np.sum(marginal * grid.axis**2) * grid.cell_volume)
         if x2 > (grid.box_length / 4.0) ** 2:
             raise DelocalizedError(
                 "ground state delocalized along axis "

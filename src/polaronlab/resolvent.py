@@ -99,7 +99,7 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
     """
     grid, groups = V.grid, modes.axis_groups
     coupled = tuple(g[0] in modes.coupled_axes for g in groups)
-    vals = V.values.real
+    vals = V.values
     offset = float(vals.mean())
     terms = [
         vals.mean(axis=tuple(a for a in range(3) if a not in g), keepdims=True) - offset

@@ -198,9 +198,21 @@ def test_compare_single_alpha(tmp_path):
     assert float(first[2]) <= 1e-12  # err_effective(0) = 0
 
 
+def test_compare_records_the_trace_distance_bound(tmp_path):
+    # the electron trace distance stays below twice the state error at every sample
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alphas = 2, 4\ntau_final = 0.5\ntau_samples = 2\n")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    for alpha in (2, 4):
+        assert checks[f"err_zero_at_t0_alpha{alpha}"]["passed"]
+        assert checks[f"trace_distance_bound_alpha{alpha}"]["passed"]
+
+
 @pytest.mark.parametrize(
     "verb",
-    ["compare", "scan-alpha", "reduced-density", "bogoliubov-check", "solve-pekar",
+    ["compare", "scan-alpha", "bogoliubov-check", "solve-pekar",
      "build-kernels", "selftest"],
 )
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
@@ -210,7 +222,7 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
         raise AssertionError("the preflight should stop the run before any solve")
 
     # below every desk-small estimate (bogoliubov-check needs about 0.23 MiB,
-    # 243,360 B; selftest 263 KiB; build-kernels 192 KiB; solve-pekar 36 KiB)
+    # 243,360 B; selftest 247 KiB; build-kernels 176 KiB; solve-pekar 36 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
     monkeypatch.setattr(experiments, "build_bundle", no_solve)
     monkeypatch.setattr(pekar, "minimize_pekar", no_solve)
@@ -222,7 +234,7 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
 
 
 def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypatch, capsys):
-    # hex-xyz (M = 6): the bundle alone needs 224 KiB, the normal-ordering
+    # hex-xyz (M = 6): the bundle alone needs 208 KiB, the normal-ordering
     # check's direct build on 4^6 Fock states brings the estimate to 14 MiB
     from polaronlab import config, experiments
 

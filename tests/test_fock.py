@@ -28,7 +28,7 @@ def fs():
 def test_dimension_and_index_bijection(fs):
     assert fs.dim == 25
     for i, occ in enumerate(fs.occupations):
-        assert fs.index(occ) == i
+        assert np.ravel_multi_index(occ, fs.shape) == i
 
 
 @pytest.mark.parametrize("M, n_max", [(1, 0), (2, 4), (3, 2)])
@@ -42,7 +42,7 @@ def test_occupations_enumerate_the_box_in_product_order(M, n_max):
 @pytest.mark.parametrize("occ", [(5, 0), (0, 5), (-1, 0), (2, -3)])
 def test_index_outside_the_cutoff_is_a_value_error(fs, occ):
     with pytest.raises(ValueError):
-        fs.index(occ)
+        np.ravel_multi_index(occ, fs.shape)
 
 
 def test_dimension_cap():
@@ -52,8 +52,8 @@ def test_dimension_cap():
 
 def test_ladder_matrix_elements(fs):
     a0 = fk.ladder(0, fs).toarray()
-    src = fs.index((3, 1))
-    dst = fs.index((2, 1))
+    src = np.ravel_multi_index((3, 1), fs.shape)
+    dst = np.ravel_multi_index((2, 1), fs.shape)
     assert a0[dst, src] == pytest.approx(np.sqrt(3.0))
 
 
@@ -88,7 +88,7 @@ def test_vacuum(fs):
 
 def test_single_excitation_density(fs):
     psi = np.zeros(fs.dim, dtype=np.complex128)
-    psi[fs.index((1, 0))] = 1.0
+    psi[np.ravel_multi_index((1, 0), fs.shape)] = 1.0
     g, p = fk.reduced_densities(psi, fs)
     assert np.allclose(g, np.diag([1.0, 0.0]))
     assert np.max(np.abs(p)) == 0.0
@@ -376,7 +376,7 @@ def test_bundle_peak_memory_within_preflight_estimate(preset, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= estimate["need"]
+    assert 0 < peak <= estimate["need"] <= 2 * peak
 
 
 def _selftest_estimate_and_peak(mode_preset_name, monkeypatch):
@@ -451,7 +451,7 @@ def test_coupled_reference_state_has_zero_energy(bundle):
 
 def test_top_level_population(fs):
     psi = np.zeros(fs.dim, dtype=np.complex128)
-    psi[fs.index((fs.n_max, 0))] = 1.0
+    psi[np.ravel_multi_index((fs.n_max, 0), fs.shape)] = 1.0
     assert fk.top_level_population(psi, fs) == 1.0
     assert fk.top_level_population(fs.vacuum(), fs) == 0.0
 

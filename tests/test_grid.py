@@ -1,5 +1,7 @@
 """Periodic grid algebra: spectral operators, Coulomb convolution, file IO."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def test_plane_wave_is_laplacian_eigenfunction(grid):
 @pytest.mark.parametrize("n", [8, 16])
 def test_plane_wave_matches_three_dimensional_exponential(n):
     g = Grid3(n, 4 * np.pi)
-    x, y, z = g.coords
+    x, y, z = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
 
     def meshgrid_wave(k):
         return np.exp(1j * (k[0] * x + k[1] * y + k[2] * z))
@@ -117,6 +119,40 @@ def test_pfld_roundtrip_field(grid, tmp_path):
     back = load_field(path)
     assert back.grid == grid
     assert np.array_equal(back.values, g.values)
+
+
+@pytest.mark.parametrize("dtype, tag", [(np.float64, "f64"), (np.complex128, "c128")])
+def test_pfld_roundtrip_keeps_the_field_dtype(dtype, tag, grid, tmp_path):
+    values = np.random.default_rng(7).standard_normal((2, *grid.shape))
+    f = Field(values[0] + 1j * values[1] if tag == "c128" else values[0], grid)
+    path = tmp_path / "f.pfld"
+    save_field(f, str(path))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header)["dtype"] == tag
+    assert payload == f.values.tobytes()  # little-endian f8 or c16, as ever
+    back = load_field(str(path))
+    assert back.values.dtype == dtype
+    assert np.array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("given, kept", [
+    (np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
+    (np.complex64, np.complex128), (np.complex128, np.complex128),
+])
+def test_field_keeps_its_dtype_upcast_to_double(given, kept, grid):
+    assert Field(np.ones(grid.shape, dtype=given), grid).values.dtype == kept
+
+
+def test_separable_gaussian_matches_the_three_dimensional_exponential(grid):
+    sigma = 1.3
+    x, y, z = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij")
+    ref = np.exp(-(x**2 + y**2 + z**2) / (4.0 * sigma**2))
+    ref /= np.sqrt(np.sum(ref**2) * grid.cell_volume)
+    g = gaussian(grid, sigma).values
+    assert g.dtype == np.float64
+    # relative to the peak: in the tails exp(a) exp(b) exp(c) and exp(a + b + c)
+    # part by a few ulps times the exponent
+    assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(ref)
 
 
 def test_pfld_roundtrip_array(tmp_path):

@@ -1,7 +1,7 @@
 """Module boundaries: no module of the package imports a private name from
 a sibling; a helper two modules need is public in the one that owns it; a
-top-level function or class, public or private, has a caller in the package
-or the benchmark."""
+top-level function or class, public or private, and every method or
+property of a class has a caller in the package or the benchmark."""
 
 import ast
 import os
@@ -39,18 +39,37 @@ def _names(node):
             yield n.name.rsplit(".", 1)[-1]
 
 
+def _trees():
+    """Syntax trees of every package and benchmark source, by path."""
+    assert BENCH.is_dir(), f"no benchmark sources at {BENCH}"
+    return {p: ast.parse(p.read_text(), filename=str(p))
+            for p in [*SRC.glob("*.py"), *BENCH.rglob("*.py")]}
+
+
 def test_every_public_function_and_class_has_a_caller():
     # private ones too, so a helper cannot outlive its last caller; tests do
     # not count: code only a test calls is dead in the package
-    assert BENCH.is_dir(), f"no benchmark sources at {BENCH}"
-    trees = {p: ast.parse(p.read_text(), filename=str(p))
-             for p in [*SRC.glob("*.py"), *BENCH.rglob("*.py")]}
+    trees = _trees()
     used = {name for tree in trees.values() for stmt in tree.body
             for name in _names(stmt) if name != getattr(stmt, "name", None)}
     dead = [f"{path.name}:{stmt.lineno} {stmt.name}"
             for path, tree in trees.items() if path.parent == SRC for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in used]
     assert not dead, "definitions nothing in src/ or bench/ refers to:\n" + "\n".join(dead)
+
+
+def test_every_method_and_property_has_a_caller():
+    # a method is called through an attribute, so any reference by name in
+    # src/ or bench/ counts; dunders are called by the language
+    trees = _trees()
+    used = {name for tree in trees.values() for name in _names(tree)}
+    dead = [f"{path.name}:{fn.lineno} {cls.name}.{fn.name}"
+            for path, tree in trees.items() if path.parent == SRC
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in used]
+    assert not dead, "methods nothing in src/ or bench/ refers to:\n" + "\n".join(dead)
 
 
 def test_no_module_loads_scipy_fft_or_special():

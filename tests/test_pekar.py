@@ -56,6 +56,11 @@ def test_minimize_beats_gaussian_and_satisfies_virial():
     assert sol.residual <= 1e-6
 
 
+def test_minimize_returns_real_ground_state_and_potential():
+    sol = minimize_pekar(Grid3(40, 80.0))
+    assert sol.phi0.values.dtype == sol.V_eff.values.dtype == np.float64
+
+
 def test_minimize_detects_delocalized_collapse():
     # on a small box the uniform state wins and the solver must refuse it
     with pytest.raises(DelocalizedError):
@@ -247,7 +252,7 @@ def dsol():
 class TestDiscreteModel:
     def test_normalized_real_ground_state(self, dsol):
         assert abs(dsol.phi0.norm() - 1.0) < 1e-10
-        assert dsol.phi0.is_real(1e-10)
+        assert dsol.phi0.values.dtype == dsol.V_eff.values.dtype == np.float64
 
     def test_self_consistency(self, dsol):
         # lambda is the ground eigenvalue of p^2 + V built from f0

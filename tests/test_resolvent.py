@@ -243,7 +243,7 @@ def test_sector_gap_leaves_out_the_free_axis(quad_xy_dsol):
 
 def test_non_separable_potential_is_rejected(hex_xyz_dsol):
     grid = hex_xyz_dsol.grid
-    x, y, _ = grid.coords
+    x, y = grid.axis[:, None, None], grid.axis[:, None]
     bumped = hex_xyz_dsol.V_eff.values + 1e-6 * np.cos(x / 2) * np.cos(y / 2)
     with pytest.raises(ValueError, match="does not separate"):
         separable_spectrum(Field(bumped, grid), hex_xyz_dsol.modes)

@@ -130,7 +130,7 @@ def test_quad_xy_sector_states_and_hermiticity(quad_xy_dsol, rng):
 
 def test_constructor_rejects_field_varying_along_uncoupled_axis(bundle):
     dsol = bundle.dsol
-    y = dsol.grid.coords[1]
+    y = dsol.grid.axis[:, None]
     bumped = dsol.V_eff.values + 1e-6 * np.cos(2.0 * np.pi * y / dsol.grid.box_length)
     broken = dataclasses.replace(dsol, V_eff=Field(bumped, dsol.grid))
     with pytest.raises(ValueError, match="uncoupled"):
