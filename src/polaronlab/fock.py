@@ -5,6 +5,11 @@ sparse ladder operators, the quadratic effective Hamiltonian in two
 independent assemblies, the displaced-frame coupled Hamiltonian, and the
 Chebyshev propagator, with unitarity/energy monitoring, that evolves both.
 
+Only the sparse assemblies (``ladder``, ``number_operator``,
+``build_quadratic_hamiltonian``, ``build_effective_operator_direct``) use
+scipy, and each imports ``scipy.sparse`` when it runs: importing this module,
+the coupled Hamiltonian and the propagator need numpy alone.
+
 The coupled Hamiltonian acts on its invariant sector, the grid of the
 axes the mode k-vectors span.  Its Laplacian is the real one-axis matrix
 of ``grid.laplacian_matrix`` applied along each sector axis, and a_i is a
@@ -17,13 +22,16 @@ truncation); runs are expected to monitor the top-level population.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import laplacian_matrix
 from .pekar import DiscretePekarSolution, delta_g_fields
 from .resolvent import KernelError, KernelPair
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_DIM_CAP = 200_000
 
@@ -81,6 +89,8 @@ class FockSpace:
 
 def ladder(i: int, fs: FockSpace) -> sp.csr_matrix:
     """Annihilation operator a_i as a sparse matrix (a^dag = transpose)."""
+    import scipy.sparse as sp
+
     if not 0 <= i < fs.M:
         raise IndexError(f"mode index {i} out of range for M = {fs.M}")
     occ = fs.occupations
@@ -108,6 +118,8 @@ def apply_ladder(psi: np.ndarray, i: int, fs: FockSpace, dagger: bool = False) -
 
 
 def number_operator(fs: FockSpace) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.diags(fs.numbers).tocsr()
 
 
@@ -150,6 +162,8 @@ def build_effective_operator_direct(kp: KernelPair, fs: FockSpace) -> sp.csr_mat
     does not bite the reordering.  Equality with
     build_quadratic_hamiltonian is the discrete normal-ordering identity.
     """
+    import scipy.sparse as sp
+
     modes = kp.modes
     M = fs.M
     par = modes.parity
@@ -201,22 +215,23 @@ class CoupledHamiltonian:
     def __post_init__(self):
         dsol, grid, w = self.dsol, self.dsol.grid, self.dsol.modes.weights
         axes = dsol.modes.coupled_axes
-        dg = np.sqrt(w)[:, None, None, None] * delta_g_fields(dsol)
-        fields = np.concatenate([[dsol.phi0.values, dsol.V_eff.values - dsol.lam], dg])
         # restrict to the sector: average over the uncoupled axes, which
-        # must leave every field unchanged up to roundoff
+        # must leave every field unchanged up to roundoff; the real electron
+        # fields and the complex delta G fields stay apart, so each keeps its dtype
         other = tuple(1 + a for a in range(3) if a not in axes)
-        mean = fields.mean(axis=other, keepdims=True)
-        spread = np.max(np.abs(fields - mean))
-        if spread > 1e-10 * max(1.0, np.max(np.abs(fields))):
+        stacks = (np.stack([dsol.phi0.values, dsol.V_eff.values - dsol.lam]),
+                  np.sqrt(w)[:, None, None, None] * delta_g_fields(dsol))
+        means = [s.mean(axis=other, keepdims=True) for s in stacks]
+        spread = max(np.max(np.abs(s - m)) for s, m in zip(stacks, means))
+        if spread > 1e-10 * max(1.0, *(np.max(np.abs(s)) for s in stacks)):
             raise SectorError(
                 f"phi0, V_eff or a delta G field varies by {spread:.3e} along an "
                 "uncoupled axis; the coupled sector is not invariant"
             )
-        phi, vshift, *dg = mean.reshape(len(fields), -1)
+        (phi, vshift), dg = (m.reshape(len(m), -1) for m in means)
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
         self._lap, self._d = laplacian_matrix(grid), len(axes)
-        self._diag = vshift.real[:, None] + self.fs.numbers / self.alpha**2
+        self._diag = vshift[:, None] + self.fs.numbers / self.alpha**2
         # alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag; times sqrt(n)
         # on the (sector, r^i, r, r^(M-1-i)) state view, and conjugated for a_i
         self._dg = [g / self.alpha for g in dg]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import resolvent
 from .config import RunConfig, require_memory, write_json
 from .grid import (
     Field,
@@ -320,12 +321,8 @@ def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid
     """The sign-fixed, normalised ground state phi of h = p^2 + V with V built
     from the amplitudes f, its eigenvalue lambda, V, the kinetic energy
     T = lambda - <phi, V phi> and the spectrum of h."""
-    # deferred: resolvent imports scipy.sparse.linalg, a cold import of about
-    # 0.45 s against 0.12 s for this module, which solve-pekar need not pay
-    from .resolvent import separable_spectrum
-
     V = _discrete_potential(modes, G, f, grid)
-    spec = separable_spectrum(V, modes)
+    spec = resolvent.separable_spectrum(V, modes)
     ground = np.zeros(grid.shape)
     ground.flat[0] = 1.0  # the product of the group ground vectors
     phi = _fix_phase_positive(Field(spec.transform(ground, inverse=True), grid))

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .resolvent import KernelError, KernelPair
 
@@ -100,6 +99,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
             return (P * np.exp(mu)) @ np.linalg.inv(P)
     except np.linalg.LinAlgError:
         pass
+    import scipy.linalg
+
     return scipy.linalg.expm(A)
 
 

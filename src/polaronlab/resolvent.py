@@ -19,15 +19,21 @@ from functools import reduce
 
 import numpy as np
 
-# Not called here: bench/tracing.py counts CG iterations by patching
-# ``resolvent.cg``, so the name stays bound until the benchmark drops it.
-from scipy.sparse.linalg import cg  # noqa: F401
-
 from .config import write_json
 from .grid import (
     Field, Grid3, apply_laplacian, inner, laplacian_matrix, load_array, plane_waves, save_array,
 )
 from .modes import ModeSet
+
+
+def cg(*args, **kwargs):
+    """scipy's conjugate gradient, imported on the first call.  Nothing here
+    calls it: bench/tracing.py counts CG iterations by patching
+    ``resolvent.cg``, and this forwarder goes together with that patch
+    (ROADMAP item 1)."""
+    from scipy.sparse.linalg import cg
+
+    return cg(*args, **kwargs)
 
 
 class ResolventError(RuntimeError):

@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package imports a private name from
 a sibling; a helper two modules need is public in the one that owns it; a
 top-level function or class, public or private, and every method or
-property of a class has a caller in the package or the benchmark."""
+property of a class has a caller in the package or the benchmark; scipy
+loads only where a sparse or Pade computation runs."""
 
 import ast
 import os
@@ -9,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import polaronlab
+from polaronlab import resolvent
 
 SRC = Path(polaronlab.__file__).parent
 BENCH = SRC.parents[1] / "bench"
@@ -85,3 +89,41 @@ def test_no_module_loads_scipy_fft_or_special():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [str(len(list(SRC.glob("*.py"))) - 1)]
+
+
+def test_scipy_loads_only_with_a_sparse_assembly():
+    # every module, the desk-small bundle, one Bogoliubov map and one resolvent
+    # apply run on numpy alone; the sparse quadratic Hamiltonian loads scipy.sparse
+    script = (
+        "import importlib, pkgutil, sys, numpy as np, polaronlab\n"
+        "for m in pkgutil.iter_modules(polaronlab.__path__):\n"
+        "    importlib.import_module('polaronlab.' + m.name)\n"
+        "from polaronlab import experiments as ex, fock as fk, quasifree as qf\n"
+        "from polaronlab.config import load_config\n"
+        "from polaronlab.grid import Field\n"
+        "b = ex.build_bundle(load_config(preset='desk-small'))\n"
+        "qf.propagate_map(b.generator, 1.0, 2.0)\n"
+        "v = np.random.default_rng(0).standard_normal(b.grid.shape)\n"
+        "b.rh.apply(Field(v, b.grid))\n"
+        "print('scipy' in sys.modules)\n"
+        "fk.build_quadratic_hamiltonian(b.kernels, fk.FockSpace(b.modes.M, 2))\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["False", "True"]
+
+
+def test_resolvent_cg_forwards_to_scipy():
+    # the benchmark's tracer wraps resolvent.cg and counts iterations through
+    # callback=, so the forwarder must pass both the system and the callback on
+    from scipy.sparse.linalg import cg
+
+    A, b = np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+    seen, want = [], []
+    x, info = resolvent.cg(A, b, rtol=1e-12, callback=seen.append)
+    x_ref, info_ref = cg(A, b, rtol=1e-12, callback=want.append)
+    assert info == info_ref == 0 and len(seen) == len(want) > 0
+    assert np.array_equal(x, x_ref)
+    assert np.allclose(A @ x, b, rtol=0, atol=1e-10)

@@ -135,3 +135,19 @@ def test_constructor_rejects_field_varying_along_uncoupled_axis(bundle):
     broken = dataclasses.replace(dsol, V_eff=Field(bumped, dsol.grid))
     with pytest.raises(ValueError, match="uncoupled"):
         fk.CoupledHamiltonian(broken, fk.FockSpace(2, 2), alpha=2.0)
+
+
+def test_constructor_rejects_delta_g_varying_along_uncoupled_axis(bundle, monkeypatch):
+    # the complex delta G fields are checked apart from the real phi0 and V_eff
+    grid = bundle.dsol.grid
+    bump = 1.0 + 1e-6 * np.cos(2.0 * np.pi * grid.axis[:, None] / grid.box_length)
+    monkeypatch.setattr(fk, "delta_g_fields", lambda dsol: delta_g_fields(dsol) * bump)
+    with pytest.raises(fk.SectorError, match="uncoupled"):
+        fk.CoupledHamiltonian(bundle.dsol, fk.FockSpace(2, 2), alpha=2.0)
+
+
+@pytest.mark.parametrize("which", ["pair-x", "quad-xy", "hex-xyz"])
+def test_electron_side_of_the_sector_stays_real(which, bundle, quad_xy_dsol, hex_xyz_dsol):
+    dsol = {"pair-x": bundle.dsol, "quad-xy": quad_xy_dsol, "hex-xyz": hex_xyz_dsol}[which]
+    H = fk.CoupledHamiltonian(dsol, fk.FockSpace(dsol.modes.M, 2), alpha=2.0)
+    assert H.electron.dtype == np.float64
