@@ -107,8 +107,9 @@ def cmd_build_kernels(cfg, manifest):
 def _run_compares(cfg, manifest):
     from .config import write_csv
     from .experiments import COMPARE_HEADER, build_bundle, compare_trajectory
-    from .experiments import preflight_compare
+    from .experiments import preflight_bundle, preflight_compare
 
+    preflight_bundle(cfg)
     preflight_compare(cfg)
     bundle = build_bundle(cfg, manifest)
     curves = {}
@@ -184,8 +185,9 @@ def cmd_scan_alpha(cfg, manifest):
 def cmd_bogoliubov_check(cfg, manifest):
     from .config import write_csv
     from .experiments import BOGOLIUBOV_HEADER, bogoliubov_cutoffs, bogoliubov_table
-    from .experiments import build_bundle, preflight_bogoliubov
+    from .experiments import build_bundle, preflight_bogoliubov, preflight_bundle
 
+    preflight_bundle(cfg)
     preflight_bogoliubov(cfg)
     bundle = build_bundle(cfg, manifest)
     with manifest.time_stage("truncation_table"):

@@ -239,10 +239,6 @@ class CoupledHamiltonian:
         self._raise = np.array(self._dg)[:, :, None, None, None] * sq
         self._lower = np.conj(self._raise)
 
-    @property
-    def shape(self):
-        return (len(self._lap) ** self._d, self.fs.dim)
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi for psi of shape (sector_size, fock_dim), in any memory layout."""
         psi = np.ascontiguousarray(psi, dtype=np.complex128)

@@ -1,4 +1,4 @@
-"""Periodic 3D grid, spectral operators, and the .pfld on-disk container.
+"""Periodic 3D grid, spectral operators, and the .pfld writer.
 
 All fields live on a cubic box of side ``box_length`` centered at the
 origin, sampled on a regular ``n**3`` lattice.  Differential and
@@ -19,10 +19,6 @@ from .config import atomic_write
 
 class GridMismatchError(ValueError):
     """Two fields (or a field and an operator) live on different grids."""
-
-
-class FieldIOError(IOError):
-    """A .pfld file is missing, truncated, or inconsistent with its header."""
 
 
 @dataclass(frozen=True)
@@ -190,10 +186,9 @@ def gaussian(grid: Grid3, sigma: float) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# .pfld container: one JSON header line + raw little-endian payload
+# .pfld container: one JSON header line + raw little-endian payload; the
+# package writes it and reads nothing back
 # ---------------------------------------------------------------------------
-
-_DTYPES = {"c128": np.dtype("<c16"), "f64": np.dtype("<f8")}
 
 
 def save_array(arr: np.ndarray, path: str, tag: str, grid: Grid3 | None = None):
@@ -216,44 +211,5 @@ def save_array(arr: np.ndarray, path: str, tag: str, grid: Grid3 | None = None):
     atomic_write(path, json.dumps(header).encode("utf-8") + b"\n" + payload.tobytes())
 
 
-def load_array(path: str):
-    """Read a .pfld file; returns (array, header dict)."""
-    try:
-        with open(path, "rb") as fh:
-            line = fh.readline()
-            blob = fh.read()
-    except OSError as exc:
-        raise FieldIOError(f"cannot read {path}: {exc}") from exc
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FieldIOError(f"{path}: malformed header") from exc
-    if header.get("version") != 1:
-        raise FieldIOError(f"{path}: unsupported version {header.get('version')}")
-    dtype = _DTYPES.get(header.get("dtype"))
-    if dtype is None:
-        raise FieldIOError(f"{path}: unknown dtype {header.get('dtype')}")
-    shape = tuple(header.get("shape", ()))
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if len(blob) != expected:
-        raise FieldIOError(
-            f"{path}: payload has {len(blob)} bytes, header promises {expected}"
-        )
-    arr = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
-    return arr, header
-
-
 def save_field(f: Field, path: str, tag: str = "field"):
     save_array(f.values, path, tag=tag, grid=f.grid)
-
-
-def load_field(path: str, grid: Grid3 | None = None) -> Field:
-    arr, header = load_array(path)
-    if header["grid_n"] is None:
-        raise FieldIOError(f"{path}: not a grid field (no grid metadata)")
-    file_grid = Grid3(header["grid_n"], header["box_length"])
-    if grid is not None and grid != file_grid:
-        raise FieldIOError(
-            f"{path}: grid mismatch, file has n={file_grid.n} L={file_grid.box_length}"
-        )
-    return Field(arr, file_grid)

@@ -83,16 +83,16 @@ class ModeSet:
             "weights": self.weights.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModeSet":
-        return cls(np.asarray(d["k_vectors"]), np.asarray(d["weights"]))
-
 
 def axis_pair(k: float, axis: int, weight: float):
     """A +-k pair along one coordinate axis."""
     v = np.zeros(3)
     v[axis] = k
     return np.stack([v, -v]), np.array([weight, weight])
+
+
+# preset -> number of coupled axes, each carrying one +-0.5 pair of weight 16
+_PRESET_AXES = {"pair-x": 1, "quad-xy": 2, "hex-xyz": 3}
 
 
 def mode_preset(name: str, box_length: float) -> ModeSet:
@@ -103,17 +103,7 @@ def mode_preset(name: str, box_length: float) -> ModeSet:
         raise ConfigError(
             f"box_length {box_length} is not commensurate with |k| = 0.5 modes"
         )
-    if name == "pair-x":
-        ks, ws = axis_pair(0.5, 0, 16.0)
-        return ModeSet(ks, ws)
-    if name == "quad-xy":
-        kx, wx = axis_pair(0.5, 0, 16.0)
-        ky, wy = axis_pair(0.5, 1, 16.0)
-        return ModeSet(np.vstack([kx, ky]), np.concatenate([wx, wy]))
-    if name == "hex-xyz":
-        parts = [axis_pair(0.5, a, 16.0) for a in range(3)]
-        return ModeSet(
-            np.vstack([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
-    raise ConfigError(f"unknown mode preset {name!r}")
+    if name not in _PRESET_AXES:
+        raise ConfigError(f"unknown mode preset {name!r}")
+    parts = [axis_pair(0.5, a, 16.0) for a in range(_PRESET_AXES[name])]
+    return ModeSet(np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))

@@ -10,7 +10,6 @@ is what the brute-force experiments rely on.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +24,6 @@ from .grid import (
     coulomb_convolve,
     gaussian,
     inner,
-    load_field,
     save_field,
 )
 from .modes import ModeSet
@@ -113,33 +111,11 @@ class PekarSolution:
             "box_length": self.grid.box_length,
         }
 
-    @classmethod
-    def _from_scalars(cls, s: dict) -> dict:
-        """Constructor keywords read back from a scalars() dict."""
-        return {
-            "T": s["T"],
-            "D": s["D"],
-            "energy": s["E"],
-            "lam": s["lambda"],
-            "residual": s["residual"],
-            "iterations": s["iterations"],
-        }
-
     def save(self, outdir: str):
         os.makedirs(outdir, exist_ok=True)
         save_field(self.phi0, os.path.join(outdir, "phi0.pfld"), tag="phi0")
         save_field(self.V_eff, os.path.join(outdir, "veff.pfld"), tag="veff")
         write_json(os.path.join(outdir, "scalars.json"), self.scalars())
-
-    @classmethod
-    def load(cls, outdir: str):
-        with open(os.path.join(outdir, "scalars.json")) as fh:
-            s = json.load(fh)
-        return cls(
-            phi0=load_field(os.path.join(outdir, "phi0.pfld")),
-            V_eff=load_field(os.path.join(outdir, "veff.pfld")),
-            **cls._from_scalars(s),
-        )
 
 
 def _euler_lagrange(phi: np.ndarray, grid: Grid3):
@@ -274,7 +250,7 @@ class DiscretePekarSolution(PekarSolution):
     modes: ModeSet
     f0: np.ndarray  # coupling amplitudes <phi0, G_x(k_i) phi0>, length M
     energy_trace: list = field(default_factory=list)
-    spectrum: object = field(default=None, repr=False, compare=False)  # of the last sweep
+    spectrum: resolvent.SeparableSpectrum = field(repr=False, compare=False)  # the last sweep's
 
     def scalars(self) -> dict:
         return {
@@ -283,15 +259,6 @@ class DiscretePekarSolution(PekarSolution):
             "f0_re": np.real(self.f0).tolist(),
             "f0_im": np.imag(self.f0).tolist(),
             "modes": self.modes.as_dict(),
-        }
-
-    @classmethod
-    def _from_scalars(cls, s: dict) -> dict:
-        return {
-            **super()._from_scalars(s),
-            "modes": ModeSet.from_dict(s["modes"]),
-            "f0": np.asarray(s["f0_re"]) + 1j * np.asarray(s["f0_im"]),
-            "energy_trace": s["energy_trace"],
         }
 
 

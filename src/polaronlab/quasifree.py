@@ -136,14 +136,6 @@ class QuasiFreeState:
     def M(self) -> int:
         return self.gamma.shape[0]
 
-    def check(self, tol: float = 1e-8):
-        if np.max(np.abs(self.gamma - self.gamma.conj().T)) > tol:
-            raise ValueError("gamma is not Hermitian")
-        if np.max(np.abs(self.pairing - self.pairing.T)) > tol:
-            raise ValueError("pairing is not symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.gamma + self.gamma.conj().T))) < -tol:
-            raise ValueError("gamma has a negative eigenvalue")
-
     def purity_defect(self) -> float:
         """||gamma(gamma + 1) - pairing pairing^dagger||_max; zero for pure states."""
         g, p = self.gamma, self.pairing

@@ -12,7 +12,6 @@ the ground state of each discrete Pekar sweep exact rather than iterative.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import reduce
@@ -20,9 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .config import write_json
-from .grid import (
-    Field, Grid3, apply_laplacian, inner, laplacian_matrix, load_array, plane_waves, save_array,
-)
+from .grid import Field, Grid3, apply_laplacian, inner, laplacian_matrix, plane_waves, save_array
 from .modes import ModeSet
 
 
@@ -133,7 +130,7 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
 
 
 class ResolventHandle:
-    """The spectrum of h^{phi0} (the solve's last sweep's, if it carries one),
+    """The spectrum of h^{phi0} (the discrete solve's last sweep's),
     its gap and in-sector gap (the smallest step within a coupled group,
     leaving out free motion along uncoupled axes), and R = Q (h - lambda)^{-1} Q
     applied exactly in that eigenbasis, with the residual of every solve
@@ -142,7 +139,7 @@ class ResolventHandle:
 
     def __init__(self, sol):
         self.sol = sol
-        self.spectrum = spec = sol.spectrum or separable_spectrum(sol.V_eff, sol.modes)
+        self.spectrum = spec = sol.spectrum
         shift = spec.eigenvalues() - sol.lam
         if abs(shift.flat[0]) > 1e-6:
             raise GapError(f"lowest eigenvalue disagrees with stored lambda {sol.lam} "
@@ -211,23 +208,6 @@ class KernelPair:
         write_json(
             os.path.join(outdir, "kernels.json"),
             {"epsilon": self.epsilon, "modes": self.modes.as_dict()},
-        )
-
-    @classmethod
-    def load(cls, outdir: str) -> "KernelPair":
-        with open(os.path.join(outdir, "kernels.json")) as fh:
-            meta = json.load(fh)
-        K, _ = load_array(os.path.join(outdir, "K.pfld"))
-        G, _ = load_array(os.path.join(outdir, "G.pfld"))
-        t, _ = load_array(os.path.join(outdir, "t_table.pfld"))
-        d, _ = load_array(os.path.join(outdir, "diag_rayleigh.pfld"))
-        return cls(
-            K=K,
-            G=G,
-            epsilon=meta["epsilon"],
-            modes=ModeSet.from_dict(meta["modes"]),
-            t_table=t,
-            diag_rayleigh=d,
         )
 
 

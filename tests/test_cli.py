@@ -16,6 +16,8 @@ from polaronlab.config import file_sha256
 from polaronlab.fock import SectorError
 from polaronlab.resolvent import SeparationError
 
+from conftest import assert_kernels_saved, assert_solution_saved
+
 
 def test_unknown_preset_exits_with_invariant_code(tmp_path, capsys):
     code = main(["selftest", "--preset", "desk-enormous", "--out", str(tmp_path)])
@@ -89,16 +91,12 @@ def test_delocalized_ground_state_exits_as_invariant_failure(tmp_path, capsys):
     assert not manifest["checks"]["run_completed"]["passed"]
 
 
-def test_build_kernels_writes_kernel_directory(tmp_path):
+def test_build_kernels_writes_kernel_directory(tmp_path, bundle):
+    # the files hold the bytes of the in-process desk-small bundle
     code = main(["build-kernels", "--out", str(tmp_path)])
     assert code == EXIT_OK
-    assert (tmp_path / "kernels" / "K.pfld").exists()
-    assert (tmp_path / "kernels" / "kernels.json").exists()
-    assert (tmp_path / "ground" / "phi0.pfld").exists()
-    from polaronlab.resolvent import KernelPair
-
-    kp = KernelPair.load(str(tmp_path / "kernels"))
-    kp.check(tol=1e-10)
+    assert_kernels_saved(bundle.kernels, tmp_path / "kernels")
+    assert_solution_saved(bundle.dsol, tmp_path / "ground")
 
 
 def test_build_kernels_hashes_only_its_own_artifacts(tmp_path):
@@ -248,6 +246,26 @@ def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypat
     code = main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVARIANT
     assert "selftest needs about 14 MiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["compare", "scan-alpha", "bogoliubov-check"])
+def test_preflight_counts_the_bundle_of_every_verb_that_builds_one(
+    verb, tmp_path, monkeypatch, capsys
+):
+    # desk-small at grid_n = 64: the bundle needs about 56 MiB, while the
+    # compare states (1.06 MiB) and bogoliubov-check's H_quad (0.23 MiB) fit 8 MiB
+    from polaronlab import config, experiments
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the preflight should stop the run before any solve")
+
+    monkeypatch.setattr(config, "available_memory", lambda: 8 << 20)
+    monkeypatch.setattr(experiments, "build_bundle", no_solve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_n = 64\n")
+    code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert "the model bundle needs about 56 MiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [SectorError, SeparationError], ids=lambda e: e.__name__)

@@ -223,9 +223,9 @@ def test_propagate_rejects_unnormalized(bundle):
 def dense_sector_matrix(H):
     """The coupled Hamiltonian as a dense matrix on the flattened sector
     state, one matvec per basis vector."""
-    n = H.shape[0] * H.shape[1]
-    eye = np.eye(n, dtype=np.complex128)
-    return np.stack([H.apply(e.reshape(H.shape)).ravel() for e in eye], axis=1)
+    shape = (H.electron.size, H.fs.dim)
+    eye = np.eye(shape[0] * shape[1], dtype=np.complex128)
+    return np.stack([H.apply(e.reshape(shape)).ravel() for e in eye], axis=1)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0, 8.0])
@@ -316,7 +316,8 @@ def test_quadratic_evolution_builds_no_dense_fock_matrix(bundle, desk_small_conf
 def test_propagate_rejects_too_narrow_interval(bundle, rng):
     fs = fk.FockSpace(bundle.modes.M, 3)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
-    psi = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    shape = (H.electron.size, fs.dim)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     psi /= np.linalg.norm(psi)
     lo, hi = H.spectral_bounds()
     with pytest.raises(fk.EvolutionError, match="norm drift"):
@@ -433,8 +434,9 @@ def test_bogoliubov_peak_memory_within_preflight_estimate(
 def test_coupled_hamiltonian_hermitian(bundle, rng):
     fs = fk.FockSpace(2, 3)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
-    p1 = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
-    p2 = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    shape = (H.electron.size, fs.dim)
+    p1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    p2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     lhs = np.vdot(p1, H.apply(p2))
     rhs = np.vdot(H.apply(p1), p2)
     assert abs(lhs - rhs) <= 1e-9 * np.linalg.norm(p1) * np.linalg.norm(p2)

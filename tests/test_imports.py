@@ -32,32 +32,54 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not found, "private names imported across modules:\n" + "\n".join(found)
 
 
-def _names(node):
-    """Every name a syntax tree loads, reads as an attribute or imports."""
+def _outside(tree, inside):
+    """Names a syntax tree binds by importing from outside the package and the
+    benchmark: numpy, json, scipy, ..."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            found |= {a.asname or a.name.split(".")[0] for a in n.names
+                      if a.name.split(".")[0] not in inside}
+        elif isinstance(n, ast.ImportFrom) and n.level == 0 and n.module.split(".")[0] not in inside:
+            found |= {a.asname or a.name for a in n.names}
+    return found
+
+
+def _names(node, outside):
+    """Every name a syntax tree loads, reads as an attribute or imports.  An
+    attribute read off an outside module (json.load, np.linalg.eig) names
+    that module's code, not ours, so it does not count."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            root = n.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in outside):
+                yield n.attr
         elif isinstance(n, ast.alias):
             yield n.name.rsplit(".", 1)[-1]
 
 
 def _trees():
-    """Syntax trees of every package and benchmark source, by path."""
+    """Syntax trees of every package and benchmark source, by path, each with
+    the names it imports from outside both."""
     assert BENCH.is_dir(), f"no benchmark sources at {BENCH}"
-    return {p: ast.parse(p.read_text(), filename=str(p))
-            for p in [*SRC.glob("*.py"), *BENCH.rglob("*.py")]}
+    paths = [*SRC.glob("*.py"), *BENCH.rglob("*.py")]
+    inside = {SRC.name, *(p.stem for p in paths)}
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    return {p: (tree, _outside(tree, inside)) for p, tree in trees.items()}
 
 
 def test_every_public_function_and_class_has_a_caller():
     # private ones too, so a helper cannot outlive its last caller; tests do
     # not count: code only a test calls is dead in the package
     trees = _trees()
-    used = {name for tree in trees.values() for stmt in tree.body
-            for name in _names(stmt) if name != getattr(stmt, "name", None)}
+    used = {name for tree, outside in trees.values() for stmt in tree.body
+            for name in _names(stmt, outside) if name != getattr(stmt, "name", None)}
     dead = [f"{path.name}:{stmt.lineno} {stmt.name}"
-            for path, tree in trees.items() if path.parent == SRC for stmt in tree.body
+            for path, (tree, _) in trees.items() if path.parent == SRC for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in used]
     assert not dead, "definitions nothing in src/ or bench/ refers to:\n" + "\n".join(dead)
 
@@ -66,9 +88,9 @@ def test_every_method_and_property_has_a_caller():
     # a method is called through an attribute, so any reference by name in
     # src/ or bench/ counts; dunders are called by the language
     trees = _trees()
-    used = {name for tree in trees.values() for name in _names(tree)}
+    used = {name for tree, outside in trees.values() for name in _names(tree, outside)}
     dead = [f"{path.name}:{fn.lineno} {cls.name}.{fn.name}"
-            for path, tree in trees.items() if path.parent == SRC
+            for path, (tree, _) in trees.items() if path.parent == SRC
             for cls in tree.body if isinstance(cls, ast.ClassDef)
             for fn in cls.body if isinstance(fn, ast.FunctionDef)
             and not (fn.name.startswith("__") and fn.name.endswith("__"))

@@ -1,5 +1,7 @@
 """Mode-set construction, parity closure, and presets."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -109,11 +111,17 @@ def test_discrete_solve_builds_each_plane_wave_once(monkeypatch):
     assert len(calls) <= ms.M
 
 
-def test_dict_roundtrip():
-    ms = mode_preset("quad-xy", 4 * np.pi)
-    back = ModeSet.from_dict(ms.as_dict())
-    assert np.array_equal(back.k_vectors, ms.k_vectors)
-    assert np.array_equal(back.weights, ms.weights)
+def test_mode_presets_as_written():
+    # one +-0.5 pair of weight 16 per coupled axis, in axis order; the JSON
+    # pins the bytes kernels.json and scalars.json carry, signed zeros included
+    x, mx = [0.5, 0.0, 0.0], [-0.5, -0.0, -0.0]
+    y, my = [0.0, 0.5, 0.0], [-0.0, -0.5, -0.0]
+    z, mz = [0.0, 0.0, 0.5], [-0.0, -0.0, -0.5]
+    want = {"pair-x": [x, mx], "quad-xy": [x, mx, y, my], "hex-xyz": [x, mx, y, my, z, mz]}
+    for name, ks in want.items():
+        for box in (4 * np.pi, 8 * np.pi):
+            got = mode_preset(name, box).as_dict()
+            assert json.dumps(got) == json.dumps({"k_vectors": ks, "weights": [16.0] * len(ks)})
 
 
 def test_mode_sets_compare_and_hash_by_identity():

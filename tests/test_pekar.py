@@ -16,12 +16,13 @@ from polaronlab.pekar import (
     GAUSSIAN_OPT_SIGMA,
     DelocalizedError,
     NotNormalizedError,
-    PekarSolution,
     delta_g_fields,
     minimize_pekar,
     pekar_energy,
     solve_discrete_pekar,
 )
+
+from conftest import assert_solution_saved
 
 
 def test_gaussian_energy_matches_closed_form():
@@ -236,11 +237,8 @@ def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
 def test_solution_roundtrip(tmp_path):
     sol = minimize_pekar(Grid3(40, 80.0))
     sol.save(str(tmp_path))
-    back = PekarSolution.load(str(tmp_path))
-    assert back.grid == sol.grid
-    assert np.array_equal(back.phi0.values, sol.phi0.values)
-    assert back.energy == sol.energy
-    assert back.lam == sol.lam
+    assert sol.phi0.values.dtype == sol.V_eff.values.dtype == np.float64
+    assert_solution_saved(sol, tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -292,18 +290,8 @@ class TestDiscreteModel:
             solve_discrete_pekar(grid, ModeSet(ks, ws))
 
     def test_roundtrip(self, dsol, tmp_path):
-        from polaronlab.pekar import DiscretePekarSolution
-
         dsol.save(str(tmp_path))
-        back = DiscretePekarSolution.load(str(tmp_path))
-        assert np.array_equal(back.phi0.values, dsol.phi0.values)
-        assert np.array_equal(back.f0, dsol.f0)
-        assert back.lam == dsol.lam
-        assert np.array_equal(back.modes.k_vectors, dsol.modes.k_vectors)
-        assert np.array_equal(back.modes.weights, dsol.modes.weights)
-        assert back.energy_trace == dsol.energy_trace
-        assert (back.T, back.D, back.energy) == (dsol.T, dsol.D, dsol.energy)
-        assert back.grid == dsol.grid
+        assert_solution_saved(dsol, tmp_path)
         # every scalar is written: a field nothing sets would read null
         scalars = json.loads((tmp_path / "scalars.json").read_text())
         assert None not in scalars.values()

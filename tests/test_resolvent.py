@@ -17,11 +17,12 @@ from polaronlab.experiments import build_bundle
 from polaronlab.grid import Field, plane_wave
 from polaronlab.resolvent import (
     GapError,
-    KernelPair,
     ResolventHandle,
     apply_h,
     separable_spectrum,
 )
+
+from conftest import assert_kernels_saved
 
 
 def _random_field(grid, rng):
@@ -123,12 +124,7 @@ def test_kernel_norm_bounded_by_gap(bundle):
 def test_kernel_pair_roundtrip(bundle, tmp_path):
     kp = bundle.kernels
     kp.save(str(tmp_path))
-    back = KernelPair.load(str(tmp_path))
-    assert np.array_equal(back.K, kp.K)
-    assert np.array_equal(back.G, kp.G)
-    assert back.epsilon == kp.epsilon
-    assert np.array_equal(back.t_table, kp.t_table)
-    back.check(tol=1e-10)
+    assert_kernels_saved(kp, tmp_path)
 
 
 def test_resolvent_mode_vectors_match_table(bundle):

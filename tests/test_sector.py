@@ -79,9 +79,9 @@ def test_sector_apply_matches_full_grid_oracle(which, bundle, quad_xy_dsol, hex_
     axes = dsol.modes.coupled_axes
     H = fk.CoupledHamiltonian(dsol, fs, alpha=2.0)
     full = FullGridHamiltonian(dsol, fs, alpha=2.0)
-    assert H.shape == (dsol.grid.n ** len(axes), fs.dim)
+    assert H.electron.shape == (dsol.grid.n ** len(axes),)
     assert np.max(np.abs(embed(H.electron, dsol.grid, axes) - full.electron)) <= 1e-15
-    psi = _random_state(rng, H.shape)
+    psi = _random_state(rng, (H.electron.size, fs.dim))
     got = embed(H.apply(psi), dsol.grid, axes)
     want = full.apply(embed(psi, dsol.grid, axes))
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -90,21 +90,24 @@ def test_sector_apply_matches_full_grid_oracle(which, bundle, quad_xy_dsol, hex_
 @pytest.mark.parametrize("which", ["quad-xy", "hex-xyz"])
 def test_sector_apply_is_hermitian(which, quad_xy_dsol, hex_xyz_dsol, rng):
     dsol = {"quad-xy": quad_xy_dsol, "hex-xyz": hex_xyz_dsol}[which]
-    H = fk.CoupledHamiltonian(dsol, fk.FockSpace(dsol.modes.M, 2), alpha=2.0)
-    u = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
-    v = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    fs = fk.FockSpace(dsol.modes.M, 2)
+    H = fk.CoupledHamiltonian(dsol, fs, alpha=2.0)
+    shape = (H.electron.size, fs.dim)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     defect = abs(np.vdot(u, H.apply(v)) - np.vdot(H.apply(u), v))
     assert defect <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
 
 
 def test_coupled_apply_accepts_noncontiguous_state(quad_xy_dsol, rng):
-    H = fk.CoupledHamiltonian(quad_xy_dsol, fk.FockSpace(4, 2), alpha=2.0)
-    psi = _random_state(rng, H.shape)
+    fs = fk.FockSpace(4, 2)
+    H = fk.CoupledHamiltonian(quad_xy_dsol, fs, alpha=2.0)
+    psi = _random_state(rng, (H.electron.size, fs.dim))
     fortran = np.asfortranarray(psi)
     assert not fortran.flags.c_contiguous
     assert np.array_equal(H.apply(fortran), H.apply(psi))
     # a strided slice of a wider array
-    wide = np.zeros((H.shape[0], 2 * H.shape[1]), dtype=np.complex128)
+    wide = np.zeros((H.electron.size, 2 * fs.dim), dtype=np.complex128)
     wide[:, ::2] = psi
     assert np.array_equal(H.apply(wide[:, ::2]), H.apply(psi))
 
@@ -121,9 +124,9 @@ def test_compare_trajectory_full_grid_route_matches_sector(
 def test_quad_xy_sector_states_and_hermiticity(quad_xy_dsol, rng):
     fs = fk.FockSpace(4, 2)
     H = fk.CoupledHamiltonian(quad_xy_dsol, fs, alpha=2.0)
-    assert H.shape == (256, fs.dim)
+    assert H.electron.shape == (256,)
     assert abs(np.linalg.norm(H.electron) - 1.0) <= 1e-12
-    p1, p2 = _random_state(rng, H.shape), _random_state(rng, H.shape)
+    p1, p2 = _random_state(rng, (256, fs.dim)), _random_state(rng, (256, fs.dim))
     assert H.apply(p1).shape == (256, fs.dim)
     assert abs(np.vdot(p1, H.apply(p2)) - np.vdot(H.apply(p1), p2)) <= 1e-12
 
