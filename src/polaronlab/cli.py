@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 Verbs: solve-pekar, build-kernels, compare, scan-alpha, bogoliubov-check,
-selftest.  Exit codes: 0 success, 2 invariant failure
-(including a bad configuration), 3 numerical non-convergence; any other
-exception is a programming error and leaves with its traceback (exit 1).
+selftest.  Exit codes: 0 success, 2 invariant failure (including a bad
+configuration and a run whose memory estimate exceeds MemAvailable),
+3 numerical non-convergence; any other exception is a programming error
+and leaves with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -12,22 +13,24 @@ import argparse
 import os
 import sys
 
+from . import __version__
+from .config import (
+    ConfigError,
+    RunManifest,
+    bogoliubov_bytes,
+    bundle_bytes,
+    compare_bytes,
+    load_config,
+    normal_ordering_bytes,
+    pekar_bytes,
+    require_memory,
+    write_csv,
+    write_json,
+)
+
 EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_NONCONVERGED = 3
-
-
-def _cap_threads():
-    """POLARON_THREADS caps BLAS/FFT parallelism; must run before numpy."""
-    n = os.environ.get("POLARON_THREADS")
-    if n:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Strong-coupling polaron experiments on a periodic toy model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
         p.add_argument("--out", metavar="DIR", help="output directory")
@@ -53,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    from .config import load_config
-
     overrides = {"out_dir": args.out, "seed": args.seed, "alphas": args.alpha}
     preset = args.preset
     if preset is None and args.config is None:
@@ -62,18 +63,10 @@ def _load_config(args):
     return load_config(path=args.config, preset=preset, overrides=overrides)
 
 
-def _new_manifest(cfg, command):
-    from . import __version__
-    from .config import RunManifest
-
-    return RunManifest(config=cfg.as_dict(), command=command, version=__version__)
-
-
 def cmd_solve_pekar(cfg, manifest):
     from .grid import Grid3
-    from .pekar import GAUSSIAN_BOUND, minimize_pekar, preflight_pekar
+    from .pekar import GAUSSIAN_BOUND, minimize_pekar
 
-    preflight_pekar(cfg)
     grid = Grid3(cfg.grid_n, cfg.box_length)
     with manifest.time_stage("minimize"):
         sol = minimize_pekar(grid, tol=cfg.pekar_tol)
@@ -91,9 +84,8 @@ def cmd_solve_pekar(cfg, manifest):
 
 
 def cmd_build_kernels(cfg, manifest):
-    from .experiments import build_bundle, preflight_bundle
+    from .experiments import build_bundle
 
-    preflight_bundle(cfg)
     bundle = build_bundle(cfg, manifest)
     bundle.kernels.save(os.path.join(cfg.out_dir, "kernels"))
     bundle.dsol.save(os.path.join(cfg.out_dir, "ground"))
@@ -105,12 +97,8 @@ def cmd_build_kernels(cfg, manifest):
 
 
 def _run_compares(cfg, manifest):
-    from .config import write_csv
     from .experiments import COMPARE_HEADER, build_bundle, compare_trajectory
-    from .experiments import preflight_bundle, preflight_compare
 
-    preflight_bundle(cfg)
-    preflight_compare(cfg)
     bundle = build_bundle(cfg, manifest)
     curves = {}
     for alpha in cfg.alphas:
@@ -141,7 +129,6 @@ def cmd_compare(cfg, manifest):
 
 
 def cmd_scan_alpha(cfg, manifest):
-    from .config import write_csv, write_json
     from .experiments import InvariantError, envelope_bounds_all, fit_alpha_slope
     from .experiments import fit_envelope
 
@@ -183,15 +170,11 @@ def cmd_scan_alpha(cfg, manifest):
 
 
 def cmd_bogoliubov_check(cfg, manifest):
-    from .config import write_csv
-    from .experiments import BOGOLIUBOV_HEADER, bogoliubov_cutoffs, bogoliubov_table
-    from .experiments import build_bundle, preflight_bogoliubov, preflight_bundle
+    from .experiments import BOGOLIUBOV_HEADER, bogoliubov_table, build_bundle
 
-    preflight_bundle(cfg)
-    preflight_bogoliubov(cfg)
     bundle = build_bundle(cfg, manifest)
     with manifest.time_stage("truncation_table"):
-        rows = bogoliubov_table(bundle.kernels, cfg.tau_final, bogoliubov_cutoffs(cfg.n_max))
+        rows = bogoliubov_table(bundle.kernels, cfg.tau_final, cfg.bogoliubov_cutoffs)
     write_csv(os.path.join(cfg.out_dir, "bogoliubov_check.csv"), BOGOLIUBOV_HEADER, rows)
     final_dev = max(rows[-1][1], rows[-1][2])
     manifest.record_check("deviation_at_top_cutoff", final_dev <= 1e-4, final_dev)
@@ -200,9 +183,8 @@ def cmd_bogoliubov_check(cfg, manifest):
 
 
 def cmd_selftest(cfg, manifest):
-    from .experiments import preflight_selftest, selftest_report
+    from .experiments import selftest_report
 
-    preflight_selftest(cfg)
     with manifest.time_stage("selftest"):
         report = selftest_report(cfg, manifest)
     for name, value in report.items():
@@ -210,43 +192,54 @@ def cmd_selftest(cfg, manifest):
         print(f"{name:28s} {value:.3e}  [{status}]")
 
 
-# verb -> (function, help); a verb records its checks and artifacts in the
-# manifest, and main writes the manifest and derives the exit code
+# verb -> (function, help, memory stages): main charges the sum of the
+# stages' peak estimates once, before the verb runs; a verb records its checks
+# and artifacts in the manifest, and main writes the manifest and derives the
+# exit code
 _COMMANDS = {
     "solve-pekar": (
         cmd_solve_pekar,
         "continuum Pekar solve and virial checks; needs --preset pekar-hi or a larger box",
+        (pekar_bytes,),
     ),
     "build-kernels": (
-        cmd_build_kernels, "solve the discrete model and persist the kernel matrices"
+        cmd_build_kernels, "solve the discrete model and persist the kernel matrices",
+        (bundle_bytes,),
     ),
-    "compare": (cmd_compare, "full vs effective evolution error curves per alpha"),
-    "scan-alpha": (cmd_scan_alpha, "fit the error scaling exponent across alphas"),
+    "compare": (
+        cmd_compare, "full vs effective evolution error curves per alpha",
+        (bundle_bytes, compare_bytes),
+    ),
+    "scan-alpha": (
+        cmd_scan_alpha, "fit the error scaling exponent across alphas",
+        (bundle_bytes, compare_bytes),
+    ),
     "bogoliubov-check": (
-        cmd_bogoliubov_check, "truncated-oracle vs quasi-free map at n_max - 4 ... n_max + 4"
+        cmd_bogoliubov_check, "truncated-oracle vs quasi-free map at n_max - 4 ... n_max + 4",
+        (bundle_bytes, bogoliubov_bytes),
     ),
-    "selftest": (cmd_selftest, "fast invariant sweep on the configured preset"),
+    "selftest": (
+        cmd_selftest, "fast invariant sweep on the configured preset",
+        (bundle_bytes, normal_ordering_bytes),
+    ),
 }
 
 
 def _failures():
     """(exit 2, exit 3) exception classes.  main's except clauses evaluate this
     only once a verb has raised, so solve-pekar runs without loading fock."""
-    from . import config, experiments, fock, pekar, quasifree, resolvent
+    from . import experiments, fock, pekar, quasifree, resolvent
 
     return (
         (experiments.InvariantError, quasifree.SymplecticError, resolvent.GapError,
          resolvent.SeparationError, resolvent.KernelError, fock.FockDimensionError,
-         fock.SectorError, pekar.DelocalizedError, config.ConfigError),
+         fock.SectorError, pekar.DelocalizedError, ConfigError),
         (pekar.PekarError, resolvent.ResolventError, fock.EvolutionError),
     )
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = _build_parser().parse_args(argv)
-    from .config import ConfigError
-
     try:
         cfg = _load_config(args)
     except ConfigError as exc:
@@ -254,10 +247,11 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = _new_manifest(cfg, args.command)
-
+    manifest = RunManifest(config=cfg.as_dict(), command=args.command, version=__version__)
+    run, _, stages = _COMMANDS[args.command]
     try:
-        _COMMANDS[args.command][0](cfg, manifest)
+        require_memory(args.command, sum(stage(cfg) for stage in stages))
+        run(cfg, manifest)
         code = EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
     except _failures()[0] as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

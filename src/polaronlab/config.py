@@ -1,6 +1,7 @@
 """Run configuration: flat key=value files, named presets, command-line
 overrides, the reproducibility manifest written next to every result,
-atomic writes, and the memory check the preflights share."""
+atomic writes, and the peak-memory estimate of every pipeline stage with
+the one check a run makes against them."""
 
 from __future__ import annotations
 
@@ -62,6 +63,13 @@ class RunConfig:
     def tau_grid(self):
         """Monotone sample times 0 = tau_0 < ... < tau_final."""
         return [self.tau_final * i / self.tau_samples for i in range(self.tau_samples + 1)]
+
+    @property
+    def bogoliubov_cutoffs(self):
+        """The bogoliubov-check cutoffs: n_max - 4 (at least 2), n_max - 2 (at
+        least 3), n_max itself and n_max + 4, where the deviation gate is read."""
+        n = self.n_max
+        return sorted({max(2, n - 4), max(3, n - 2), n, n + 4})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -146,6 +154,11 @@ def load_config(
     return RunConfig(**values).validate()
 
 
+# memory: one peak estimate per pipeline stage, each a function of the run
+# configuration; a verb names the stages it runs, and cli.main charges their
+# sum once, before anything is allocated
+
+
 def available_memory() -> int | None:
     """MemAvailable from /proc/meminfo in bytes; None where it is unreadable."""
     try:
@@ -155,14 +168,65 @@ def available_memory() -> int | None:
         return None
 
 
-def require_memory(verb: str, need: int, error=ConfigError):
-    """Raise error when need bytes exceed MemAvailable."""
+def require_memory(verb: str, need: int):
+    """Raise ConfigError when need bytes exceed MemAvailable."""
     avail = available_memory()
     if avail is not None and need > avail:
-        raise error(
+        raise ConfigError(
             f"{verb} needs about {need / 2**20:.0f} MiB but only "
             f"{avail / 2**20:.0f} MiB are available; lower n_max or grid_n"
         )
+
+
+def _modes(cfg: RunConfig):
+    from .modes import mode_preset  # modes imports ConfigError from here
+
+    return mode_preset(cfg.mode_preset, cfg.box_length)
+
+
+def _quadratic_bytes(M: int, n_max: int) -> int:
+    """Peak of building and propagating the sparse H_quad on the Fock space
+    (M, n_max), per entry slot (1 + 2 M^2 a row); traced at 87-121 bytes."""
+    return 160 * (n_max + 1) ** M * (1 + 2 * M**2)
+
+
+def pekar_bytes(cfg: RunConfig) -> int:
+    """minimize_pekar's peak: 72 B a grid point.  The peak falls in its
+    Euler-Lagrange check, whose transform temporaries take about 41 B a point
+    on top of the unfolded phi (8 B) and the half-spectrum caches (8 B):
+    traced peaks of 58, 57 and 57 B a point at n = 32, 48, 64; peak RSS, with
+    pocketfft's scratch, 61 and 58 B at n = 64, 96."""
+    return 72 * cfg.grid_n**3
+
+
+def bundle_bytes(cfg: RunConfig) -> int:
+    """build_bundle's peak: twelve complex n^3 fields plus one per mode, and
+    64 KiB of small arrays (traced peaks: 209-306 bytes per grid point for
+    n = 8-32, M = 2-6)."""
+    return 16 * (12 + _modes(cfg).M) * cfg.grid_n**3 + (1 << 16)
+
+
+def compare_bytes(cfg: RunConfig) -> int:
+    """compare_trajectory's peak: 12 sector x Fock states (the initial and
+    current states, the Chebyshev recurrence and the matvec's output and
+    temporary, measured at 7 in all) plus the sparse H_quad."""
+    modes = _modes(cfg)
+    state = cfg.grid_n ** len(modes.coupled_axes) * (cfg.n_max + 1) ** modes.M
+    return 16 * 12 * state + _quadratic_bytes(modes.M, cfg.n_max)
+
+
+def bogoliubov_bytes(cfg: RunConfig) -> int:
+    """bogoliubov_table's peak: H_quad at the top cutoff."""
+    return _quadratic_bytes(_modes(cfg).M, cfg.bogoliubov_cutoffs[-1])
+
+
+def normal_ordering_bytes(cfg: RunConfig) -> int:
+    """selftest_report's normal-ordering check, which builds H_quad directly on
+    the n_max = 2 Fock space: 48 bytes per entry slot (1 + 2 M^2 a row) of 4^M
+    states, and 64 KiB (the check traced 30 KB, 0.41 MB and 12.0 MB at
+    M = 2, 4, 6)."""
+    M = _modes(cfg).M
+    return 48 * 4**M * (1 + 2 * M**2) + (1 << 16)
 
 
 def file_sha256(path: str) -> str:
@@ -222,12 +286,14 @@ class RunManifest:
         })
 
 
-def atomic_write(path: str, data: bytes):
-    """Write data through a temporary file renamed over path, so a reader
-    never sees a partly written file."""
+def atomic_write(path: str, *chunks):
+    """Write the chunks (bytes or any contiguous buffer) in order through a
+    temporary file renamed over path, so a reader never sees a partly
+    written file."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
 
 

@@ -1,6 +1,6 @@
-"""Experiment pipelines: model assembly, memory preflights, effective-vs-full
-comparisons with their electron trace distances, coupling-strength scans and
-truncation tables."""
+"""Experiment pipelines: model assembly, effective-vs-full comparisons with
+their electron trace distances, coupling-strength scans and truncation
+tables."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import fock as fk
 from . import quasifree as qf
-from .config import RunConfig, require_memory
+from .config import RunConfig
 from .grid import Field, Grid3
 from .modes import ModeSet, mode_preset
 from .pekar import DiscretePekarSolution, solve_discrete_pekar
@@ -71,59 +71,6 @@ COMPARE_HEADER = [
     "top_level_population",
     "trace_distance_electron",
 ]
-
-
-def _bundle_bytes(n: int, M: int) -> int:
-    """build_bundle's peak: twelve complex n^3 fields plus one per mode, and
-    64 KiB of small arrays (traced peaks: 209-306 bytes per grid point for
-    n = 8-32, M = 2-6)."""
-    return 16 * (12 + M) * n**3 + (1 << 16)
-
-
-def _quadratic_bytes(M: int, n_max: int) -> int:
-    """Peak of building and propagating the sparse H_quad on the Fock space
-    (M, n_max), per entry slot (1 + 2 M^2 a row); traced at 87-121 bytes."""
-    return 160 * (n_max + 1) ** M * (1 + 2 * M**2)
-
-
-def preflight_bundle(cfg: RunConfig):
-    """Raise ConfigError when build_bundle's peak memory exceeds MemAvailable."""
-    M = mode_preset(cfg.mode_preset, cfg.box_length).M
-    require_memory("the model bundle", _bundle_bytes(cfg.grid_n, M))
-
-
-def preflight_selftest(cfg: RunConfig):
-    """Raise ConfigError when selftest_report's peak memory exceeds MemAvailable:
-    the bundle plus the normal-ordering check, whose direct build on the n_max = 3
-    Fock space dominates: 48 bytes per entry slot (1 + 2 M^2 a row) and 64 KiB
-    (the check traced 30 KB, 0.41 MB and 12.0 MB at M = 2, 4, 6)."""
-    M = mode_preset(cfg.mode_preset, cfg.box_length).M
-    need = _bundle_bytes(cfg.grid_n, M) + 48 * 4**M * (1 + 2 * M**2) + (1 << 16)
-    require_memory("selftest", need)
-
-
-def preflight_compare(cfg: RunConfig):
-    """Raise FockDimensionError when the estimated peak memory of
-    compare_trajectory exceeds MemAvailable: 12 sector x Fock states (the
-    initial and current states, the Chebyshev recurrence and the matvec's
-    output and temporary, measured at 7 in all) plus the sparse H_quad."""
-    modes = mode_preset(cfg.mode_preset, cfg.box_length)
-    state = cfg.grid_n ** len(modes.coupled_axes) * (cfg.n_max + 1) ** modes.M
-    need = 16 * 12 * state + _quadratic_bytes(modes.M, cfg.n_max)
-    require_memory("compare", need, fk.FockDimensionError)
-
-
-def bogoliubov_cutoffs(n_max: int) -> list:
-    """The bogoliubov-check cutoffs: n_max - 4 (at least 2), n_max - 2 (at least
-    3), the preset's own n_max and n_max + 4, where the deviation gate is read."""
-    return sorted({max(2, n_max - 4), max(3, n_max - 2), n_max, n_max + 4})
-
-
-def preflight_bogoliubov(cfg: RunConfig):
-    """Raise FockDimensionError when H_quad at the top cutoff exceeds MemAvailable."""
-    M = mode_preset(cfg.mode_preset, cfg.box_length).M
-    top = bogoliubov_cutoffs(cfg.n_max)[-1]
-    require_memory("bogoliubov-check", _quadratic_bytes(M, top), fk.FockDimensionError)
 
 
 def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):

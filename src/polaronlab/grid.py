@@ -192,23 +192,20 @@ def gaussian(grid: Grid3, sigma: float) -> Field:
 
 
 def save_array(arr: np.ndarray, path: str, tag: str, grid: Grid3 | None = None):
-    """Write an array as a .pfld file (JSON header line + raw payload)."""
-    arr = np.ascontiguousarray(arr)
-    if np.iscomplexobj(arr):
-        dtype = "c128"
-        payload = arr.astype("<c16")
-    else:
-        dtype = "f64"
-        payload = arr.astype("<f8")
+    """Write an array as a .pfld file (JSON header line + raw payload).  The
+    payload is written from the array's own buffer where it already is
+    contiguous little-endian f8 or c16, so no copy of it is made."""
+    complex_ = np.iscomplexobj(arr)
+    payload = np.ascontiguousarray(arr, dtype="<c16" if complex_ else "<f8")
     header = {
         "version": 1,
         "grid_n": grid.n if grid is not None else None,
         "box_length": grid.box_length if grid is not None else None,
-        "dtype": dtype,
-        "shape": list(arr.shape),
+        "dtype": "c128" if complex_ else "f64",
+        "shape": list(payload.shape),
         "tag": tag,
     }
-    atomic_write(path, json.dumps(header).encode("utf-8") + b"\n" + payload.tobytes())
+    atomic_write(path, json.dumps(header).encode("utf-8") + b"\n", payload)
 
 
 def save_field(f: Field, path: str, tag: str = "field"):

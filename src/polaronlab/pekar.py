@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import resolvent
-from .config import RunConfig, require_memory, write_json
+from .config import write_json
 from .grid import (
     Field,
     Grid3,
@@ -225,16 +225,6 @@ def minimize_pekar(grid: Grid3, tol: float = 1e-7) -> PekarSolution:
     phi0 = _require_normalized(Field(phi, grid))  # normalised in k by the descent, checked in x
     return PekarSolution(phi0=phi0, T=T, D=D, energy=E, lam=lam, V_eff=Field(V, grid),
                          residual=residual, iterations=it)
-
-
-def preflight_pekar(cfg: RunConfig):
-    """Raise ConfigError when minimize_pekar's peak memory exceeds
-    MemAvailable: 72 B a grid point.  The peak falls in _euler_lagrange, whose
-    transform temporaries take about 41 B a point on top of the unfolded phi
-    (8 B) and the half-spectrum caches (8 B): traced peaks of 58, 57 and 57 B
-    a point at n = 32, 48, 64; peak RSS, with pocketfft's scratch, 61 and 58 B
-    at n = 64, 96."""
-    require_memory("solve-pekar", 72 * cfg.grid_n**3)
 
 
 # ---------------------------------------------------------------------------

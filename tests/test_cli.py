@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import polaronlab
-from polaronlab import experiments, fock, resolvent
-from polaronlab.cli import EXIT_INVARIANT, EXIT_OK, main
-from polaronlab.config import file_sha256
+from polaronlab import config, experiments, fock, pekar, resolvent
+from polaronlab.cli import _COMMANDS, EXIT_INVARIANT, EXIT_OK, main
+from polaronlab.config import RunConfig, file_sha256
 from polaronlab.fock import SectorError
 from polaronlab.resolvent import SeparationError
 
@@ -122,9 +122,9 @@ def test_bogoliubov_check_table(tmp_path):
 
 
 def test_bogoliubov_cutoffs_bracket_the_preset_cutoff():
-    assert experiments.bogoliubov_cutoffs(8) == [4, 6, 8, 12]
-    assert experiments.bogoliubov_cutoffs(6) == [2, 4, 6, 10]
-    assert experiments.bogoliubov_cutoffs(3) == [2, 3, 7]
+    assert RunConfig(n_max=8).bogoliubov_cutoffs == [4, 6, 8, 12]
+    assert RunConfig(n_max=6).bogoliubov_cutoffs == [2, 4, 6, 10]
+    assert RunConfig(n_max=3).bogoliubov_cutoffs == [2, 3, 7]
 
 
 def test_fit_envelope_needs_two_distinct_tau():
@@ -208,22 +208,18 @@ def test_compare_records_the_trace_distance_bound(tmp_path):
         assert checks[f"trace_distance_bound_alpha{alpha}"]["passed"]
 
 
-@pytest.mark.parametrize(
-    "verb",
-    ["compare", "scan-alpha", "bogoliubov-check", "solve-pekar",
-     "build-kernels", "selftest"],
-)
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the memory check should stop the run before any solve")
+
+
+@pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    from polaronlab import config, experiments, pekar
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the preflight should stop the run before any solve")
-
-    # below every desk-small estimate (bogoliubov-check needs about 0.23 MiB,
-    # 243,360 B; selftest 247 KiB; build-kernels 176 KiB; solve-pekar 36 KiB)
+    # below every desk-small estimate (compare and scan-alpha need 411 KiB,
+    # bogoliubov-check 414 KiB, selftest 247 KiB, build-kernels 176 KiB,
+    # solve-pekar 36 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
-    monkeypatch.setattr(experiments, "build_bundle", no_solve)
-    monkeypatch.setattr(pekar, "minimize_pekar", no_solve)
+    monkeypatch.setattr(experiments, "build_bundle", _no_solve)
+    monkeypatch.setattr(pekar, "minimize_pekar", _no_solve)
     code = main([verb, "--out", str(tmp_path)])
     assert code == EXIT_INVARIANT
     assert "MiB are available" in capsys.readouterr().err
@@ -233,14 +229,9 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
 
 def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypatch, capsys):
     # hex-xyz (M = 6): the bundle alone needs 208 KiB, the normal-ordering
-    # check's direct build on 4^6 Fock states brings the estimate to 14 MiB
-    from polaronlab import config, experiments
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the preflight should stop the run before any solve")
-
+    # check's direct build brings the estimate to 14 MiB
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 20)
-    monkeypatch.setattr(experiments, "build_bundle", no_solve)
+    monkeypatch.setattr(experiments, "build_bundle", _no_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mode_preset = hex-xyz\n")
     code = main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -248,24 +239,26 @@ def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypat
     assert "selftest needs about 14 MiB" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["compare", "scan-alpha", "bogoliubov-check"])
+# desk-small at grid_n = 64: the bundle needs 56.1 MiB; the compare states
+# and H_quad add 1.06 MiB, bogoliubov-check's H_quad 0.23 MiB and selftest's
+# normal-ordering check 0.07 MiB.  A verb added to the command table without
+# an entry here fails this test.
+_GRID64_MIB = {"build-kernels": 56, "compare": 57, "scan-alpha": 57,
+               "bogoliubov-check": 56, "selftest": 56}
+
+
+@pytest.mark.parametrize("verb", [v for v in _COMMANDS if v != "solve-pekar"])
 def test_preflight_counts_the_bundle_of_every_verb_that_builds_one(
     verb, tmp_path, monkeypatch, capsys
 ):
-    # desk-small at grid_n = 64: the bundle needs about 56 MiB, while the
-    # compare states (1.06 MiB) and bogoliubov-check's H_quad (0.23 MiB) fit 8 MiB
-    from polaronlab import config, experiments
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the preflight should stop the run before any solve")
-
+    # every stage but the bundle fits in 8 MiB, so only its charge can refuse
     monkeypatch.setattr(config, "available_memory", lambda: 8 << 20)
-    monkeypatch.setattr(experiments, "build_bundle", no_solve)
+    monkeypatch.setattr(experiments, "build_bundle", _no_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid_n = 64\n")
     code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVARIANT
-    assert "the model bundle needs about 56 MiB" in capsys.readouterr().err
+    assert f"{verb} needs about {_GRID64_MIB[verb]} MiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [SectorError, SeparationError], ids=lambda e: e.__name__)

@@ -14,6 +14,7 @@ import scipy.special
 from polaronlab import experiments as ex
 from polaronlab import fock as fk
 from polaronlab import quasifree as qf
+from polaronlab import config
 from polaronlab.config import load_config
 from polaronlab.grid import Grid3
 from polaronlab.modes import mode_preset
@@ -352,60 +353,55 @@ def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_conf
     assert len(calls) == matvecs
 
 
-def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config, monkeypatch):
-    estimate = {}
-    monkeypatch.setattr(ex, "require_memory", lambda verb, need, error: estimate.update(need=need))
-    ex.preflight_compare(desk_small_config)
+def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config):
+    need = config.compare_bytes(desk_small_config)
     tracemalloc.start()
     try:
         ex.compare_trajectory(bundle, desk_small_config, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= estimate["need"]
+    assert 0 < peak <= need
 
 
 @pytest.mark.parametrize("preset", ["desk-small", "desk-standard"])
-def test_bundle_peak_memory_within_preflight_estimate(preset, monkeypatch):
+def test_bundle_peak_memory_within_preflight_estimate(preset):
     cfg = load_config(preset=preset)
-    estimate = {}
-    monkeypatch.setattr(ex, "require_memory", lambda verb, need: estimate.update(need=need))
-    ex.preflight_bundle(cfg)
+    need = config.bundle_bytes(cfg)
     tracemalloc.start()
     try:
         ex.build_bundle(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= estimate["need"] <= 2 * peak
+    assert 0 < peak <= need <= 2 * peak
 
 
-def _selftest_estimate_and_peak(mode_preset_name, monkeypatch):
-    """The selftest preflight estimate and the traced peak of selftest_report."""
+def _selftest_estimate_and_peak(mode_preset_name):
+    """The estimate the selftest verb charges, the bundle plus the
+    normal-ordering check, and the traced peak of selftest_report."""
     cfg = dataclasses.replace(load_config(preset="desk-small"), mode_preset=mode_preset_name)
-    estimate = {}
-    monkeypatch.setattr(ex, "require_memory", lambda verb, need: estimate.update(need=need))
-    ex.preflight_selftest(cfg)
+    need = config.bundle_bytes(cfg) + config.normal_ordering_bytes(cfg)
     tracemalloc.start()
     try:
         ex.selftest_report(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return estimate["need"], peak
+    return need, peak
 
 
 @pytest.mark.parametrize("mode_preset_name", ["pair-x", "hex-xyz"])
-def test_selftest_peak_memory_within_preflight_estimate(mode_preset_name, monkeypatch):
-    need, peak = _selftest_estimate_and_peak(mode_preset_name, monkeypatch)
+def test_selftest_peak_memory_within_preflight_estimate(mode_preset_name):
+    need, peak = _selftest_estimate_and_peak(mode_preset_name)
     assert 0 < peak <= need
 
 
 @pytest.mark.parametrize("mode_preset_name", ["quad-xy", "hex-xyz"])
-def test_selftest_preflight_estimate_is_tight(mode_preset_name, monkeypatch):
+def test_selftest_preflight_estimate_is_tight(mode_preset_name):
     # the estimate must not refuse a selftest the machine could run: at M = 4
     # and 6 the normal-ordering check dominates, and its fit stays within 2x
-    need, peak = _selftest_estimate_and_peak(mode_preset_name, monkeypatch)
+    need, peak = _selftest_estimate_and_peak(mode_preset_name)
     assert 0 < peak <= need <= 2 * peak
 
 
@@ -413,22 +409,20 @@ def test_selftest_preflight_estimate_is_tight(mode_preset_name, monkeypatch):
     "preset, cutoffs", [("desk-small", [4, 6, 8, 12]), ("desk-standard", [10])]
 )
 def test_bogoliubov_peak_memory_within_preflight_estimate(
-    preset, cutoffs, bundle, quad_xy_kernels, monkeypatch
+    preset, cutoffs, bundle, quad_xy_kernels
 ):
     cfg = load_config(preset=preset)
     kp = bundle.kernels if preset == "desk-small" else quad_xy_kernels
     assert kp.modes.M == mode_preset(cfg.mode_preset, cfg.box_length).M
-    estimate = {}
-    monkeypatch.setattr(ex, "require_memory", lambda verb, need, error: estimate.update(need=need))
-    assert cutoffs[-1] == ex.bogoliubov_cutoffs(cfg.n_max)[-1]
-    ex.preflight_bogoliubov(cfg)
+    assert cutoffs[-1] == cfg.bogoliubov_cutoffs[-1]
+    need = config.bogoliubov_bytes(cfg)
     tracemalloc.start()
     try:
         ex.bogoliubov_table(kp, cfg.tau_final, cutoffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= estimate["need"]
+    assert 0 < peak <= need
 
 
 def test_coupled_hamiltonian_hermitian(bundle, rng):

@@ -2,7 +2,8 @@
 a sibling; a helper two modules need is public in the one that owns it; a
 top-level function or class, public or private, and every method or
 property of a class has a caller in the package or the benchmark; scipy
-loads only where a sparse or Pade computation runs."""
+loads only where a sparse or Pade computation runs; memory is charged in
+one place."""
 
 import ast
 import os
@@ -96,6 +97,24 @@ def test_every_method_and_property_has_a_caller():
             and not (fn.name.startswith("__") and fn.name.endswith("__"))
             and fn.name not in used]
     assert not dead, "methods nothing in src/ or bench/ refers to:\n" + "\n".join(dead)
+
+
+def test_memory_is_charged_once_from_the_command_table():
+    # the stage estimates live in config.py and cli.main sums the ones a verb
+    # names; a preflight_* function or a second require_memory call would let a
+    # verb charge its own subset again
+    preflights, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.FunctionDef) and n.name.startswith("preflight_"):
+                    preflights.append(f"{path.name}:{n.lineno} {n.name}")
+                elif isinstance(n, ast.Call) and "require_memory" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None)
+                ):
+                    calls.append(f"{path.name} {getattr(stmt, 'name', '<module>')}")
+    assert not preflights, "preflight functions:\n" + "\n".join(preflights)
+    assert calls == ["cli.py main"]
 
 
 def test_no_module_loads_scipy_fft_or_special():

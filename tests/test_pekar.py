@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polaronlab import pekar
-from polaronlab.config import load_config
+from polaronlab.config import load_config, pekar_bytes
 from polaronlab.grid import Field, Grid3, apply_laplacian, gaussian, inner
 from polaronlab.modes import ModeSet, axis_pair, mode_preset
 from polaronlab.pekar import (
@@ -220,18 +220,16 @@ def test_descent_spends_four_real_transforms_per_step(monkeypatch):
     assert "ksq" not in vars(grid)
 
 
-def test_pekar_peak_memory_within_preflight_estimate(monkeypatch):
+def test_pekar_peak_memory_within_preflight_estimate():
     cfg = load_config(preset="pekar-hi")
-    estimate = {}
-    monkeypatch.setattr(pekar, "require_memory", lambda verb, need: estimate.update(need=need))
-    pekar.preflight_pekar(cfg)
+    need = pekar_bytes(cfg)
     tracemalloc.start()
     try:  # a fresh grid, so its caches count too
         minimize_pekar(Grid3(cfg.grid_n, cfg.box_length))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < peak <= estimate["need"] <= 2 * peak
+    assert 0 < peak <= need <= 2 * peak
 
 
 def test_solution_roundtrip(tmp_path):
