@@ -186,7 +186,8 @@ def _modes(cfg: RunConfig):
 
 def _quadratic_bytes(M: int, n_max: int) -> int:
     """Peak of building and propagating the sparse H_quad on the Fock space
-    (M, n_max), per entry slot (1 + 2 M^2 a row); traced at 87-121 bytes."""
+    (M, n_max), per entry slot (1 + 2 M^2 a row); set by the build, traced at
+    54-122 bytes (M = 2, 4, 6 and n_max up to 300)."""
     return 160 * (n_max + 1) ** M * (1 + 2 * M**2)
 
 
@@ -207,12 +208,17 @@ def bundle_bytes(cfg: RunConfig) -> int:
 
 
 def compare_bytes(cfg: RunConfig) -> int:
-    """compare_trajectory's peak: 12 sector x Fock states (the initial and
-    current states, the Chebyshev recurrence and the matvec's output and
-    temporary, measured at 7 in all) plus the sparse H_quad."""
+    """compare_trajectory's peak: 12 + tau_samples sector x Fock states (the
+    initial state, the three Chebyshev recurrence vectors, the matvec's output
+    and temporaries, and one accumulator per sample time) plus the sparse
+    H_quad.  Traced at alpha = 2: desk-small 154 KB at tau_samples = 4 and
+    516 KB at 32 (14.9 and 49.7 states of 10.4 KB, with H_quad, the effective
+    phonon states and the Chebyshev coefficients), desk-standard 95 MB (9.7
+    states of 9.8 MB).  The coefficients, 16 B a term and about
+    half-width x alpha^2 x tau terms a sample, are not charged."""
     modes = _modes(cfg)
     state = cfg.grid_n ** len(modes.coupled_axes) * (cfg.n_max + 1) ** modes.M
-    return 16 * 12 * state + _quadratic_bytes(modes.M, cfg.n_max)
+    return 16 * (12 + cfg.tau_samples) * state + _quadratic_bytes(modes.M, cfg.n_max)
 
 
 def bogoliubov_bytes(cfg: RunConfig) -> int:

@@ -87,17 +87,14 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     bounds = H.spectral_bounds()
     Hq = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
     qbounds = fk.gershgorin_bounds(Hq)
-    eta = fs.vacuum()
-    psi0 = np.outer(H.electron, eta)
+    psi0 = np.outer(H.electron, fs.vacuum())
     ndiag = fs.numbers
 
     rows = []
-    psi = psi0.copy()
-    taus = cfg.tau_grid
-    for i, tau in enumerate(taus):
-        if i > 0:
-            psi = fk.propagate(H.apply, psi, (tau - taus[i - 1]) * alpha**2, bounds)
-            eta = fk.propagate(Hq.dot, eta, tau - taus[i - 1], qbounds)
+    taus = cfg.tau_grid  # taus[0] = 0 samples the initial states themselves
+    psis = [psi0, *fk.propagate(H.apply, psi0, [tau * alpha**2 for tau in taus[1:]], bounds)]
+    etas = [fs.vacuum(), *fk.propagate(Hq.dot, fs.vacuum(), taus[1:], qbounds)]
+    for tau, psi, eta in zip(taus, psis, etas):
         # effective phonon state: exp(-i tau (N - A)) Omega, N - A = Hq - eps
         xi = np.outer(H.electron, eta * np.exp(1j * bundle.kernels.epsilon * tau))
         top = fk.top_level_population(psi, fs)
@@ -193,7 +190,7 @@ def bogoliubov_table(kp: KernelPair, tau: float, n_max_list):
     for n_max in n_max_list:
         fs = fk.FockSpace(kp.modes.M, n_max)
         Hq = fk.build_quadratic_hamiltonian(kp, fs)
-        psi = fk.propagate(Hq.dot, fs.vacuum(), tau, fk.gershgorin_bounds(Hq))
+        (psi,) = fk.propagate(Hq.dot, fs.vacuum(), [tau], fk.gershgorin_bounds(Hq))
         g, p = fk.reduced_densities(psi, fs)
         rows.append(
             [

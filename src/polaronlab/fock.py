@@ -2,8 +2,10 @@
 
 Occupation-basis enumeration over M modes with per-mode cutoff n_max,
 sparse ladder operators, the quadratic effective Hamiltonian in two
-independent assemblies, the displaced-frame coupled Hamiltonian, and the
-Chebyshev propagator, with unitarity/energy monitoring, that evolves both.
+independent assemblies (index arithmetic on the occupation table, and
+ladder products), the displaced-frame coupled Hamiltonian, and the
+Chebyshev propagator, with unitarity/energy monitoring, that evolves both:
+one expansion of exp(-iHt) gives the state at every sample time.
 
 Only the sparse assemblies (``ladder``, ``number_operator``,
 ``build_quadratic_hamiltonian``, ``build_effective_operator_direct``) use
@@ -123,23 +125,46 @@ def number_operator(fs: FockSpace) -> sp.csr_matrix:
     return sp.diags(fs.numbers).tocsr()
 
 
+def _moves(weights, shift, coeff):
+    """(rows, cols, values) of the moves col -> col + shift[p] with value
+    coeff[p] weights[col, p], for every nonzero weight (one column p per move)."""
+    c, p = np.nonzero(weights)
+    c = c.astype(np.int32)
+    return c + shift[p], c, coeff[p] * weights[c, p]
+
+
 def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
-    """H = dGamma(1 - G) - (1/2) sum_ij (K_ij a_i^dag a_j^dag + conj(K_ij) a_i a_j)."""
-    M = fs.M
+    """H = dGamma(1 - G) - (1/2) sum_ij (K_ij a_i^dag a_j^dag + conj(K_ij) a_i a_j),
+    assembled in one COO pass from the occupation table and the mixed-radix
+    strides.  dGamma(1 - G) is n.(1 - diag G) on the diagonal, and its a_i^dag a_j
+    (i != j) takes n to n - e_j + e_i with weight sqrt(n_j (n_i + 1));
+    a_i^dag a_j^dag takes n to n + e_i + e_j with weight
+    sqrt((n_i + 1 + delta_ij)(n_j + 1)), and a_i a_j is its adjoint.  Moves
+    that leave the box get weight zero (hard truncation), and zero entries
+    are dropped."""
+    import scipy.sparse as sp
+
+    M, top = fs.M, fs.n_max
     if kp.K.shape != (M, M):
         raise ValueError("kernel size does not match the Fock space mode count")
-    a = [ladder(i, fs) for i in range(M)]
-    ad = [op.conj().T.tocsr() for op in a]
-    H = number_operator(fs).astype(np.complex128)
-    for i in range(M):
-        for j in range(M):
-            Gij = kp.G[i, j]
-            Kij = kp.K[i, j]
-            if Gij != 0:
-                H = H - Gij * (ad[i] @ a[j])
-            if Kij != 0:
-                H = H - 0.5 * (Kij * (ad[i] @ ad[j]) + np.conj(Kij) * (a[i] @ a[j]))
-    H = H.tocsr()
+    occ = fs.occupations.astype(np.int32)  # dim <= DEFAULT_DIM_CAP: int32 indices
+    stride = (top + 1) ** (M - 1 - np.arange(M, dtype=np.int32))
+    i, j = np.nonzero(~np.eye(M, dtype=bool))
+    hr, hc, hv = _moves(np.sqrt(occ[:, j] * (occ[:, i] + 1.0)) * (occ[:, i] < top),
+                        stride[i] - stride[j], -kp.G[i, j])
+    # a_i^dag a_j^dag and a_j^dag a_i^dag are one move: i <= j with K_ij + K_ji
+    i, j = np.triu_indices(M)
+    d = (i == j).astype(np.int32)
+    inside = (occ[:, i] + 1 + d <= top) & (occ[:, j] < top)
+    pr, pc, pv = _moves(np.sqrt((occ[:, i] + 1.0 + d) * (occ[:, j] + 1)) * inside,
+                        stride[i] + stride[j], -0.5 * (kp.K + np.triu(kp.K.T, 1))[i, j])
+    diag = np.arange(fs.dim, dtype=np.int32)
+    H = sp.csr_matrix(
+        (np.concatenate([occ @ (1.0 - kp.G.diagonal()), hv, pv, pv.conj()]),
+         (np.concatenate([diag, hr, pr, pc]), np.concatenate([diag, hc, pc, pr]))),
+        shape=(fs.dim, fs.dim),
+    )
+    H.eliminate_zeros()
     defect = abs(H - H.conj().T).max()
     if defect > 1e-10:
         raise KernelError(f"quadratic Hamiltonian Hermiticity defect {defect:.3e}")
@@ -292,38 +317,44 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     return c[: edge + np.flatnonzero(np.abs(c[edge:]) < 1e-13)[0]]
 
 
-def propagate(apply_h, psi0: np.ndarray, t: float, bounds) -> np.ndarray:
-    """exp(-i t H) psi0 by one Chebyshev expansion over the whole time t
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), keeping three
-    vectors.  bounds = (lo, hi) must contain the spectrum of the Hermitian H;
-    an interval that misses part of it shows as a norm drift above 1e-9 or
-    a relative energy drift above 1e-8, which raise EvolutionError.
+def propagate(apply_h, psi0: np.ndarray, times, bounds) -> list:
+    """[exp(-i t H) psi0 for t in times] from one Chebyshev recurrence
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): the vectors
+    T_k(X) psi0 do not depend on t, so each is added, scaled, to every sample
+    whose series is still running; the recurrence keeps three vectors besides
+    one accumulator per sample.  bounds = (lo, hi) must contain the spectrum
+    of the Hermitian H; an interval that misses part of it shows at some
+    sample as a norm drift above 1e-9 or a relative energy drift above 1e-8,
+    which raise EvolutionError.
     """
     nrm0 = np.linalg.norm(psi0)
     if abs(nrm0 - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {nrm0}, expected 1")
     lo, hi = bounds
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    coeff = _chebyshev_coefficients(half * t)
+    coeffs = [_chebyshev_coefficients(half * t) for t in times]
     # cur = T_k(X) psi0 with X = (H - mid) / half, whose spectrum is in [-1, 1]
-    prev, cur, psi = 0.0, psi0, coeff[0] * psi0
-    for k in range(1, len(coeff)):
+    prev, cur, out = 0.0, psi0, [c[0] * psi0 for c in coeffs]
+    for k in range(1, max(map(len, coeffs))):
         nxt = apply_h(cur)
         nxt -= mid * cur
         nxt *= (2.0 if k > 1 else 1.0) / half
         nxt -= prev
         prev, cur = cur, nxt
-        psi += coeff[k] * cur
-    psi *= np.exp(-1j * mid * t)
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    e0, e1 = (np.vdot(v, apply_h(v)).real for v in (psi0, psi))
-    edrift = abs(e1 - e0) / max(1.0, abs(e0))
-    if not (drift <= 1e-9 and edrift <= 1e-8):
-        raise EvolutionError(
-            f"norm drift {drift:.3e}, energy drift {edrift:.3e}: "
-            f"[{lo:.6g}, {hi:.6g}] misses part of the spectrum"
-        )
-    return psi
+        for c, psi in zip(coeffs, out):
+            if k < len(c):
+                psi += c[k] * cur
+    e0 = np.vdot(psi0, apply_h(psi0)).real
+    for t, psi in zip(times, out):
+        psi *= np.exp(-1j * mid * t)
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        edrift = abs(np.vdot(psi, apply_h(psi)).real - e0) / max(1.0, abs(e0))
+        if not (drift <= 1e-9 and edrift <= 1e-8):
+            raise EvolutionError(
+                f"norm drift {drift:.3e}, energy drift {edrift:.3e} at t = {t:.6g}: "
+                f"[{lo:.6g}, {hi:.6g}] misses part of the spectrum"
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

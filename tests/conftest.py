@@ -89,6 +89,16 @@ def hex_xyz_dsol():
 
 
 @pytest.fixture(scope="session")
+def pair_x_kernels(bundle):
+    return bundle.kernels
+
+
+@pytest.fixture(scope="session")
+def hex_xyz_kernels(hex_xyz_dsol):
+    return build_kernels(ResolventHandle(hex_xyz_dsol))
+
+
+@pytest.fixture(scope="session")
 def diag_xy_dsol():
     """pair-x plus the off-axis pair +-(0.5, 0.5, 0) on 8^3: the diagonal
     modes join x and y into one axis group."""

@@ -214,7 +214,7 @@ def _no_solve(*args, **kwargs):
 
 @pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    # below every desk-small estimate (compare and scan-alpha need 411 KiB,
+    # below every desk-small estimate (compare and scan-alpha need 452 KiB,
     # bogoliubov-check 414 KiB, selftest 247 KiB, build-kernels 176 KiB,
     # solve-pekar 36 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
@@ -307,9 +307,13 @@ def test_kernel_defects_exit_as_invariant_failures(
         monkeypatch.setattr(experiments, "build_kernels", _skewed_kernels(1e-3))
     elif defect == "generator":  # inside KernelPair.check, outside the S.A check's 1e-10
         monkeypatch.setattr(experiments, "build_kernels", _skewed_kernels(1e-9))
-    else:  # a complex diagonal in H_quad
-        number_operator = fock.number_operator
-        monkeypatch.setattr(fock, "number_operator", lambda fs: number_operator(fs) * (1 + 1e-6j))
+    else:  # a complex diagonal in H_quad, from the G it is built with
+        build = fock.build_quadratic_hamiltonian
+
+        def skewed(kp, fs):
+            return build(dataclasses.replace(kp, G=kp.G + 1e-6j * np.eye(fs.M)), fs)
+
+        monkeypatch.setattr(fock, "build_quadratic_hamiltonian", skewed)
     code = main([verb, "--out", str(tmp_path)])
     assert code == EXIT_INVARIANT
     err = capsys.readouterr().err

@@ -134,6 +134,44 @@ def test_quadratic_hamiltonian_hermitian(bundle, fs):
     assert abs(H - H.conj().T).max() <= 1e-12
 
 
+def quadratic_hamiltonian_by_products(kp, fs):
+    """H_quad as M^2 products of sparse ladder matrices, term by term: the
+    oracle for the index-arithmetic assembly of build_quadratic_hamiltonian."""
+    M = fs.M
+    a = [fk.ladder(i, fs) for i in range(M)]
+    ad = [op.conj().T.tocsr() for op in a]
+    H = fk.number_operator(fs).astype(np.complex128)
+    for i in range(M):
+        for j in range(M):
+            Gij = kp.G[i, j]
+            Kij = kp.K[i, j]
+            if Gij != 0:
+                H = H - Gij * (ad[i] @ a[j])
+            if Kij != 0:
+                H = H - 0.5 * (Kij * (ad[i] @ ad[j]) + np.conj(Kij) * (a[i] @ a[j]))
+    return H.tocsr()
+
+
+@pytest.mark.parametrize(
+    "kernels, n_max",
+    [("pair_x_kernels", n) for n in (1, 2, 8)]
+    + [("quad_xy_kernels", n) for n in (1, 2, 8)]
+    # hex-xyz stops at n_max = 4: 9^6 states exceed DEFAULT_DIM_CAP
+    + [("hex_xyz_kernels", n) for n in (1, 2, 4)],
+)
+def test_quadratic_hamiltonian_matches_ladder_products(kernels, n_max, request):
+    kp = request.getfixturevalue(kernels)
+    space = fk.FockSpace(kp.modes.M, n_max)
+    H = fk.build_quadratic_hamiltonian(kp, space)
+    ref = quadratic_hamiltonian_by_products(kp, space)
+    ref.eliminate_zeros()
+    assert np.all(H.data != 0)
+    H.sort_indices()
+    ref.sort_indices()
+    assert np.array_equal(H.indptr, ref.indptr) and np.array_equal(H.indices, ref.indices)
+    assert np.max(np.abs(H.data - ref.data)) <= 1e-14
+
+
 def test_normal_ordering_identity(bundle, fs):
     # route 1: normal-ordered dGamma(1-G) minus pairing terms
     # route 2: N - A + eps assembled from raw resolvent products
@@ -189,7 +227,7 @@ def test_chebyshev_matches_dense_exponential(bundle):
     ev, P = np.linalg.eigh(Hd)
     t = 3.0
     exact = P @ (np.exp(-1j * t * ev) * (P.conj().T @ fs.vacuum()))
-    approx = fk.propagate(lambda x: H @ x, fs.vacuum(), t, (ev[0] - 1.0, ev[-1] + 1.0))
+    (approx,) = fk.propagate(lambda x: H @ x, fs.vacuum(), [t], (ev[0] - 1.0, ev[-1] + 1.0))
     assert np.linalg.norm(exact - approx) <= 1e-12
 
 
@@ -218,7 +256,7 @@ def test_propagate_rejects_unnormalized(bundle):
     fs = fk.FockSpace(2, 4)
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
     with pytest.raises(ValueError):
-        fk.propagate(lambda x: H @ x, 2.0 * fs.vacuum(), 1.0, (-10.0, 10.0))
+        fk.propagate(lambda x: H @ x, 2.0 * fs.vacuum(), [1.0], (-10.0, 10.0))
 
 
 def dense_sector_matrix(H):
@@ -229,17 +267,30 @@ def dense_sector_matrix(H):
     return np.stack([H.apply(e.reshape(shape)).ravel() for e in eye], axis=1)
 
 
+def dense_sector_propagator(H):
+    """(t, psi) -> exp(-i t H) psi for a sector state psi, through one dense
+    eigh of the coupled Hamiltonian: the reference for the Chebyshev route."""
+    ev, P = np.linalg.eigh(dense_sector_matrix(H))
+
+    def propagate(t, psi):
+        return (P @ (np.exp(-1j * t * ev) * (P.conj().T @ psi.ravel()))).reshape(psi.shape)
+
+    return propagate
+
+
 @pytest.mark.parametrize("alpha", [2.0, 4.0, 8.0])
 def test_propagate_matches_dense_sector_eigh(alpha, bundle, desk_small_config):
-    # the desk-small sector (8 grid points x 81 Fock states) over tau = 1
+    # the desk-small sector (8 grid points x 81 Fock states) at every sample
+    # of the tau grid, all from one recurrence
     fs = fk.FockSpace(bundle.modes.M, desk_small_config.n_max)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
-    ev, P = np.linalg.eigh(dense_sector_matrix(H))
+    exact = dense_sector_propagator(H)
     psi0 = np.outer(H.electron, fs.vacuum())
-    t = alpha**2
-    exact = P @ (np.exp(-1j * t * ev) * (P.conj().T @ psi0.ravel()))
-    approx = fk.propagate(H.apply, psi0, t, H.spectral_bounds())
-    assert np.linalg.norm(approx.ravel() - exact) <= 1e-10
+    times = [tau * alpha**2 for tau in desk_small_config.tau_grid]
+    approx = fk.propagate(H.apply, psi0, times, H.spectral_bounds())
+    assert len(approx) == len(times)
+    for t, psi in zip(times, approx):
+        assert np.linalg.norm(psi - exact(t, psi0)) <= 1e-10
 
 
 @pytest.mark.parametrize("which, n_max", [("pair-x", 3), ("quad-xy", 1)])
@@ -265,19 +316,18 @@ def test_gershgorin_bounds_contain_dense_quadratic_spectrum(n_max, bundle):
 
 
 def test_compare_effective_columns_match_dense_eigh(bundle, desk_small_config):
-    # the coupled state is propagated as compare_trajectory does; the effective
-    # state comes from the dense eigh of H_quad
+    # the coupled state comes from the dense eigh of the sector Hamiltonian,
+    # the effective state from the dense eigh of H_quad
     cfg, alpha = desk_small_config, 2.0
     fs = fk.FockSpace(bundle.modes.M, cfg.n_max)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
-    bounds = H.spectral_bounds()
+    coupled = dense_sector_propagator(H)
     quadratic = dense_quadratic_propagator(bundle.kernels, fs)
     ndiag = fs.occupations.sum(axis=1)
     rows = ex.compare_trajectory(bundle, cfg, alpha)
-    psi, taus = np.outer(H.electron, fs.vacuum()), cfg.tau_grid
-    for i, (tau, row) in enumerate(zip(taus, rows)):
-        if i > 0:
-            psi = fk.propagate(H.apply, psi, (tau - taus[i - 1]) * alpha**2, bounds)
+    psi0 = np.outer(H.electron, fs.vacuum())
+    for tau, row in zip(cfg.tau_grid, rows):
+        psi = coupled(tau * alpha**2, psi0)
         eta = quadratic(tau, fs.vacuum()) * np.exp(1j * bundle.kernels.epsilon * tau)
         assert abs(row[2] - np.linalg.norm(psi - np.outer(H.electron, eta))) <= 1e-12
         assert abs(row[5] - np.sum(ndiag * np.abs(eta) ** 2)) <= 1e-12
@@ -321,15 +371,20 @@ def test_propagate_rejects_too_narrow_interval(bundle, rng):
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     psi /= np.linalg.norm(psi)
     lo, hi = H.spectral_bounds()
-    with pytest.raises(fk.EvolutionError, match="norm drift"):
-        fk.propagate(H.apply, psi, 4.0, (lo, 0.5 * (lo + hi)))
+    # the interval misses the top half of the spectrum; the samples at t = 0
+    # and 0.1 still pass both drift checks, and the one at t = 4 does not
+    narrow = (lo, 0.5 * (lo + hi))
+    assert len(fk.propagate(H.apply, psi, [0.0, 0.1], narrow)) == 2
+    with pytest.raises(fk.EvolutionError, match="norm drift .* at t = 4:"):
+        fk.propagate(H.apply, psi, [0.0, 0.1, 4.0], narrow)
 
 
 def test_propagate_zero_time_returns_initial_state(bundle):
     fs = fk.FockSpace(bundle.modes.M, 3)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
     psi0 = np.outer(H.electron, fs.vacuum())
-    assert np.array_equal(fk.propagate(H.apply, psi0, 0.0, H.spectral_bounds()), psi0)
+    (psi,) = fk.propagate(H.apply, psi0, [0.0], H.spectral_bounds())
+    assert np.array_equal(psi, psi0)
 
 
 def test_spectral_bounds_lower_end_is_the_completed_square(bundle, desk_small_config):
@@ -339,7 +394,7 @@ def test_spectral_bounds_lower_end_is_the_completed_square(bundle, desk_small_co
     assert lo >= -0.83
 
 
-@pytest.mark.parametrize("alpha, matvecs", [(2.0, 176), (4.0, 344), (8.0, 856)])
+@pytest.mark.parametrize("alpha, matvecs", [(2.0, 113), (4.0, 254), (8.0, 727)])
 def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_config, monkeypatch):
     calls = []
     apply = fk.CoupledHamiltonian.apply
@@ -353,11 +408,53 @@ def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_conf
     assert len(calls) == matvecs
 
 
+def test_compare_propagates_each_state_once(bundle, desk_small_config, monkeypatch):
+    # one recurrence for psi and one for eta serve every tau sample: two
+    # propagate calls and at most 115 coupled matvecs at alpha = 2
+    propagations, matvecs = [], []
+    propagate, apply = fk.propagate, fk.CoupledHamiltonian.apply
+
+    def counted_propagate(apply_h, psi0, times, bounds):
+        propagations.append((getattr(apply_h, "__self__", None), len(times)))
+        return propagate(apply_h, psi0, times, bounds)
+
+    def counted_apply(self, psi):
+        matvecs.append(1)
+        return apply(self, psi)
+
+    monkeypatch.setattr(fk, "propagate", counted_propagate)
+    monkeypatch.setattr(fk.CoupledHamiltonian, "apply", counted_apply)
+    ex.compare_trajectory(bundle, desk_small_config, 2.0)
+    samples = desk_small_config.tau_samples  # the tau = 0 row is the initial state
+    assert len(propagations) == 2
+    assert isinstance(propagations[0][0], fk.CoupledHamiltonian)
+    assert isinstance(propagations[1][0], sp.csr_matrix)
+    assert [n for _, n in propagations] == [samples, samples]
+    assert len(matvecs) <= 115
+
+
 def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config):
     need = config.compare_bytes(desk_small_config)
     tracemalloc.start()
     try:
         ex.compare_trajectory(bundle, desk_small_config, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= need
+
+
+def test_compare_peak_memory_within_preflight_estimate_on_a_long_tau_grid(
+    bundle, desk_small_config
+):
+    # one accumulator per sample: 32 samples trace about 0.52 MB on
+    # desk-small, where 12 states and H_quad alone charge 0.24 MB
+    cfg = dataclasses.replace(desk_small_config, tau_samples=32)
+    need = config.compare_bytes(cfg)
+    ex.compare_trajectory(bundle, cfg, 2.0)  # untraced first: the scipy.sparse import
+    tracemalloc.start()
+    try:
+        ex.compare_trajectory(bundle, cfg, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
