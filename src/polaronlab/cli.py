@@ -1,10 +1,10 @@
 """Command-line experiment runner.
 
 Verbs: solve-pekar, build-kernels, compare, scan-alpha, bogoliubov-check,
-selftest.  Exit codes: 0 success, 2 invariant failure (including a bad
-configuration and a run whose memory estimate exceeds MemAvailable),
-3 numerical non-convergence; any other exception is a programming error
-and leaves with its traceback (exit 1).
+selftest.  Exit codes: 0 success, 2 for any config.InvariantError (a failed
+check, a bad configuration, a run whose memory estimate exceeds
+MemAvailable), 3 for any config.NonConvergenceError; any other exception is
+a programming error and leaves with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import sys
 
 from . import __version__
 from .config import (
-    ConfigError,
+    InvariantError,
+    NonConvergenceError,
     RunManifest,
     bogoliubov_bytes,
     bundle_bytes,
@@ -96,7 +97,8 @@ def cmd_build_kernels(cfg, manifest):
     manifest.hash_inputs(cfg.out_dir, "kernels", "ground")
 
 
-def _run_compares(cfg, manifest):
+def cmd_compare(cfg, manifest):
+    """One compare CSV and its checks per alpha; returns alpha -> rows."""
     from .experiments import COMPARE_HEADER, build_bundle, compare_trajectory
 
     bundle = build_bundle(cfg, manifest)
@@ -107,12 +109,6 @@ def _run_compares(cfg, manifest):
         path = os.path.join(cfg.out_dir, f"compare_alpha{alpha:g}.csv")
         write_csv(path, COMPARE_HEADER, rows)
         curves[alpha] = rows
-        print(f"alpha = {alpha:g}: wrote {path} ({len(rows)} samples)")
-    return curves
-
-
-def cmd_compare(cfg, manifest):
-    for alpha, rows in _run_compares(cfg, manifest).items():
         final = rows[-1]
         manifest.record_check(
             f"err_zero_at_t0_alpha{alpha:g}", rows[0][2] <= 1e-12, rows[0][2]
@@ -123,20 +119,21 @@ def cmd_compare(cfg, manifest):
             all(r[7] <= 2.0 * r[2] + 1e-12 for r in rows),
         )
         print(
-            f"alpha = {alpha:g}: err_effective({final[1]:g}) = {final[2]:.4e}  "
+            f"alpha = {alpha:g}: wrote {path} ({len(rows)} samples); "
+            f"err_effective({final[1]:g}) = {final[2]:.4e}  "
             f"err_phase_only = {final[3]:.4e}  trace distance = {final[7]:.4e}"
         )
+    return curves
 
 
 def cmd_scan_alpha(cfg, manifest):
-    from .experiments import InvariantError, envelope_bounds_all, fit_alpha_slope
-    from .experiments import fit_envelope
+    from .experiments import envelope_bounds_all, fit_alpha_slope, fit_envelope
 
     if len(cfg.alphas) < 3:
         raise InvariantError("scan-alpha needs at least 3 alpha values")
     if len({tau for tau in cfg.tau_grid if tau > 0}) < 2:
         raise InvariantError("scan-alpha needs tau_final > 0 and tau_samples >= 2")
-    curves = _run_compares(cfg, manifest)
+    curves = cmd_compare(cfg, manifest)
     alphas = sorted(curves)
     eff_final = [curves[a][-1][2] for a in alphas]
     phase_final = [curves[a][-1][3] for a in alphas]
@@ -225,24 +222,11 @@ _COMMANDS = {
 }
 
 
-def _failures():
-    """(exit 2, exit 3) exception classes.  main's except clauses evaluate this
-    only once a verb has raised, so solve-pekar runs without loading fock."""
-    from . import experiments, fock, pekar, quasifree, resolvent
-
-    return (
-        (experiments.InvariantError, quasifree.SymplecticError, resolvent.GapError,
-         resolvent.SeparationError, resolvent.KernelError, fock.FockDimensionError,
-         fock.SectorError, pekar.DelocalizedError, ConfigError),
-        (pekar.PekarError, resolvent.ResolventError, fock.EvolutionError),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
+    except InvariantError as exc:  # load_config raises only ConfigError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
@@ -253,11 +237,11 @@ def main(argv=None) -> int:
         require_memory(args.command, sum(stage(cfg) for stage in stages))
         run(cfg, manifest)
         code = EXIT_OK if manifest.all_passed() else EXIT_INVARIANT
-    except _failures()[0] as exc:
+    except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         manifest.record_check("run_completed", False, str(exc))
         code = EXIT_INVARIANT
-    except _failures()[1] as exc:
+    except NonConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         manifest.record_check("run_completed", False, str(exc))
         code = EXIT_NONCONVERGED

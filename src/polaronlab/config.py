@@ -1,7 +1,7 @@
 """Run configuration: flat key=value files, named presets, command-line
-overrides, the reproducibility manifest written next to every result,
-atomic writes, and the peak-memory estimate of every pipeline stage with
-the one check a run makes against them."""
+overrides, the manifest written next to every result, atomic writes, the
+peak-memory estimate of every pipeline stage with the one check a run makes
+against them, and the two bases of every failure type, by exit code."""
 
 from __future__ import annotations
 
@@ -16,7 +16,15 @@ import time
 from dataclasses import dataclass, field
 
 
-class ConfigError(ValueError):
+class InvariantError(Exception):
+    """A checked invariant failed, a bad configuration included: exit 2."""
+
+
+class NonConvergenceError(Exception):
+    """A numerical method missed its tolerance: exit 3."""
+
+
+class ConfigError(InvariantError, ValueError):
     pass
 
 
@@ -207,18 +215,34 @@ def bundle_bytes(cfg: RunConfig) -> int:
     return 16 * (12 + _modes(cfg).M) * cfg.grid_n**3 + (1 << 16)
 
 
+def _chebyshev_half_width(cfg: RunConfig, alpha: float) -> float:
+    """A bound on half the width of CoupledHamiltonian.spectral_bounds before
+    any solve: |V_eff| <= 2 sum_i w_i c_i^2 and |delta G_i| <= 2 c_i, with c_i
+    the coupling constants (1.03-1.45 times the bundle's half-width for
+    pair-x, quad-xy and hex-xyz at alpha = 2, 8 and 32)."""
+    modes = _modes(cfg)
+    w, c, n = modes.weights, modes.coupling_constants, cfg.n_max
+    return 0.5 * (len(modes.coupled_axes) * (math.pi * cfg.grid_n / cfg.box_length) ** 2
+                  + 4.0 * float(w @ c**2) + modes.M * n / alpha**2
+                  + 8.0 * math.sqrt(n) / alpha * float(w**0.5 @ c))
+
+
 def compare_bytes(cfg: RunConfig) -> int:
-    """compare_trajectory's peak: 12 + tau_samples sector x Fock states (the
-    initial state, the three Chebyshev recurrence vectors, the matvec's output
-    and temporaries, and one accumulator per sample time) plus the sparse
-    H_quad.  Traced at alpha = 2: desk-small 154 KB at tau_samples = 4 and
-    516 KB at 32 (14.9 and 49.7 states of 10.4 KB, with H_quad, the effective
-    phonon states and the Chebyshev coefficients), desk-standard 95 MB (9.7
-    states of 9.8 MB).  The coefficients, 16 B a term and about
-    half-width x alpha^2 x tau terms a sample, are not charged."""
+    """compare_trajectory's peak at the largest alpha: 12 + tau_samples
+    sector x Fock states (the initial state, the three Chebyshev recurrence
+    vectors, the matvec's output and temporaries, and one accumulator per
+    sample time), the sparse H_quad, and one Chebyshev series per sample:
+    at x = half-width x alpha^2 x tau at most 2x + 65 terms of 16 B, and
+    40 B an angle for the 4x + 128 angles of the largest one's FFT.  Traced on
+    desk-small: 154 KB at alpha = 2 (14.9 states of 10.4 KB); at alpha = 32,
+    1.88 and 5.86 MB at tau_samples = 4 and 32, set by the series;
+    desk-standard at alpha = 2, 95 MB (9.7 states of 9.8 MB)."""
     modes = _modes(cfg)
     state = cfg.grid_n ** len(modes.coupled_axes) * (cfg.n_max + 1) ** modes.M
-    return 16 * (12 + cfg.tau_samples) * state + _quadratic_bytes(modes.M, cfg.n_max)
+    alpha = max(cfg.alphas)
+    xs = [int(_chebyshev_half_width(cfg, alpha) * alpha**2 * tau) for tau in cfg.tau_grid[1:]]
+    series = 16 * sum(2 * x + 65 for x in xs) + 40 * (4 * max(xs) + 128)
+    return 16 * (12 + cfg.tau_samples) * state + _quadratic_bytes(modes.M, cfg.n_max) + series
 
 
 def bogoliubov_bytes(cfg: RunConfig) -> int:

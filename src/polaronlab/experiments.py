@@ -11,15 +11,11 @@ import numpy as np
 
 from . import fock as fk
 from . import quasifree as qf
-from .config import RunConfig
+from .config import InvariantError, RunConfig
 from .grid import Field, Grid3
 from .modes import ModeSet, mode_preset
 from .pekar import DiscretePekarSolution, solve_discrete_pekar
 from .resolvent import KernelPair, ResolventHandle, apply_h, build_kernels
-
-
-class InvariantError(RuntimeError):
-    """A checked physical invariant failed; distinct from non-convergence."""
 
 
 @dataclass

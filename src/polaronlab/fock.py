@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import InvariantError, NonConvergenceError
 from .grid import laplacian_matrix
 from .pekar import DiscretePekarSolution, delta_g_fields
 from .resolvent import KernelError, KernelPair
@@ -38,15 +39,15 @@ if TYPE_CHECKING:
 DEFAULT_DIM_CAP = 200_000
 
 
-class FockDimensionError(ValueError):
+class FockDimensionError(InvariantError, ValueError):
     pass
 
 
-class EvolutionError(RuntimeError):
+class EvolutionError(NonConvergenceError):
     pass
 
 
-class SectorError(ValueError):
+class SectorError(InvariantError, ValueError):
     """The ground state varies along an uncoupled axis, so the coupled sector
     of CoupledHamiltonian is not invariant."""
 

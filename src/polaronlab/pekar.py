@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import resolvent
-from .config import write_json
+from .config import InvariantError, NonConvergenceError, write_json
 from .grid import (
     Field,
     Grid3,
@@ -41,11 +41,7 @@ DISCRETE_MAX_ITER = 400
 DISCRETE_SIGMA_INIT = 1.5
 
 
-class PekarError(RuntimeError):
-    pass
-
-
-class DelocalizedError(PekarError):
+class DelocalizedError(InvariantError):
     """The solver reached a spread-out state instead of a bound one: an
     invariant failure of the set-up (box too small, coupling too weak)."""
 
@@ -54,10 +50,8 @@ class NotNormalizedError(ValueError):
     pass
 
 
-class ConvergenceError(PekarError):
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
+class ConvergenceError(NonConvergenceError):
+    pass
 
 
 def _require_normalized(phi: Field) -> Field:
@@ -177,7 +171,7 @@ def _real_descent(grid: Grid3, tol: float):
         grad -= lam * phi_hat
         residual = float(np.sqrt(dot(grad, grad) * dv_hat))
         if not np.isfinite(residual) or not np.isfinite(lam):
-            raise PekarError("energy collapsed to NaN during descent")
+            raise ConvergenceError("energy collapsed to NaN during descent")
         if residual <= tol:
             break
 
@@ -197,8 +191,7 @@ def _real_descent(grid: Grid3, tol: float):
         phi = _cos3(phi_hat, C) / grid.size
     else:
         raise ConvergenceError(
-            f"no convergence after {DESCENT_MAX_ITER} iterations (residual {residual:.3e})",
-            residual=residual,
+            f"no convergence after {DESCENT_MAX_ITER} iterations (residual {residual:.3e})"
         )
 
     fold = np.minimum(np.arange(n), n - np.arange(n))
@@ -314,8 +307,7 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
         f = (1.0 - DISCRETE_DAMPING) * f + DISCRETE_DAMPING * f_new
     else:
         raise ConvergenceError(
-            f"discrete Pekar fixed point not converged (residual {resid:.3e})",
-            residual=resid,
+            f"discrete Pekar fixed point not converged (residual {resid:.3e})"
         )
 
     phi, lam, V, T, spec = _sweep_ground_state(modes, G, f, grid)

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import InvariantError
 from .resolvent import KernelError, KernelPair
 
 
-class SymplecticError(RuntimeError):
+class SymplecticError(InvariantError):
     pass
 
 

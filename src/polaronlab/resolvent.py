@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .config import write_json
+from .config import InvariantError, NonConvergenceError, write_json
 from .grid import Field, Grid3, apply_laplacian, inner, laplacian_matrix, plane_waves, save_array
 from .modes import ModeSet
 
@@ -33,19 +33,19 @@ def cg(*args, **kwargs):
     return cg(*args, **kwargs)
 
 
-class ResolventError(RuntimeError):
+class ResolventError(NonConvergenceError):
     pass
 
 
-class GapError(RuntimeError):
+class GapError(InvariantError):
     pass
 
 
-class KernelError(ValueError):
+class KernelError(InvariantError, ValueError):
     """K is not symmetric, G not Hermitian, or an operator built from them not Hermitian."""
 
 
-class SeparationError(ValueError):
+class SeparationError(InvariantError, ValueError):
     """V_eff does not split into one term per axis group."""
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import polaronlab
 from polaronlab import config, experiments, fock, pekar, resolvent
-from polaronlab.cli import _COMMANDS, EXIT_INVARIANT, EXIT_OK, main
+from polaronlab.cli import _COMMANDS, EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, main
 from polaronlab.config import RunConfig, file_sha256
 from polaronlab.fock import SectorError
 from polaronlab.resolvent import SeparationError
@@ -208,13 +208,60 @@ def test_compare_records_the_trace_distance_bound(tmp_path):
         assert checks[f"trace_distance_bound_alpha{alpha}"]["passed"]
 
 
+def test_scan_alpha_records_the_compare_checks_of_every_alpha(tmp_path):
+    # scan-alpha runs the same compares as compare, so it records their checks too
+    assert main(["scan-alpha", "--out", str(tmp_path)]) == EXIT_OK
+    checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+    for alpha in (2, 4, 8):
+        assert checks[f"err_zero_at_t0_alpha{alpha}"]["passed"]
+        assert checks[f"trace_distance_bound_alpha{alpha}"]["passed"]
+
+
+def _narrow_spectral_bounds(monkeypatch):
+    """CoupledHamiltonian.spectral_bounds without the top half of the interval."""
+    bounds = fock.CoupledHamiltonian.spectral_bounds
+
+    def narrow(self):
+        lo, hi = bounds(self)
+        return lo, 0.5 * (lo + hi)
+
+    monkeypatch.setattr(fock.CoupledHamiltonian, "spectral_bounds", narrow)
+
+
+def _shifted_h(monkeypatch):
+    """h - lambda off by 1e-6 inside the resolvent's own residual check."""
+    apply_h = resolvent.apply_h
+    monkeypatch.setattr(resolvent, "apply_h", lambda sol, f: apply_h(sol, f) + 1e-6 * f)
+
+
+@pytest.mark.parametrize(
+    "argv, patch, message",
+    [
+        (["build-kernels"], lambda mp: mp.setattr(pekar, "DISCRETE_MAX_ITER", 1),
+         "fixed point not converged"),
+        (["solve-pekar", "--preset", "pekar-hi"],
+         lambda mp: mp.setattr(pekar, "DESCENT_MAX_ITER", 1), "no convergence after 1"),
+        (["build-kernels"], _shifted_h, "resolvent residual"),
+        (["compare"], _narrow_spectral_bounds, "misses part of the spectrum"),
+    ],
+    ids=["discrete-pekar", "continuum-pekar", "resolvent", "propagator"],
+)
+def test_non_convergence_exits_3(argv, patch, message, tmp_path, monkeypatch, capsys):
+    patch(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NONCONVERGED
+    err = capsys.readouterr().err
+    assert "numerical non-convergence" in err and message in err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert not manifest["checks"]["run_completed"]["passed"]
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("the memory check should stop the run before any solve")
 
 
 @pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    # below every desk-small estimate (compare and scan-alpha need 452 KiB,
+    # below every desk-small estimate (compare and scan-alpha need 644 KiB,
     # bogoliubov-check 414 KiB, selftest 247 KiB, build-kernels 176 KiB,
     # solve-pekar 36 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
@@ -239,11 +286,11 @@ def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypat
     assert "selftest needs about 14 MiB" in capsys.readouterr().err
 
 
-# desk-small at grid_n = 64: the bundle needs 56.1 MiB; the compare states
-# and H_quad add 1.06 MiB, bogoliubov-check's H_quad 0.23 MiB and selftest's
-# normal-ordering check 0.07 MiB.  A verb added to the command table without
-# an entry here fails this test.
-_GRID64_MIB = {"build-kernels": 56, "compare": 57, "scan-alpha": 57,
+# desk-small at grid_n = 64: the bundle needs 56.1 MiB; the compare states,
+# H_quad and Chebyshev series add 3.41 MiB, bogoliubov-check's H_quad
+# 0.23 MiB and selftest's normal-ordering check 0.07 MiB.  A verb added to
+# the command table without an entry here fails this test.
+_GRID64_MIB = {"build-kernels": 56, "compare": 59, "scan-alpha": 59,
                "bogoliubov-check": 56, "selftest": 56}
 
 

@@ -461,6 +461,40 @@ def test_compare_peak_memory_within_preflight_estimate_on_a_long_tau_grid(
     assert 0 < peak <= need
 
 
+@pytest.mark.parametrize("mode_preset_name, n_max", [("pair-x", 8), ("quad-xy", 3),
+                                                     ("hex-xyz", 2)])
+def test_half_width_bound_contains_the_spectral_bounds(
+    mode_preset_name, n_max, bundle, quad_xy_dsol, hex_xyz_dsol
+):
+    # the memory estimate bounds the Chebyshev half-width before any solve
+    dsol = {"pair-x": bundle.dsol, "quad-xy": quad_xy_dsol, "hex-xyz": hex_xyz_dsol}[
+        mode_preset_name]
+    fs = fk.FockSpace(dsol.modes.M, n_max)
+    for alpha in (2.0, 8.0, 32.0):
+        cfg = dataclasses.replace(load_config(), grid_n=dsol.grid.n, n_max=n_max,
+                                  mode_preset=mode_preset_name)
+        lo, hi = fk.CoupledHamiltonian(dsol, fs, alpha=alpha).spectral_bounds()
+        assert 0.5 * (hi - lo) <= config._chebyshev_half_width(cfg, alpha)
+
+
+@pytest.mark.parametrize("alpha, tau_samples", [(32.0, 4), (32.0, 32), (8.0, 32)])
+def test_compare_peak_memory_charges_the_chebyshev_series(
+    alpha, tau_samples, bundle, desk_small_config
+):
+    # at large alpha the coefficient series and the FFT that makes them set
+    # the peak: 1.88, 5.86 and 0.82 MB traced, against 12 + tau_samples
+    # states and H_quad, 0.28, 0.57 and 0.57 MB
+    cfg = dataclasses.replace(desk_small_config, alphas=[alpha], tau_samples=tau_samples)
+    need = config.compare_bytes(cfg)
+    tracemalloc.start()
+    try:
+        ex.compare_trajectory(bundle, cfg, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= need
+
+
 @pytest.mark.parametrize("preset", ["desk-small", "desk-standard"])
 def test_bundle_peak_memory_within_preflight_estimate(preset):
     cfg = load_config(preset=preset)

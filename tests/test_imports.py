@@ -3,10 +3,13 @@ a sibling; a helper two modules need is public in the one that owns it; a
 top-level function or class, public or private, and every method or
 property of a class has a caller in the package or the benchmark; scipy
 loads only where a sparse or Pade computation runs; memory is charged in
-one place."""
+one place; every failure type carries its exit code through its base."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ import numpy as np
 
 import polaronlab
 from polaronlab import resolvent
+from polaronlab.config import InvariantError, NonConvergenceError
 
 SRC = Path(polaronlab.__file__).parent
 BENCH = SRC.parents[1] / "bench"
@@ -115,6 +119,28 @@ def test_memory_is_charged_once_from_the_command_table():
                     calls.append(f"{path.name} {getattr(stmt, 'name', '<module>')}")
     assert not preflights, "preflight functions:\n" + "\n".join(preflights)
     assert calls == ["cli.py main"]
+
+
+def test_every_failure_type_carries_its_exit_code_through_one_base():
+    # cli.main maps InvariantError to exit 2 and NonConvergenceError to exit 3
+    # and nothing else, so a failure type outside both leaves as a traceback
+    # with exit 1, as only the two programming errors below should
+    bases = (InvariantError, NonConvergenceError)
+    programming = {"NotNormalizedError", "GridMismatchError"}
+    stray = []
+    for info in pkgutil.iter_modules(polaronlab.__path__):
+        module = importlib.import_module(f"polaronlab.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == module.__name__ and issubclass(cls, BaseException)
+                    and cls not in bases and name not in programming
+                    and sum(issubclass(cls, b) for b in bases) != 1):
+                stray.append(f"{info.name}.{name}")
+    assert not stray, "failure types without exactly one exit base:\n" + "\n".join(stray)
+    # the CLI catches the two bases, by name, and nothing else
+    caught = [ast.unparse(node.type) if node.type else "<bare>"
+              for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+              if isinstance(node, ast.ExceptHandler)]
+    assert caught and set(caught) <= {"InvariantError", "NonConvergenceError"}, caught
 
 
 def test_no_module_loads_scipy_fft_or_special():
