@@ -118,6 +118,12 @@ def cmd_compare(cfg, manifest):
             f"trace_distance_bound_alpha{alpha:g}",
             all(r[7] <= 2.0 * r[2] + 1e-12 for r in rows),
         )
+        # the Pekar residual delta leaves a force sqrt(w_i) delta / alpha on
+        # the phonons for t = alpha^2 tau: its error floor must stay below a
+        # tenth of the measured error
+        floor = float(alpha * cfg.tau_final * max(bundle.modes.weights) ** 0.5
+                      * bundle.dsol.residual)
+        manifest.record_check(f"pekar_floor_alpha{alpha:g}", floor <= 0.1 * final[2], floor)
         print(
             f"alpha = {alpha:g}: wrote {path} ({len(rows)} samples); "
             f"err_effective({final[1]:g}) = {final[2]:.4e}  "

@@ -218,8 +218,9 @@ def bundle_bytes(cfg: RunConfig) -> int:
 def _chebyshev_half_width(cfg: RunConfig, alpha: float) -> float:
     """A bound on half the width of CoupledHamiltonian.spectral_bounds before
     any solve: |V_eff| <= 2 sum_i w_i c_i^2 and |delta G_i| <= 2 c_i, with c_i
-    the coupling constants (1.03-1.45 times the bundle's half-width for
-    pair-x, quad-xy and hex-xyz at alpha = 2, 8 and 32)."""
+    the coupling constants (1.13-1.73 times the bundle's half-width for
+    pair-x on 8^3 and 24^3, quad-xy on 16^3 and hex-xyz on 8^3 at alpha = 2,
+    8 and 32)."""
     modes = _modes(cfg)
     w, c, n = modes.weights, modes.coupling_constants, cfg.n_max
     return 0.5 * (len(modes.coupled_axes) * (math.pi * cfg.grid_n / cfg.box_length) ** 2
@@ -228,21 +229,23 @@ def _chebyshev_half_width(cfg: RunConfig, alpha: float) -> float:
 
 
 def compare_bytes(cfg: RunConfig) -> int:
-    """compare_trajectory's peak at the largest alpha: 12 + tau_samples
-    sector x Fock states (the initial state, the three Chebyshev recurrence
-    vectors, the matvec's output and temporaries, and one accumulator per
-    sample time), the sparse H_quad, and one Chebyshev series per sample:
+    """compare_trajectory's peak at the largest alpha, in sector x Fock
+    states: 12 (the initial state, the matvec's output and temporaries), 2M
+    coefficient planes of the coupling, and per sample time an accumulator,
+    its share of a block product and a slot of the Chebyshev block (at least
+    two slots); plus the sparse H_quad and one Chebyshev series per sample:
     at x = half-width x alpha^2 x tau at most 2x + 65 terms of 16 B, and
     40 B an angle for the 4x + 128 angles of the largest one's FFT.  Traced on
-    desk-small: 154 KB at alpha = 2 (14.9 states of 10.4 KB); at alpha = 32,
-    1.88 and 5.86 MB at tau_samples = 4 and 32, set by the series;
-    desk-standard at alpha = 2, 95 MB (9.7 states of 9.8 MB)."""
+    desk-small: 264 KB at alpha = 2 (25.4 states of 10.4 KB); at alpha = 32,
+    1.70 and 5.28 MB at tau_samples = 4 and 32, set by the series;
+    desk-standard at alpha = 2, 253 MB (25.8 states of 9.8 MB)."""
     modes = _modes(cfg)
     state = cfg.grid_n ** len(modes.coupled_axes) * (cfg.n_max + 1) ** modes.M
     alpha = max(cfg.alphas)
     xs = [int(_chebyshev_half_width(cfg, alpha) * alpha**2 * tau) for tau in cfg.tau_grid[1:]]
     series = 16 * sum(2 * x + 65 for x in xs) + 40 * (4 * max(xs) + 128)
-    return 16 * (12 + cfg.tau_samples) * state + _quadratic_bytes(modes.M, cfg.n_max) + series
+    states = 12 + 2 * modes.M + 2 * cfg.tau_samples + max(cfg.tau_samples, 2)
+    return 16 * states * state + _quadratic_bytes(modes.M, cfg.n_max) + series
 
 
 def bogoliubov_bytes(cfg: RunConfig) -> int:

@@ -5,7 +5,8 @@ sparse ladder operators, the quadratic effective Hamiltonian in two
 independent assemblies (index arithmetic on the occupation table, and
 ladder products), the displaced-frame coupled Hamiltonian, and the
 Chebyshev propagator, with unitarity/energy monitoring, that evolves both:
-one expansion of exp(-iHt) gives the state at every sample time.
+one expansion of exp(-iHt) gives the state at every sample time, its terms
+added to the samples a block at a time.
 
 Only the sparse assemblies (``ladder``, ``number_operator``,
 ``build_quadratic_hamiltonian``, ``build_effective_operator_direct``) use
@@ -14,8 +15,11 @@ the coupled Hamiltonian and the propagator need numpy alone.
 
 The coupled Hamiltonian acts on its invariant sector, the grid of the
 axes the mode k-vectors span.  Its Laplacian is the real one-axis matrix
-of ``grid.laplacian_matrix`` applied along each sector axis, and a_i is a
-strided slice on the mixed-radix Fock index scaled by sqrt(n).
+of ``grid.laplacian_matrix`` applied along each sector axis, and its
+coupling shifts the flat Fock index of every sector site by each mode's
+mixed-radix stride, times a coefficient plane built once per Hamiltonian.  The upper
+end of its spectral interval comes from Weyl's inequality on the exact
+spectrum of h and on per-site phonon tridiagonals.
 
 The creation operator annihilates top-occupation states (hard
 truncation); runs are expected to monitor the top-level population.
@@ -258,17 +262,23 @@ class CoupledHamiltonian:
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
         self._lap, self._d = laplacian_matrix(grid), len(axes)
         self._diag = vshift[:, None] + self.fs.numbers / self.alpha**2
-        # alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag; times sqrt(n)
-        # on the (sector, r^i, r, r^(M-1-i)) state view, and conjugated for a_i
+        # g_i = alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag, which
+        # raises the flat Fock index by the stride of mode i.  Its plane holds
+        # g_i(s) sqrt(n_i) at each destination past the stride; sqrt(n_i) = 0
+        # exactly where the shift would wrap into the next digit.  a_i shifts
+        # back with the conjugate plane.
         self._dg = [g / self.alpha for g in dg]
-        sq = np.sqrt(np.arange(1.0, self.fs.n_max + 1))[:, None]
-        self._raise = np.array(self._dg)[:, :, None, None, None] * sq
-        self._lower = np.conj(self._raise)
+        r, occ = self.fs.n_max + 1, self.fs.occupations
+        self._shifts = []
+        for i, g in enumerate(self._dg):
+            stride = r ** (self.fs.M - 1 - i)
+            up = g[:, None] * np.sqrt(occ[stride:, i])
+            self._shifts.append((stride, up, np.conj(up)))
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi for psi of shape (sector_size, fock_dim), in any memory layout."""
         psi = np.ascontiguousarray(psi, dtype=np.complex128)
-        n, r, S = len(self._lap), self.fs.n_max + 1, len(psi)
+        n = len(self._lap)
         # Laplacian: a real matmul per sector axis on the float view, so the
         # real and imaginary parts share each dgemm
         re = psi.view(np.float64)
@@ -277,27 +287,37 @@ class CoupledHamiltonian:
             out += np.matmul(self._lap, re.reshape(n**a, n, -1)).reshape(re.shape)
         out = out.view(np.complex128)
         out += self._diag * psi
-        # coupling: alpha^-1 sum_i sqrt(w_i) (conj(dG_i) a_i + dG_i a_i^dag)
-        for i, (lower, upper) in enumerate(zip(self._lower, self._raise)):
-            o, p = out.reshape(S, r**i, r, -1), psi.reshape(S, r**i, r, -1)
-            o[:, :, :-1] += lower * p[:, :, 1:]
-            o[:, :, 1:] += upper * p[:, :, :-1]
+        # coupling: sum_i (g_i a_i^dag + conj(g_i) a_i), Fock index shifts
+        for stride, up, down in self._shifts:
+            out[:, stride:] += up * psi[:, :-stride]
+            out[:, :-stride] += down * psi[:, stride:]
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """(lo, hi) containing the spectrum.  The Laplacian lies in
-        [0, max |k|^2], the diagonal in [min, max], and each coupling term has
-        norm at most 2 max|g_i| sqrt(n_max) / alpha (g_i = sqrt(w_i) delta G_i).
-        lo is the larger of that bound and the completed square: with
-        b_i = a_i + alpha g_i, N/alpha^2 + coupling = sum_i b_i^dag b_i / alpha^2
-        - sum_i |g_i|^2 exactly (a_i^dag a_i = diag(n) on the truncated space),
-        so H >= min_x(V_eff - lambda - sum_i |g_i|^2) at every alpha."""
+        """(lo, hi) containing the spectrum.  hi is Weyl's inequality on two
+        pieces known exactly: the top of h - lambda on the sector, offset plus
+        the coupled groups' top levels of dsol.spectrum less lambda; and the
+        top of N/alpha^2 + coupling, which at each sector site s is a sum over
+        modes of r x r tridiagonals n/alpha^2 + |g_i(s)| (a + a^dag) (a phase
+        on the occupations takes g_i(s) to |g_i(s)|), so max_s of the sum of
+        their top eigenvalues.  lo is the larger of the coupling-norm bound
+        min(diagonal) - 2 sum_i max|g_i| sqrt(n_max) and the completed square:
+        with b_i = a_i + alpha g_i, N/alpha^2 + coupling = sum_i b_i^dag b_i /
+        alpha^2 - sum_i |alpha g_i|^2 exactly (a_i^dag a_i = diag(n) on the
+        truncated space), so H >= min_x(V_eff - lambda - sum_i |alpha g_i|^2)
+        at every alpha."""
+        spec, r = self.dsol.spectrum, self.fs.n_max + 1
+        top_h = spec.offset + sum(e[-1] for e, c in zip(spec.levels, spec.coupled) if c)
+        n, k = np.arange(r), np.arange(1, r)
+        ladder = np.zeros((len(self._dg), len(self._diag), r, r))
+        ladder[..., n, n] = n / self.alpha**2
+        ladder[..., k, k - 1] = np.abs(np.array(self._dg))[..., None] * np.sqrt(k)
+        top_n = np.linalg.eigvalsh(ladder, UPLO="L")[..., -1].sum(axis=0).max()
         c = sum(2.0 * np.max(np.abs(dg)) for dg in self._dg) * np.sqrt(self.fs.n_max)
         # the vacuum column of the diagonal is V_eff - lambda
         square = self._diag[:, 0] - sum(np.abs(self.alpha * dg) ** 2 for dg in self._dg)
         lo = max(self._diag.min() - c, square.min())
-        ksq_max = self._d * np.max(self.dsol.grid.k_axis**2)
-        return float(lo), float(ksq_max + self._diag.max() + c)
+        return float(lo), float(top_h - self.dsol.lam + top_n)
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +341,47 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
 def propagate(apply_h, psi0: np.ndarray, times, bounds) -> list:
     """[exp(-i t H) psi0 for t in times] from one Chebyshev recurrence
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): the vectors
-    T_k(X) psi0 do not depend on t, so each is added, scaled, to every sample
-    whose series is still running; the recurrence keeps three vectors besides
-    one accumulator per sample.  bounds = (lo, hi) must contain the spectrum
-    of the Hermitian H; an interval that misses part of it shows at some
-    sample as a norm drift above 1e-9 or a relative energy drift above 1e-8,
-    which raise EvolutionError.
+    T_k(X) psi0 do not depend on t.  The recurrence writes them into a block
+    of the last max(len(times), 2) of them, and a full block is added to
+    every sample whose series runs past it with one matrix product; a sample
+    whose series ends inside the block takes only its own terms, since an
+    exact zero times an overflowed T_k is NaN.  bounds = (lo, hi) must
+    contain the spectrum of the Hermitian H; an interval that misses part
+    of it shows at some sample as a norm drift above 1e-9 or a relative
+    energy drift above 1e-8, which raise EvolutionError.
     """
     nrm0 = np.linalg.norm(psi0)
     if abs(nrm0 - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {nrm0}, expected 1")
     lo, hi = bounds
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    coeffs = [_chebyshev_coefficients(half * t) for t in times]
+    series = [_chebyshev_coefficients(half * t) for t in times]
+    # samples by falling series length: those still running are leading rows
+    order = sorted(range(len(times)), key=lambda j: -len(series[j]))
+    coeffs = [series[j] for j in order]
+    ends = [len(c) for c in coeffs]
+    out = np.stack([c[0] * psi0.ravel() for c in coeffs])
+    prod = np.empty_like(out)  # a block's share of each sample
+    block = np.empty((max(len(times), 2), *psi0.shape), dtype=np.complex128)
+    rows = block.reshape(len(block), -1)
     # cur = T_k(X) psi0 with X = (H - mid) / half, whose spectrum is in [-1, 1]
-    prev, cur, out = 0.0, psi0, [c[0] * psi0 for c in coeffs]
-    for k in range(1, max(map(len, coeffs))):
-        nxt = apply_h(cur)
-        nxt -= mid * cur
-        nxt *= (2.0 if k > 1 else 1.0) / half
-        nxt -= prev
-        prev, cur = cur, nxt
-        for c, psi in zip(coeffs, out):
-            if k < len(c):
-                psi += c[k] * cur
+    prev, cur = 0.0, psi0
+    for first in range(1, ends[0], len(block)):
+        last = min(first + len(block), ends[0])  # the block holds T_first .. T_last-1
+        for k in range(first, last):
+            nxt = apply_h(cur)
+            nxt -= mid * cur
+            nxt *= (2.0 if k > 1 else 1.0) / half
+            prev, cur = cur, np.subtract(nxt, prev, out=block[k - first])
+        full = sum(e >= last for e in ends)
+        if full:
+            cblock = np.array([c[first:last] for c in coeffs[:full]])
+            out[:full] += np.matmul(cblock, rows[: last - first], out=prod[:full])
+        for j in range(full, sum(e > first for e in ends)):
+            out[j] += np.matmul(coeffs[j][first:], rows[: ends[j] - first], out=prod[j])
     e0 = np.vdot(psi0, apply_h(psi0)).real
-    for t, psi in zip(times, out):
+    states = [out[order.index(j)].reshape(psi0.shape) for j in range(len(times))]
+    for t, psi in zip(times, states):
         psi *= np.exp(-1j * mid * t)
         drift = abs(np.linalg.norm(psi) - 1.0)
         edrift = abs(np.vdot(psi, apply_h(psi)).real - e0) / max(1.0, abs(e0))
@@ -355,7 +390,7 @@ def propagate(apply_h, psi0: np.ndarray, times, bounds) -> list:
                 f"norm drift {drift:.3e}, energy drift {edrift:.3e} at t = {t:.6g}: "
                 f"[{lo:.6g}, {hi:.6g}] misses part of the spectrum"
             )
-    return out
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,21 @@ def quad_xy_kernels(quad_xy_dsol):
 
 
 @pytest.fixture(scope="session")
+def quad_xy_small_dsol():
+    """quad-xy on 8^3."""
+    grid = Grid3(8, 4.0 * np.pi)
+    return solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
+
+
+@pytest.fixture(scope="session")
 def hex_xyz_dsol():
     grid = Grid3(8, 4.0 * np.pi)
     return solve_discrete_pekar(grid, mode_preset("hex-xyz", grid.box_length), tol=1e-7)
+
+
+@pytest.fixture(scope="session")
+def pair_x_dsol(bundle):
+    return bundle.dsol
 
 
 @pytest.fixture(scope="session")

@@ -217,6 +217,26 @@ def test_scan_alpha_records_the_compare_checks_of_every_alpha(tmp_path):
         assert checks[f"trace_distance_bound_alpha{alpha}"]["passed"]
 
 
+@pytest.mark.parametrize("pekar_tol, code", [("1e-7", EXIT_OK), ("1e-2", EXIT_INVARIANT)])
+def test_compare_checks_the_pekar_floor(pekar_tol, code, tmp_path):
+    # desk-small at alpha = 8, where a tenth of the final err_effective is
+    # 6.2e-3: the default tolerance leaves a residual of 5.2e-9 and a floor
+    # 8 x 1 x sqrt(16) x residual of 1.7e-7; pekar_tol = 1e-2 leaves 5.1e-4
+    # and 1.6e-2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alphas = 8\npekar_tol = {pekar_tol}\n")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == code
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    final_err = float((out / "compare_alpha8.csv").read_text().splitlines()[-1].split(",")[2])
+    floor = checks["pekar_floor_alpha8"]
+    assert floor["passed"] == (code == EXIT_OK) == (floor["value"] <= 0.1 * final_err)
+    assert [name for name, c in checks.items() if not c["passed"]] == (
+        [] if code == EXIT_OK else ["pekar_floor_alpha8"])
+    if code == EXIT_OK:
+        assert floor["value"] <= 1e-4 * final_err
+
+
 def _narrow_spectral_bounds(monkeypatch):
     """CoupledHamiltonian.spectral_bounds without the top half of the interval."""
     bounds = fock.CoupledHamiltonian.spectral_bounds
@@ -261,7 +281,7 @@ def _no_solve(*args, **kwargs):
 
 @pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    # below every desk-small estimate (compare and scan-alpha need 644 KiB,
+    # below every desk-small estimate (compare and scan-alpha need 766 KiB,
     # bogoliubov-check 414 KiB, selftest 247 KiB, build-kernels 176 KiB,
     # solve-pekar 36 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
@@ -287,10 +307,10 @@ def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypat
 
 
 # desk-small at grid_n = 64: the bundle needs 56.1 MiB; the compare states,
-# H_quad and Chebyshev series add 3.41 MiB, bogoliubov-check's H_quad
+# H_quad and Chebyshev series add 4.36 MiB, bogoliubov-check's H_quad
 # 0.23 MiB and selftest's normal-ordering check 0.07 MiB.  A verb added to
 # the command table without an entry here fails this test.
-_GRID64_MIB = {"build-kernels": 56, "compare": 59, "scan-alpha": 59,
+_GRID64_MIB = {"build-kernels": 56, "compare": 60, "scan-alpha": 60,
                "bogoliubov-check": 56, "selftest": 56}
 
 

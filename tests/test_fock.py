@@ -4,11 +4,13 @@ propagation, and reduced objects."""
 import dataclasses
 import itertools
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 import scipy.special
 
 from polaronlab import experiments as ex
@@ -16,9 +18,9 @@ from polaronlab import fock as fk
 from polaronlab import quasifree as qf
 from polaronlab import config
 from polaronlab.config import load_config
-from polaronlab.grid import Grid3
+from polaronlab.grid import laplacian_matrix
 from polaronlab.modes import mode_preset
-from polaronlab.pekar import solve_discrete_pekar
+from polaronlab.pekar import delta_g_fields
 
 
 @pytest.fixture(scope="module")
@@ -259,18 +261,50 @@ def test_propagate_rejects_unnormalized(bundle):
         fk.propagate(lambda x: H @ x, 2.0 * fs.vacuum(), [1.0], (-10.0, 10.0))
 
 
-def dense_sector_matrix(H):
-    """The coupled Hamiltonian as a dense matrix on the flattened sector
-    state, one matvec per basis vector."""
+def sector_matrix(H):
+    """The coupled Hamiltonian on the flattened sector state as a sparse
+    matrix of Kronecker products, built without CoupledHamiltonian.apply:
+    (sector Laplacian + diag(V_eff - lambda)) (x) 1 + 1 (x) diag(N)/alpha^2
+    + sum_i diag(g_i/alpha) (x) a_i^dag + adjoint, g_i = sqrt(w_i) delta G_i,
+    on the grid of the coupled axes in C order."""
+    dsol, fs, alpha = H.dsol, H.fs, H.alpha
+    axes = dsol.modes.coupled_axes
+    cut = tuple(slice(None) if a in axes else 0 for a in range(3))
+    lap1, eye = sp.csr_matrix(laplacian_matrix(dsol.grid)), sp.identity(dsol.grid.n)
+    lap = sum(reduce(sp.kron, [lap1 if b == a else eye for b in range(len(axes))])
+              for a in range(len(axes)))
+    h = lap + sp.diags(dsol.V_eff.values[cut].ravel() - dsol.lam)
+    dg = delta_g_fields(dsol)[(slice(None), *cut)].reshape(fs.M, -1)
+    g = np.sqrt(dsol.modes.weights)[:, None] * dg
+    coupling = sum(sp.kron(sp.diags(g[i] / alpha), fk.ladder(i, fs).T) for i in range(fs.M))
+    return (sp.kron(h, sp.identity(fs.dim))
+            + sp.kron(sp.identity(h.shape[0]), sp.diags(fs.numbers / alpha**2))
+            + coupling + coupling.conj().T).tocsr()
+
+
+# the 8^3 ground state of each mode preset, by fixture name
+GROUND_STATES_8 = {"pair-x": "pair_x_dsol", "quad-xy": "quad_xy_small_dsol",
+                   "hex-xyz": "hex_xyz_dsol"}
+
+
+@pytest.mark.parametrize("which, n_max", [("pair-x", 3), ("quad-xy", 2), ("hex-xyz", 1)])
+@pytest.mark.parametrize("alpha", [2.0, 32.0])
+def test_coupled_matvec_matches_kronecker_assembly(which, n_max, alpha, request):
+    # 8^3 ground states; a random state touches every matrix entry, so a
+    # wrong stride, wrap mask or coefficient plane shows far above 1e-12
+    dsol = request.getfixturevalue(GROUND_STATES_8[which])
+    H = fk.CoupledHamiltonian(dsol, fk.FockSpace(dsol.modes.M, n_max), alpha=alpha)
     shape = (H.electron.size, H.fs.dim)
-    eye = np.eye(shape[0] * shape[1], dtype=np.complex128)
-    return np.stack([H.apply(e.reshape(shape)).ravel() for e in eye], axis=1)
+    rng = np.random.default_rng(24)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    psi /= np.linalg.norm(psi)
+    assert np.max(np.abs(H.apply(psi).ravel() - sector_matrix(H) @ psi.ravel())) <= 1e-12
 
 
 def dense_sector_propagator(H):
     """(t, psi) -> exp(-i t H) psi for a sector state psi, through one dense
     eigh of the coupled Hamiltonian: the reference for the Chebyshev route."""
-    ev, P = np.linalg.eigh(dense_sector_matrix(H))
+    ev, P = np.linalg.eigh(sector_matrix(H).toarray())
 
     def propagate(t, psi):
         return (P @ (np.exp(-1j * t * ev) * (P.conj().T @ psi.ravel()))).reshape(psi.shape)
@@ -293,18 +327,35 @@ def test_propagate_matches_dense_sector_eigh(alpha, bundle, desk_small_config):
         assert np.linalg.norm(psi - exact(t, psi0)) <= 1e-10
 
 
-@pytest.mark.parametrize("which, n_max", [("pair-x", 3), ("quad-xy", 1)])
-def test_spectral_bounds_contain_dense_spectrum(which, n_max, bundle):
-    if which == "pair-x":
-        dsol = bundle.dsol
-    else:
-        grid = Grid3(8, 4.0 * np.pi)
-        dsol = solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
-    for alpha in (2.0, 8.0):
+@pytest.mark.parametrize("which, n_max", [("pair-x", 3), ("quad-xy", 1), ("hex-xyz", 1)])
+def test_spectral_bounds_contain_dense_spectrum(which, n_max, request):
+    # hex-xyz has 512 x 64 sector states: its ends come from Lanczos (eigsh,
+    # started from phi0 (x) vacuum) on the Kronecker assembly, the others'
+    # from a dense eigvalsh
+    dsol = request.getfixturevalue(GROUND_STATES_8[which])
+    for alpha in (2.0, 8.0, 32.0):
         H = fk.CoupledHamiltonian(dsol, fk.FockSpace(dsol.modes.M, n_max), alpha=alpha)
-        ev = np.linalg.eigvalsh(dense_sector_matrix(H))
+        A = sector_matrix(H)
+        if which == "hex-xyz":
+            v0 = np.outer(H.electron, H.fs.vacuum()).ravel()
+            bottom, top = (scipy.sparse.linalg.eigsh(A, k=1, which=w, v0=v0, tol=1e-10,
+                                                     return_eigenvectors=False)[0]
+                           for w in ("SA", "LA"))
+        else:
+            ev = np.linalg.eigvalsh(A.toarray())
+            bottom, top = ev[0], ev[-1]
         lo, hi = H.spectral_bounds()
-        assert lo <= ev[0] and ev[-1] <= hi
+        assert lo <= bottom and top <= hi
+
+
+@pytest.mark.parametrize("alpha", [2.0, 8.0])
+def test_spectral_bounds_upper_end_is_tight(alpha, bundle, desk_small_config):
+    # Weyl's inequality on h - lambda and the per-site phonon tridiagonals:
+    # 27.94 against a dense top of 27.64 at alpha = 2, 16.61 against 16.50 at 8
+    fs = fk.FockSpace(bundle.modes.M, desk_small_config.n_max)
+    H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
+    top = np.linalg.eigvalsh(sector_matrix(H).toarray())[-1]
+    assert top <= H.spectral_bounds()[1] <= 1.02 * top
 
 
 @pytest.mark.parametrize("n_max", [2, 8, 12])
@@ -370,13 +421,19 @@ def test_propagate_rejects_too_narrow_interval(bundle, rng):
     shape = (H.electron.size, fs.dim)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     psi /= np.linalg.norm(psi)
-    lo, hi = H.spectral_bounds()
-    # the interval misses the top half of the spectrum; the samples at t = 0
-    # and 0.1 still pass both drift checks, and the one at t = 4 does not
-    narrow = (lo, 0.5 * (lo + hi))
+    ev = np.linalg.eigvalsh(sector_matrix(H).toarray())
+    # the interval misses the top third of the dense spectrum; the samples at
+    # t = 0 and 0.1 still pass both drift checks, and the one at t = 4 does not
+    narrow = (ev[0], ev[-1] - (ev[-1] - ev[0]) / 3.0)
     assert len(fk.propagate(H.apply, psi, [0.0, 0.1], narrow)) == 2
     with pytest.raises(fk.EvolutionError, match="norm drift .* at t = 4:"):
         fk.propagate(H.apply, psi, [0.0, 0.1, 4.0], narrow)
+    # at t = 400 the recurrence overflows; the t = 0.1 sample, whose series
+    # ended first, takes none of those terms and still passes
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        fk.EvolutionError, match="norm drift nan, .* at t = 400:"
+    ):
+        fk.propagate(H.apply, psi, [0.0, 0.1, 400.0], narrow)
 
 
 def test_propagate_zero_time_returns_initial_state(bundle):
@@ -394,7 +451,7 @@ def test_spectral_bounds_lower_end_is_the_completed_square(bundle, desk_small_co
     assert lo >= -0.83
 
 
-@pytest.mark.parametrize("alpha, matvecs", [(2.0, 113), (4.0, 254), (8.0, 727)])
+@pytest.mark.parametrize("alpha, matvecs", [(2.0, 99), (4.0, 223), (8.0, 640)])
 def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_config, monkeypatch):
     calls = []
     apply = fk.CoupledHamiltonian.apply
@@ -410,7 +467,7 @@ def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_conf
 
 def test_compare_propagates_each_state_once(bundle, desk_small_config, monkeypatch):
     # one recurrence for psi and one for eta serve every tau sample: two
-    # propagate calls and at most 115 coupled matvecs at alpha = 2
+    # propagate calls and at most 101 coupled matvecs at alpha = 2
     propagations, matvecs = [], []
     propagate, apply = fk.propagate, fk.CoupledHamiltonian.apply
 
@@ -430,7 +487,7 @@ def test_compare_propagates_each_state_once(bundle, desk_small_config, monkeypat
     assert isinstance(propagations[0][0], fk.CoupledHamiltonian)
     assert isinstance(propagations[1][0], sp.csr_matrix)
     assert [n for _, n in propagations] == [samples, samples]
-    assert len(matvecs) <= 115
+    assert len(matvecs) <= 101
 
 
 def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config):
@@ -447,8 +504,9 @@ def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config
 def test_compare_peak_memory_within_preflight_estimate_on_a_long_tau_grid(
     bundle, desk_small_config
 ):
-    # one accumulator per sample: 32 samples trace about 0.52 MB on
-    # desk-small, where 12 states and H_quad alone charge 0.24 MB
+    # an accumulator, a block-product row and a block slot per sample: 32
+    # samples trace about 1.21 MB on desk-small, where 12 states and H_quad
+    # alone charge 0.24 MB
     cfg = dataclasses.replace(desk_small_config, tau_samples=32)
     need = config.compare_bytes(cfg)
     ex.compare_trajectory(bundle, cfg, 2.0)  # untraced first: the scipy.sparse import
@@ -482,8 +540,8 @@ def test_compare_peak_memory_charges_the_chebyshev_series(
     alpha, tau_samples, bundle, desk_small_config
 ):
     # at large alpha the coefficient series and the FFT that makes them set
-    # the peak: 1.88, 5.86 and 0.82 MB traced, against 12 + tau_samples
-    # states and H_quad, 0.28, 0.57 and 0.57 MB
+    # the peak: 1.70, 5.28 and 1.48 MB traced, against a charge for the
+    # states and H_quad alone of 0.41, 1.28 and 1.28 MB
     cfg = dataclasses.replace(desk_small_config, alphas=[alpha], tau_samples=tau_samples)
     need = config.compare_bytes(cfg)
     tracemalloc.start()
