@@ -1,12 +1,13 @@
 """Brute-force ground truth on a truncated Fock space.
 
-Occupation-basis enumeration over M modes with per-mode cutoff n_max,
-sparse ladder operators, the quadratic effective Hamiltonian in two
-independent assemblies (index arithmetic on the occupation table, and
-ladder products), the displaced-frame coupled Hamiltonian, and the
-Chebyshev propagator, with unitarity/energy monitoring, that evolves both:
-one expansion of exp(-iHt) gives the state at every sample time, its terms
-added to the samples a block at a time.
+Occupation-basis enumeration over M modes with per-mode cutoff n_max, whose
+strides, ladder table and cutoff mask ``FockSpace`` alone computes, sparse
+ladder operators (the table's oracle), the quadratic effective Hamiltonian in
+two independent assemblies (index arithmetic on the occupation table, and
+ladder products), the displaced-frame coupled Hamiltonian, and the Chebyshev
+propagator, with unitarity/energy monitoring, that evolves both: one
+expansion of exp(-iHt) gives the state at every sample time, its terms added
+to the samples a block at a time.
 
 Only the sparse assemblies (``ladder``, ``number_operator``,
 ``build_quadratic_hamiltonian``, ``build_effective_operator_direct``) use
@@ -16,10 +17,10 @@ the coupled Hamiltonian and the propagator need numpy alone.
 The coupled Hamiltonian acts on its invariant sector, the grid of the
 axes the mode k-vectors span.  Its Laplacian is the real one-axis matrix
 of ``grid.laplacian_matrix`` applied along each sector axis, and its
-coupling shifts the flat Fock index of every sector site by each mode's
-mixed-radix stride, times a coefficient plane built once per Hamiltonian.  The upper
-end of its spectral interval comes from Weyl's inequality on the exact
-spectrum of h and on per-site phonon tridiagonals.
+coupling moves the flat Fock index of every sector site along each mode's
+ladder, times a coefficient plane built once per Hamiltonian.  The upper end
+of its spectral interval comes from Weyl's inequality on the exact spectrum
+of h and on per-site phonon tridiagonals.
 
 The creation operator annihilates top-occupation states (hard
 truncation); runs are expected to monitor the top-level population.
@@ -60,7 +61,12 @@ class SectorError(InvariantError, ValueError):
 class FockSpace:
     """Truncated bosonic Fock space: occupations (n_1..n_M), n_i <= n_max, in
     the C order of the M-axis box ``shape``; ``numbers`` holds the total
-    occupation of each basis state."""
+    occupation of each basis state.  Every operator reads the layout here:
+    mode i's mixed-radix stride ``strides[i]`` = (n_max + 1)^(M-1-i); its
+    ladder ``ladders[i]`` = (stride, w), a_i^dag moving flat index f to
+    f + stride with weight w[f], the destination's sqrt(n_i), exactly 0 where
+    the shift would wrap (a_i moves back with the same weights); and
+    ``at_cutoff``, the states with an occupation at n_max."""
 
     M: int
     n_max: int
@@ -73,8 +79,13 @@ class FockSpace:
                 f"dim {(self.n_max + 1)}^{self.M} exceeds cap {DEFAULT_DIM_CAP}"
             )
         occs = np.indices(self.shape, dtype=np.int64).reshape(self.M, -1).T
+        strides = tuple((self.n_max + 1) ** (self.M - 1 - i) for i in range(self.M))
         object.__setattr__(self, "occupations", occs)
         object.__setattr__(self, "numbers", occs.sum(axis=1).astype(np.float64))
+        object.__setattr__(self, "strides", strides)
+        object.__setattr__(self, "ladders", tuple(
+            (s, np.sqrt(occs[s:, i])) for i, s in enumerate(strides)))
+        object.__setattr__(self, "at_cutoff", np.any(occs == self.n_max, axis=1))
 
     @property
     def shape(self) -> tuple:
@@ -84,44 +95,37 @@ class FockSpace:
     def dim(self) -> int:
         return (self.n_max + 1) ** self.M
 
-    @property
-    def vacuum_index(self) -> int:
-        return 0
-
     def vacuum(self) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=np.complex128)
-        psi[self.vacuum_index] = 1.0
+        psi[0] = 1.0
         return psi
 
 
 def ladder(i: int, fs: FockSpace) -> sp.csr_matrix:
-    """Annihilation operator a_i as a sparse matrix (a^dag = transpose)."""
+    """Annihilation operator a_i as a sparse matrix (a^dag = transpose), the
+    oracle of ``FockSpace.ladders``: each occupation n goes to raveled n - e_i."""
     import scipy.sparse as sp
 
     if not 0 <= i < fs.M:
         raise IndexError(f"mode index {i} out of range for M = {fs.M}")
     occ = fs.occupations
-    src = np.where(occ[:, i] > 0)[0]
-    n = occ[src, i]
-    stride = (fs.n_max + 1) ** (fs.M - 1 - i)
-    dst = src - stride  # occupation n_i decreases by one
-    data = np.sqrt(n.astype(np.float64))
+    src = np.flatnonzero(occ[:, i] > 0)
+    low = occ[src] - np.eye(fs.M, dtype=np.int64)[i]
+    dst = np.ravel_multi_index(low.T, fs.shape)
+    data = np.sqrt(occ[src, i].astype(np.float64))
     return sp.csr_matrix((data, (dst, src)), shape=(fs.dim, fs.dim))
 
 
 def apply_ladder(psi: np.ndarray, i: int, fs: FockSpace, dagger: bool = False) -> np.ndarray:
-    """a_i psi (a_i^dag psi if dagger) along the last, Fock, axis of psi:
-    a shifted slice of the mode-i occupation axis of the mixed-radix index,
-    scaled by sqrt(n)."""
-    r = fs.n_max + 1
-    view = psi.reshape(-1, r, r ** (fs.M - 1 - i))
-    out = np.zeros_like(view)
-    sq = np.sqrt(np.arange(1.0, r))[:, None]
+    """a_i psi (a_i^dag psi if dagger) along the last, Fock, axis of psi: the
+    shift of mode i's ladder in ``fs.ladders``, times its weights."""
+    stride, w = fs.ladders[i]
+    out = np.zeros_like(psi)
     if dagger:
-        out[:, 1:] = sq * view[:, :-1]
+        out[..., stride:] = w * psi[..., :-stride]
     else:
-        out[:, :-1] = sq * view[:, 1:]
-    return out.reshape(psi.shape)
+        out[..., :-stride] = w * psi[..., stride:]
+    return out
 
 
 def number_operator(fs: FockSpace) -> sp.csr_matrix:
@@ -153,7 +157,7 @@ def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
     if kp.K.shape != (M, M):
         raise ValueError("kernel size does not match the Fock space mode count")
     occ = fs.occupations.astype(np.int32)  # dim <= DEFAULT_DIM_CAP: int32 indices
-    stride = (top + 1) ** (M - 1 - np.arange(M, dtype=np.int32))
+    stride = np.array(fs.strides, dtype=np.int32)
     i, j = np.nonzero(~np.eye(M, dtype=bool))
     hr, hc, hv = _moves(np.sqrt(occ[:, j] * (occ[:, i] + 1.0)) * (occ[:, i] < top),
                         stride[i] - stride[j], -kp.G[i, j])
@@ -262,18 +266,12 @@ class CoupledHamiltonian:
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
         self._lap, self._d = laplacian_matrix(grid), len(axes)
         self._diag = vshift[:, None] + self.fs.numbers / self.alpha**2
-        # g_i = alpha^-1 sqrt(w_i) delta G_i, the coefficient of a_i^dag, which
-        # raises the flat Fock index by the stride of mode i.  Its plane holds
-        # g_i(s) sqrt(n_i) at each destination past the stride; sqrt(n_i) = 0
-        # exactly where the shift would wrap into the next digit.  a_i shifts
-        # back with the conjugate plane.
+        # g_i = alpha^-1 sqrt(w_i) delta G_i is the coefficient of a_i^dag; its
+        # plane g_i(s) w scales mode i's ladder (stride, w) in fs.ladders, 0
+        # where the shift would wrap; a_i shifts back with the conjugate plane
         self._dg = [g / self.alpha for g in dg]
-        r, occ = self.fs.n_max + 1, self.fs.occupations
-        self._shifts = []
-        for i, g in enumerate(self._dg):
-            stride = r ** (self.fs.M - 1 - i)
-            up = g[:, None] * np.sqrt(occ[stride:, i])
-            self._shifts.append((stride, up, np.conj(up)))
+        ups = [(stride, g[:, None] * w) for g, (stride, w) in zip(self._dg, self.fs.ladders)]
+        self._shifts = [(stride, up, np.conj(up)) for stride, up in ups]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi for psi of shape (sector_size, fock_dim), in any memory layout."""
@@ -409,8 +407,7 @@ def reduced_densities(psi: np.ndarray, fs: FockSpace):
 
 def top_level_population(psi: np.ndarray, fs: FockSpace) -> float:
     """Total weight on basis states with any occupation at the cutoff."""
-    top = np.any(fs.occupations == fs.n_max, axis=1)
-    return float(np.sum(np.abs(psi[..., top]) ** 2))
+    return float(np.sum(np.abs(psi[..., fs.at_cutoff]) ** 2))
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:

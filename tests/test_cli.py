@@ -121,6 +121,18 @@ def test_bogoliubov_check_table(tmp_path):
     assert len(lines) == 5  # header + four cutoffs
 
 
+@pytest.mark.parametrize("lines", ["n_max = 24\n", "tau_final = 0.25\nn_max = 16\n"],
+                         ids=["n_max-24", "tau-0.25-n_max-16"])
+def test_bogoliubov_check_passes_a_table_converged_to_roundoff(tmp_path, lines):
+    # every row reads 1e-16 to 2e-14, where the deviation no longer falls with n_max
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "out"
+    assert main(["bogoliubov-check", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = (out / "bogoliubov_check.csv").read_text().splitlines()[1:]
+    assert max(max(float(x) for x in r.split(",")[1:3]) for r in rows) <= 1e-12
+
+
 def test_bogoliubov_cutoffs_bracket_the_preset_cutoff():
     assert RunConfig(n_max=8).bogoliubov_cutoffs == [4, 6, 8, 12]
     assert RunConfig(n_max=6).bogoliubov_cutoffs == [2, 4, 6, 10]

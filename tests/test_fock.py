@@ -82,7 +82,9 @@ def test_number_operator_diagonal(fs):
 
 def test_vacuum(fs):
     v = fs.vacuum()
-    assert v[fs.vacuum_index] == 1.0
+    # one unit amplitude, on the state with every occupation zero
+    assert np.array_equal(fs.occupations[np.flatnonzero(v)], [[0] * fs.M])
+    assert v.sum() == 1.0
     assert np.linalg.norm(v) == 1.0
     g, p = fk.reduced_densities(v, fs)
     assert np.max(np.abs(g)) == 0.0
@@ -400,6 +402,14 @@ def test_bogoliubov_table_matches_dense_eigh(bundle, desk_small_config):
         ]
         assert row[0] == n_max
         assert np.max(np.abs(np.subtract(row[1:], want))) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoffs", [[8, 6], [12, 12]])
+def test_bogoliubov_table_rejects_a_deviation_that_does_not_fall(bundle, cutoffs):
+    # n_max = 6 after 8 rises to 7.2e-6; n_max = 12 twice stays at 8.7e-11,
+    # the smallest desk-small row, still above the 1e-12 roundoff floor
+    with pytest.raises(ex.InvariantError, match="not decreasing in n_max"):
+        ex.bogoliubov_table(bundle.kernels, 1.0, cutoffs)
 
 
 def test_quadratic_evolution_builds_no_dense_fock_matrix(bundle, desk_small_config, monkeypatch):

@@ -3,7 +3,8 @@ a sibling; a helper two modules need is public in the one that owns it; a
 top-level function or class, public or private, and every method or
 property of a class has a caller in the package or the benchmark; scipy
 loads only where a sparse or Pade computation runs; memory is charged in
-one place; every failure type carries its exit code through its base."""
+one place; every failure type carries its exit code through its base; only
+fock.FockSpace lays out the Fock basis."""
 
 import ast
 import importlib
@@ -119,6 +120,35 @@ def test_memory_is_charged_once_from_the_command_table():
                     calls.append(f"{path.name} {getattr(stmt, 'name', '<module>')}")
     assert not preflights, "preflight functions:\n" + "\n".join(preflights)
     assert calls == ["cli.py main"]
+
+
+def test_only_fock_space_lays_out_the_fock_basis():
+    # the mixed-radix strides, the ladder weights and the cutoff mask are
+    # computed once, in FockSpace; a function elsewhere in fock.py that raises
+    # n_max + 1, or a name bound to n_max, to a power lays out the basis again
+    def mentions(node, bound):
+        return any(isinstance(n, ast.Name) and n.id in bound
+                   or isinstance(n, ast.Attribute) and n.attr == "n_max"
+                   for n in ast.walk(node))
+
+    found = []
+    for stmt in ast.parse((SRC / "fock.py").read_text()).body:
+        if getattr(stmt, "name", None) == "FockSpace":
+            continue
+        for fn in (n for n in ast.walk(stmt) if isinstance(n, ast.FunctionDef)):
+            bound, size = {"n_max"}, 0
+            while size < len(bound):  # names bound to names bound to n_max
+                size = len(bound)
+                for n in (n for n in ast.walk(fn) if isinstance(n, ast.Assign)):
+                    for t in n.targets:
+                        pairs = (zip(t.elts, n.value.elts) if isinstance(t, ast.Tuple)
+                                 and isinstance(n.value, ast.Tuple) else [(t, n.value)])
+                        bound |= {t.id for t, v in pairs
+                                  if isinstance(t, ast.Name) and mentions(v, bound)}
+            found += [f"fock.py:{n.lineno} {ast.unparse(n)}" for n in ast.walk(fn)
+                      if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                      and mentions(n.left, bound)]
+    assert not found, "Fock basis laid out outside FockSpace:\n" + "\n".join(found)
 
 
 def test_every_failure_type_carries_its_exit_code_through_one_base():

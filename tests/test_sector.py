@@ -61,8 +61,11 @@ def _random_state(rng, shape):
     return psi / np.linalg.norm(psi)
 
 
-@pytest.mark.parametrize("M, n_max", [(2, 8), (4, 3)])
+@pytest.mark.parametrize("M, n_max", [(2, 8), (4, 3), (1, 6), (3, 1)])
 def test_matrix_free_ladders_equal_sparse_products(M, n_max, rng):
+    # FockSpace.ladders, read by apply_ladder, against the sparse oracle built
+    # from the occupation table; M = 1 has the single stride 1, and at
+    # n_max = 1 half of each mode's shifts would wrap
     fs = fk.FockSpace(M, n_max)
     psi = rng.standard_normal((5, fs.dim)) + 1j * rng.standard_normal((5, fs.dim))
     for i in range(M):
