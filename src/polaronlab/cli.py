@@ -102,6 +102,9 @@ def cmd_compare(cfg, manifest):
     from .experiments import COMPARE_HEADER, build_bundle, compare_trajectory
 
     bundle = build_bundle(cfg, manifest)
+    # the first sparse assembly would charge this one-time import to the first alpha
+    with manifest.time_stage("import_scipy_sparse"):
+        import scipy.sparse  # noqa: F401
     curves = {}
     for alpha in cfg.alphas:
         with manifest.time_stage(f"compare_alpha_{alpha:g}"):

@@ -16,7 +16,7 @@ the coupled Hamiltonian and the propagator need numpy alone.
 
 The coupled Hamiltonian acts on its invariant sector, the grid of the
 axes the mode k-vectors span.  Its Laplacian is the real one-axis matrix
-of ``grid.laplacian_matrix`` applied along each sector axis, and its
+of ``Grid3.laplacian_matrix`` applied along each sector axis, and its
 coupling moves the flat Fock index of every sector site along each mode's
 ladder, times a coefficient plane built once per Hamiltonian.  The upper end
 of its spectral interval comes from Weyl's inequality on the exact spectrum
@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import InvariantError, NonConvergenceError
-from .grid import laplacian_matrix
 from .pekar import DiscretePekarSolution, delta_g_fields
 from .resolvent import KernelError, KernelPair
 
@@ -264,7 +263,7 @@ class CoupledHamiltonian:
             )
         (phi, vshift), dg = (m.reshape(len(m), -1) for m in means)
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
-        self._lap, self._d = laplacian_matrix(grid), len(axes)
+        self._lap, self._d = grid.laplacian_matrix, len(axes)
         self._diag = vshift[:, None] + self.fs.numbers / self.alpha**2
         # g_i = alpha^-1 sqrt(w_i) delta G_i is the coefficient of a_i^dag; its
         # plane g_i(s) w scales mode i's ladder (stride, w) in fs.ladders, 0

@@ -66,6 +66,19 @@ class Grid3:
         return k2[:, None, None] + k2[:, None] + k2
 
     @cached_property
+    def plane_waves(self):
+        """(k, W): the axis wave numbers sorted stably by k^2, and the unit plane
+        waves exp(i k_j x) / sqrt(n) along one axis as the columns of W."""
+        k = self.k_axis[np.argsort(self.k_axis**2, kind="stable")]
+        return k, np.exp(1j * np.outer(self.axis, k)) / np.sqrt(self.n)
+
+    @cached_property
+    def laplacian_matrix(self) -> np.ndarray:
+        """p^2 along one axis, W diag(k^2) W^*, as a real symmetric n x n matrix."""
+        k, waves = self.plane_waves
+        return ((waves * k**2) @ waves.conj().T).real
+
+    @cached_property
     def half_ksq(self) -> np.ndarray:
         """|k|^2 on the ``rfftn`` half spectrum, shape (n, n, n/2+1)."""
         k2 = self.k_axis**2
@@ -143,19 +156,6 @@ def apply_laplacian(f: Field) -> Field:
     """Apply p^2 = -Laplacian spectrally (multiply by |k|^2 in Fourier space)."""
     fhat = np.fft.fftn(f.values)
     return Field(np.fft.ifftn(f.grid.ksq * fhat), f.grid)
-
-
-def plane_waves(grid: Grid3):
-    """(k, W): the axis wave numbers sorted stably by k^2, and the unit plane
-    waves exp(i k_j x) / sqrt(n) along one axis as the columns of W."""
-    k = grid.k_axis[np.argsort(grid.k_axis**2, kind="stable")]
-    return k, np.exp(1j * np.outer(grid.axis, k)) / np.sqrt(grid.n)
-
-
-def laplacian_matrix(grid: Grid3) -> np.ndarray:
-    """p^2 along one axis, W diag(k^2) W^*, as a real symmetric n x n matrix."""
-    k, waves = plane_waves(grid)
-    return ((waves * k**2) @ waves.conj().T).real
 
 
 def coulomb_convolve(rho: np.ndarray, grid: Grid3) -> np.ndarray:

@@ -71,7 +71,7 @@ def pekar_energy(phi: Field):
 def _fix_phase_positive(phi: Field) -> Field:
     s = np.sum(phi.values.real) * phi.grid.cell_volume
     vals = phi.values if s >= 0 else -phi.values
-    # real: only the plane-wave bases of uncoupled axes make the transform
+    # real: only the plane-wave bases of uncoupled axes make the product
     # complex, and their constant ground vector has no imaginary part
     return Field(vals.real, phi.grid)
 
@@ -270,14 +270,15 @@ def _pin_translation(modes: ModeSet, f: np.ndarray) -> np.ndarray:
 def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3):
     """The sign-fixed, normalised ground state phi of h = p^2 + V with V built
     from the amplitudes f, its eigenvalue lambda, V, the kinetic energy
-    T = lambda - <phi, V phi> and the spectrum of h."""
+    T = lambda - <phi, V phi> and the spectrum of h.  phi is the outer product
+    of the group ground vectors and lambda the offset plus their lowest levels
+    (``SeparableSpectrum.ground``): no eigenbasis transform and no full-grid
+    eigenvalue array."""
     V = _discrete_potential(modes, G, f, grid)
     spec = resolvent.separable_spectrum(V, modes)
-    ground = np.zeros(grid.shape)
-    ground.flat[0] = 1.0  # the product of the group ground vectors
-    phi = _fix_phase_positive(Field(spec.transform(ground, inverse=True), grid))
+    phi, lam = spec.ground()
+    phi = _fix_phase_positive(Field(phi, grid))
     phi = phi * (1.0 / phi.norm())
-    lam = float(spec.eigenvalues().flat[0])
     T = lam - float(np.vdot(phi.values**2, V.values)) * grid.cell_volume
     return phi, lam, V, T, spec
 

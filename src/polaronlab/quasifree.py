@@ -16,6 +16,10 @@ symplectic, V^* S V = S.
 The Heisenberg transport of the ladder operators uses the conjugated
 generator S A S; its blocks (U, W) = (V11, -V12) transform the one-body
 density gamma and the pairing matrix.
+
+The independent RK4 route on the real-affine (gamma, pairing) ODEs tabulates
+one step from one batched step of the stacked unit states, and raises it to
+the step count by repeated squaring (Moler & Van Loan, SIAM Rev. 45 (2003)).
 """
 
 from __future__ import annotations
@@ -170,40 +174,37 @@ def evolve_quasifree(state: QuasiFreeState, bmap: BogoliubovMap) -> QuasiFreeSta
     return QuasiFreeState(gamma=upper[:, :M], pairing=upper[:, M:])
 
 
-def density_rhs(gen: Generator, state: QuasiFreeState, alpha: float):
-    """Right-hand side of the closed ODE system for (gamma, pairing)."""
+def density_rhs(gen: Generator, g: np.ndarray, p: np.ndarray, alpha: float):
+    """Right-hand side of the closed ODE system for (gamma, pairing) = (g, p);
+    leading axes of g and p stack independent states."""
     kp = gen.kernels
     M = gen.M
     h = np.eye(M) - kp.G
     K = kp.K
-    g, p = state.gamma, state.pairing
     dg = 1j * (g @ h - h @ g) + 1j * (K @ p.conj() - p @ K.conj().T)
-    dp = 1j * (-p @ h.conj() - h @ p + g @ K + K + K @ g.T)
+    dp = 1j * (-p @ h.conj() - h @ p + g @ K + K + K @ g.swapaxes(-1, -2))
     return dg / alpha**2, dp / alpha**2
 
 
 def _rk4_step(gen: Generator, g, p, h: float, alpha: float):
     """One classical RK4 step of length h of the density_rhs ODE from (g, p)."""
-    k1g, k1p = density_rhs(gen, QuasiFreeState(g, p), alpha)
-    s2 = QuasiFreeState(g + 0.5 * h * k1g, p + 0.5 * h * k1p)
-    k2g, k2p = density_rhs(gen, s2, alpha)
-    s3 = QuasiFreeState(g + 0.5 * h * k2g, p + 0.5 * h * k2p)
-    k3g, k3p = density_rhs(gen, s3, alpha)
-    s4 = QuasiFreeState(g + h * k3g, p + h * k3p)
-    k4g, k4p = density_rhs(gen, s4, alpha)
+    k1g, k1p = density_rhs(gen, g, p, alpha)
+    k2g, k2p = density_rhs(gen, g + 0.5 * h * k1g, p + 0.5 * h * k1p, alpha)
+    k3g, k3p = density_rhs(gen, g + 0.5 * h * k2g, p + 0.5 * h * k2p, alpha)
+    k4g, k4p = density_rhs(gen, g + h * k3g, p + h * k3p, alpha)
     g = g + (h / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
     p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
     return g, p
 
 
 def _pack(g, p) -> np.ndarray:
-    """(gamma, pairing) as one real vector of length 4 M^2 (re/im interleaved)."""
-    return np.concatenate([g.ravel(), p.ravel()]).view(np.float64)
+    """(gamma, pairing) as one real vector of length 4 M^2 (re/im interleaved) per leading index."""
+    return np.stack([g, p], axis=-3).reshape(*g.shape[:-2], -1).view(np.float64)
 
 
 def _unpack(y: np.ndarray, M: int):
-    z = y.view(np.complex128)
-    return z[: M * M].reshape(M, M), z[M * M :].reshape(M, M)
+    z = y.view(np.complex128).reshape(*y.shape[:-1], 2, M, M)
+    return z[..., 0, :, :], z[..., 1, :, :]
 
 
 def _rk4_affine(gen: Generator, h: float, alpha: float):
@@ -211,16 +212,12 @@ def _rk4_affine(gen: Generator, h: float, alpha: float):
 
     density_rhs is real-affine in (gamma, pairing) with constant coefficients,
     so one RK4 step is an affine map: q is the step from zero and column j of
-    P the step from the unit vector e_j, less q (4 M^2 + 1 steps in all).
+    P the step from the unit vector e_j, less q.  The states 0, e_1 ... e_n
+    are the rows of one array and take one batched step (four density_rhs calls).
     """
-    M = gen.M
-    n = 4 * M * M
-
-    def step(y):
-        return _pack(*_rk4_step(gen, *_unpack(y, M), h, alpha))
-
-    q = step(np.zeros(n))
-    return np.column_stack([step(e) for e in np.eye(n)]) - q[:, None], q
+    n = 4 * gen.M**2
+    steps = _pack(*_rk4_step(gen, *_unpack(np.eye(n + 1, n, -1), gen.M), h, alpha))
+    return (steps[1:] - steps[0]).T, steps[0]
 
 
 def evolve_odes(
@@ -234,9 +231,10 @@ def evolve_odes(
 
     dt is measured in units of t (not tau); it must resolve ||A|| / alpha^2.
     The step is tabulated once as the affine map y -> P y + q of
-    ``_rk4_affine`` and then applied round(t / dt) times, so the cost
-    in density_rhs calls does not depend on dt; the ODE is still defined by
-    density_rhs alone, independently of the exponential map.
+    ``_rk4_affine``, and round(t / dt) steps are the power of the augmented
+    matrix [[P, q], [0, 1]], taken by repeated squaring.  So the cost in
+    density_rhs calls does not depend on dt, and the ODE is still defined
+    by density_rhs alone, independently of the exponential map.
     """
     anorm = np.linalg.norm(gen.A, 2) / alpha**2
     if dt * anorm > 0.5:
@@ -246,7 +244,7 @@ def evolve_odes(
         )
     nsteps = max(1, int(round(abs(t) / dt)))
     P, q = _rk4_affine(gen, t / nsteps, alpha)
-    y = _pack(state0.gamma, state0.pairing)
-    for _ in range(nsteps):
-        y = P @ y + q
-    return QuasiFreeState(*_unpack(y, gen.M))
+    step = np.vstack([np.column_stack([P, q]), np.eye(1, len(q) + 1, len(q))])  # [[P, q], [0, 1]]
+    y = np.append(_pack(state0.gamma, state0.pairing), 1.0)
+    y = np.linalg.matrix_power(step, nsteps) @ y
+    return QuasiFreeState(*_unpack(y[:-1], gen.M))

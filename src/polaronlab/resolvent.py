@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .config import InvariantError, NonConvergenceError, write_json
-from .grid import Field, Grid3, apply_laplacian, inner, laplacian_matrix, plane_waves, save_array
+from .grid import Field, Grid3, apply_laplacian, inner, save_array
 from .modes import ModeSet
 
 
@@ -75,22 +75,30 @@ class SeparableSpectrum:
     offset: float
 
     def eigenvalues(self) -> np.ndarray:
-        n = self.grid.n
-        return self.offset + sum(
-            e.reshape([n if a in g else 1 for a in range(3)])
-            for g, e in zip(self.groups, self.levels)
-        )
+        return self.offset + sum(self._spread(self.levels))
+
+    def ground(self):
+        """(phi, lambda) of eigen index 0: the grid array of the product of
+        the group ground vectors, and the offset plus their levels."""
+        phi = reduce(np.multiply, self._spread([u[:, 0] for u in self.bases]))
+        return phi, float(self.offset + sum(e[0] for e in self.levels))
+
+    def _spread(self, arrays) -> list:
+        """Per group, an array over its n^|g| points shaped to broadcast on the grid."""
+        shapes = ([self.grid.n if a in g else 1 for a in range(3)] for g in self.groups)
+        return [x.reshape(s) for x, s in zip(arrays, shapes)]
 
     def transform(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Eigenbasis coefficients of a grid array; with ``inverse``, the grid
-        array of given coefficients."""
-        n = self.grid.n
+        array of given coefficients.  The array is transposed into the
+        concatenated group order; each group then contracts the leading axes
+        in one matmul and appends its transformed axes (the idiom of
+        ``pekar._cos3``), which restores that order after the last group."""
+        n, order = self.grid.n, sum(self.groups, ())
+        values = values.transpose(order)
         for g, u in zip(self.groups, self.bases):
-            d = len(g)
-            m = (u if inverse else u.conj().T).reshape((n,) * 2 * d)
-            values = np.tensordot(m, values, axes=(range(d, 2 * d), g))
-            values = np.moveaxis(values, range(d), g)
-        return values
+            values = values.reshape(n ** len(g), -1).T @ (u.T if inverse else u.conj())
+        return values.reshape(self.grid.shape).transpose(np.argsort(order))
 
 
 def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
@@ -113,8 +121,8 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
     if defect > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
         raise SeparationError(f"V_eff misses its split over the axis groups {groups} by "
                               f"{defect:.3e}; it does not separate")
-    k, waves = plane_waves(grid)
-    lap1, eye = laplacian_matrix(grid), np.eye(grid.n)
+    k, waves = grid.plane_waves
+    lap1, eye = grid.laplacian_matrix, np.eye(grid.n)
     bases, levels = [], []
     for g, c, vg in zip(groups, coupled, terms):
         if not c:

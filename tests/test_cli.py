@@ -208,6 +208,38 @@ def test_compare_single_alpha(tmp_path):
     assert float(first[2]) <= 1e-12  # err_effective(0) = 0
 
 
+def test_compare_times_the_sparse_import_before_the_first_alpha(tmp_path):
+    # a fresh interpreter, so that the verb makes the first scipy.sparse import:
+    # it falls in its own stage, and every alpha stage starts with it loaded
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alphas = 2, 4\ntau_final = 0.5\ntau_samples = 2\n")
+    out = tmp_path / "out"
+    script = (
+        "import contextlib, json, sys\n"
+        "from polaronlab import config\n"
+        "from polaronlab.cli import main\n"
+        "stage, seen = config.RunManifest.time_stage, []\n"
+        "@contextlib.contextmanager\n"
+        "def watched(self, name):\n"
+        "    seen.append([name, 'scipy.sparse' in sys.modules])\n"
+        "    with stage(self, name):\n"
+        "        yield\n"
+        "config.RunManifest.time_stage = watched\n"
+        f"code = main(['compare', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+        "print(code, json.dumps(seen))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(polaronlab.__file__))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    code, seen = run.stdout.splitlines()[-1].split(" ", 1)
+    assert int(code) == EXIT_OK
+    assert json.loads(seen) == [["solve_ground_state", False], ["build_kernels", False],
+                                ["import_scipy_sparse", False], ["compare_alpha_2", True],
+                                ["compare_alpha_4", True]]
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert sorted(timings) == sorted(name for name, _ in json.loads(seen))
+
+
 def test_compare_records_the_trace_distance_bound(tmp_path):
     # the electron trace distance stays below twice the state error at every sample
     cfg = tmp_path / "run.cfg"

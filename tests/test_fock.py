@@ -18,7 +18,6 @@ from polaronlab import fock as fk
 from polaronlab import quasifree as qf
 from polaronlab import config
 from polaronlab.config import load_config
-from polaronlab.grid import laplacian_matrix
 from polaronlab.modes import mode_preset
 from polaronlab.pekar import delta_g_fields
 
@@ -272,7 +271,7 @@ def sector_matrix(H):
     dsol, fs, alpha = H.dsol, H.fs, H.alpha
     axes = dsol.modes.coupled_axes
     cut = tuple(slice(None) if a in axes else 0 for a in range(3))
-    lap1, eye = sp.csr_matrix(laplacian_matrix(dsol.grid)), sp.identity(dsol.grid.n)
+    lap1, eye = sp.csr_matrix(dsol.grid.laplacian_matrix), sp.identity(dsol.grid.n)
     lap = sum(reduce(sp.kron, [lap1 if b == a else eye for b in range(len(axes))])
               for a in range(len(axes)))
     h = lap + sp.diags(dsol.V_eff.values[cut].ravel() - dsol.lam)

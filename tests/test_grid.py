@@ -14,7 +14,6 @@ from polaronlab.grid import (
     coulomb_convolve,
     gaussian,
     inner,
-    laplacian_matrix,
     plane_wave,
     save_array,
     save_field,
@@ -185,7 +184,7 @@ def test_save_field_writes_without_copying_the_payload(tmp_path):
 def test_laplacian_matrix_reproduces_apply_laplacian_along_each_axis(n):
     grid = Grid3(n, 4.0 * np.pi)
     rng = np.random.default_rng(7)
-    lap = laplacian_matrix(grid)
+    lap = grid.laplacian_matrix
     assert np.max(np.abs(lap - lap.T)) <= 1e-13
     f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     total = np.zeros_like(f)

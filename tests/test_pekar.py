@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polaronlab import pekar
+from polaronlab import pekar, resolvent
 from polaronlab.config import load_config, pekar_bytes
 from polaronlab.grid import Field, Grid3, apply_laplacian, gaussian, inner
 from polaronlab.modes import ModeSet, axis_pair, mode_preset
@@ -341,3 +341,26 @@ def test_discrete_solve_makes_no_fft(monkeypatch):
     grid = Grid3(16, 4 * np.pi)
     solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
     assert not any(counts.values()), counts
+
+
+@pytest.mark.parametrize("name", ["pair-x", "quad-xy", "hex-xyz"])
+def test_product_ground_state_matches_inverse_transform(name):
+    # the sweep's ground vector is the product of the group ground columns;
+    # the inverse transform of the unit coefficient array is the route it replaced
+    grid = Grid3(8, 4 * np.pi)
+    spec = solve_discrete_pekar(grid, mode_preset(name, grid.box_length), tol=1e-7).spectrum
+    phi, lam = spec.ground()
+    unit = np.zeros(grid.shape)
+    unit.flat[0] = 1.0
+    assert np.max(np.abs(phi - spec.transform(unit, inverse=True))) <= 1e-15
+    assert lam == spec.eigenvalues().flat[0]
+
+
+def test_discrete_solve_makes_no_eigenbasis_transform(monkeypatch):
+    # each sweep reads its ground state off the group bases alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_discrete_pekar called SeparableSpectrum.transform")
+
+    monkeypatch.setattr(resolvent.SeparableSpectrum, "transform", refuse)
+    grid = Grid3(16, 4 * np.pi)
+    solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)

@@ -86,13 +86,10 @@ def rk4_reference(state0, gen, t, alpha, dt):
     h = t / nsteps
     g, p = state0.gamma.copy(), state0.pairing.copy()
     for _ in range(nsteps):
-        k1g, k1p = qf.density_rhs(gen, qf.QuasiFreeState(g, p), alpha)
-        s2 = qf.QuasiFreeState(g + 0.5 * h * k1g, p + 0.5 * h * k1p)
-        k2g, k2p = qf.density_rhs(gen, s2, alpha)
-        s3 = qf.QuasiFreeState(g + 0.5 * h * k2g, p + 0.5 * h * k2p)
-        k3g, k3p = qf.density_rhs(gen, s3, alpha)
-        s4 = qf.QuasiFreeState(g + h * k3g, p + h * k3p)
-        k4g, k4p = qf.density_rhs(gen, s4, alpha)
+        k1g, k1p = qf.density_rhs(gen, g, p, alpha)
+        k2g, k2p = qf.density_rhs(gen, g + 0.5 * h * k1g, p + 0.5 * h * k1p, alpha)
+        k3g, k3p = qf.density_rhs(gen, g + 0.5 * h * k2g, p + 0.5 * h * k2p, alpha)
+        k4g, k4p = qf.density_rhs(gen, g + h * k3g, p + h * k3p, alpha)
         g = g + (h / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
     return qf.QuasiFreeState(gamma=g, pairing=p)
@@ -110,6 +107,18 @@ def test_tabulated_ode_matches_per_step_rk4(any_gen, start):
         st0 = qf.evolve_quasifree(st0, qf.propagate_map(any_gen, 1.0, 1.0))
     ref = rk4_reference(st0, any_gen, 5.0, 1.0, dt=0.005)
     got = qf.evolve_odes(st0, any_gen, 5.0, 1.0, dt=0.005)
+    assert np.max(np.abs(got.gamma - ref.gamma)) <= 1e-11
+    assert np.max(np.abs(got.pairing - ref.pairing)) <= 1e-11
+
+
+@pytest.mark.parametrize("nsteps", [1, 2, 999, 1000, 1001])
+def test_ode_matches_per_step_rk4_at_each_step_count(any_gen, nsteps):
+    # the step power is taken by repeated squaring, whose products follow the
+    # binary digits of the count: one and two steps, and three neighbours
+    dt = 0.005
+    st0 = qf.evolve_quasifree(qf.vacuum_state(any_gen.M), qf.propagate_map(any_gen, 1.0, 1.0))
+    ref = rk4_reference(st0, any_gen, nsteps * dt, 1.0, dt)
+    got = qf.evolve_odes(st0, any_gen, nsteps * dt, 1.0, dt)
     assert np.max(np.abs(got.gamma - ref.gamma)) <= 1e-11
     assert np.max(np.abs(got.pairing - ref.pairing)) <= 1e-11
 
@@ -187,7 +196,7 @@ def test_ode_cost_does_not_depend_on_dt(gen, monkeypatch):
         calls.clear()
         qf.evolve_odes(qf.vacuum_state(gen.M), gen, 5.0, 1.0, dt=dt)
         counts.append(len(calls))
-    assert counts[0] == counts[1] == 4 * (4 * gen.M**2 + 1)
+    assert counts[0] == counts[1] == 4  # one batched RK4 step tabulates the map
 
 
 def test_ode_refuses_coarse_step(gen):
@@ -215,7 +224,7 @@ def test_heisenberg_blocks_preserve_ccr(gen):
 def test_density_rhs_is_structure_preserving(gen):
     # the flow keeps gamma Hermitian and pairing symmetric
     st = squeezed_vacuum(gen.M, 0.3)
-    dg, dp = qf.density_rhs(gen, st, alpha=1.0)
+    dg, dp = qf.density_rhs(gen, st.gamma, st.pairing, alpha=1.0)
     assert np.max(np.abs(dg - dg.conj().T)) <= 1e-12
     assert np.max(np.abs(dp - dp.T)) <= 1e-12
 

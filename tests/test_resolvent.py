@@ -14,7 +14,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from polaronlab import resolvent
 from polaronlab.experiments import build_bundle
-from polaronlab.grid import Field, plane_wave
+from polaronlab.grid import Field, Grid3, plane_wave
+from polaronlab.modes import ModeSet, mode_preset
 from polaronlab.resolvent import (
     GapError,
     ResolventHandle,
@@ -243,3 +244,58 @@ def test_non_separable_potential_is_rejected(hex_xyz_dsol):
     bumped = hex_xyz_dsol.V_eff.values + 1e-6 * np.cos(x / 2) * np.cos(y / 2)
     with pytest.raises(ValueError, match="does not separate"):
         separable_spectrum(Field(bumped, grid), hex_xyz_dsol.modes)
+
+
+# ---------------------------------------------------------------------------
+# the eigenbasis transform against the dense product of the group bases
+# ---------------------------------------------------------------------------
+
+# the off-axis pair +-(0.5, 0, 0.5) joins x and z into the non-contiguous
+# group (0, 2) next to the free axis 1
+TRANSFORM_MODES = ["pair-x", "quad-xy", "hex-xyz", "xz-pair"]
+
+
+def spectrum_of(name, rng):
+    """The separable spectrum of p^2 + V on 8^3, V a sum of the mode set's
+    plane waves with random amplitudes."""
+    grid = Grid3(8, 4.0 * np.pi)
+    if name == "xz-pair":
+        modes = ModeSet(np.array([[0.5, 0.0, 0.5], [-0.5, 0.0, -0.5]]), [16.0, 16.0])
+    else:
+        modes = mode_preset(name, grid.box_length)
+    f = rng.standard_normal(modes.M) + 1j * rng.standard_normal(modes.M)
+    V = np.tensordot(f, modes.coupling_fields(grid), axes=1).real
+    return separable_spectrum(Field(V, grid), modes)
+
+
+def dense_eigenbasis(spec):
+    """The n^3 x n^3 unitary whose column c is the eigenvector of coefficient
+    index c, both indices in C order of the grid: the Kronecker product of
+    the group bases, each placed on its own axes."""
+    n, letters = spec.grid.n, []
+    for g in spec.groups:
+        letters.append("".join("xyz"[a] for a in g) + "".join("abc"[a] for a in g))
+    ops = [u.reshape((n,) * 2 * len(g)) for g, u in zip(spec.groups, spec.bases)]
+    return np.einsum(",".join(letters) + "->xyzabc", *ops).reshape(n**3, n**3)
+
+
+@pytest.mark.parametrize("name", TRANSFORM_MODES)
+def test_transform_matches_dense_kronecker_product(name, rng):
+    spec = spectrum_of(name, rng)
+    if name == "xz-pair":
+        assert spec.groups == ((0, 2), (1,))
+    U, shape = dense_eigenbasis(spec), spec.grid.shape
+    assert np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) <= 1e-13
+    v = _random_field(spec.grid, rng).values
+    want = (U.conj().T @ v.ravel()).reshape(shape)
+    assert np.max(np.abs(spec.transform(v) - want)) <= 1e-13
+    want = (U @ v.ravel()).reshape(shape)
+    assert np.max(np.abs(spec.transform(v, inverse=True) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", TRANSFORM_MODES)
+def test_transform_round_trip(name, rng):
+    spec = spectrum_of(name, rng)
+    v = _random_field(spec.grid, rng).values
+    assert np.max(np.abs(spec.transform(spec.transform(v), inverse=True) - v)) <= 1e-13
+    assert np.max(np.abs(spec.transform(spec.transform(v, inverse=True)) - v)) <= 1e-13
