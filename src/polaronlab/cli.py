@@ -94,7 +94,13 @@ def cmd_build_kernels(cfg, manifest):
         f"lambda = {bundle.dsol.lam:.8f}  sector gap = {bundle.sector_gap:.8f}  "
         f"epsilon = {bundle.kernels.epsilon:.8f}"
     )
+    _print_diagnostics(manifest)
     manifest.hash_inputs(cfg.out_dir, "kernels", "ground")
+
+
+def _print_diagnostics(manifest):
+    for name, value in manifest.diagnostics.items():
+        print(f"{name:28s} {value:.3e}  [not gated]")
 
 
 def cmd_compare(cfg, manifest):
@@ -196,6 +202,7 @@ def cmd_selftest(cfg, manifest):
     for name, value in report.items():
         status = "ok" if manifest.checks.get(name, {}).get("passed", True) else "FAIL"
         print(f"{name:28s} {value:.3e}  [{status}]")
+    _print_diagnostics(manifest)
 
 
 # verb -> (function, help, memory stages): main charges the sum of the

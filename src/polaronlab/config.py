@@ -210,8 +210,9 @@ def pekar_bytes(cfg: RunConfig) -> int:
 
 def bundle_bytes(cfg: RunConfig) -> int:
     """build_bundle's peak: twelve complex n^3 fields plus one per mode, and
-    64 KiB of small arrays (traced peaks: 209-306 bytes per grid point for
-    n = 8-32, M = 2-6)."""
+    64 KiB of small arrays (traced peaks: 210-303 bytes per grid point for
+    n = 8-32, M = 2-6, set by the kernel assembly; the Pekar sweeps work on
+    the axis groups and leave it unchanged)."""
     return 16 * (12 + _modes(cfg).M) * cfg.grid_n**3 + (1 << 16)
 
 
@@ -272,7 +273,8 @@ def file_sha256(path: str) -> str:
 
 @dataclass
 class RunManifest:
-    """Config echo, timings, artifact hashes and check outcomes for one run."""
+    """Config echo, timings, artifact hashes, check outcomes and ungated
+    diagnostic values for one run."""
 
     config: dict
     command: str
@@ -280,6 +282,7 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
     input_hashes: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
     started_at: float = field(default_factory=time.time)
 
     @contextlib.contextmanager
@@ -315,6 +318,7 @@ class RunManifest:
             "timings": self.timings,
             "input_hashes": self.input_hashes,
             "checks": self.checks,
+            "diagnostics": self.diagnostics,
             "wall_time": round(time.time() - self.started_at, 3),
         })
 

@@ -50,6 +50,7 @@ def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
             gen.s_hermiticity_defect() <= 1e-10,
             gen.s_hermiticity_defect(),
         )
+        manifest.diagnostics.update(gen.zero_mode_diagnostics(dsol.f0))  # recorded, not gated
     return ModelBundle(grid, modes, dsol, rh.gap, rh.sector_gap, rh, kp, gen)
 
 

@@ -17,7 +17,9 @@ class ModeSet:
     ``coupled_axes``: the axes some k_i has a component along; ``axis_groups``:
     the finest partition of the axes 0, 1, 2 with every k_i inside one group,
     over which a sum of plane waves e^{i k_i.x} separates; ``span_basis``: the
-    indices of the k_i, taken greedily in order, that form a basis of their span."""
+    indices of the k_i, taken greedily in order, that form a basis of their span;
+    ``span_pinv``: the pseudo-inverse of those k_i as rows, which takes their
+    phases k_j.d to the least-squares (minimum-norm) displacement d."""
 
     k_vectors: np.ndarray  # (M, 3)
     weights: np.ndarray  # (M,)
@@ -46,7 +48,9 @@ class ModeSet:
         object.__setattr__(self, "coupled_axes", tuple(sorted(set().union(*touched))))
         object.__setattr__(self, "axis_groups", groups)
         ranks = [np.linalg.matrix_rank(k[: i + 1]) for i in range(k.shape[0])]
-        object.__setattr__(self, "span_basis", np.flatnonzero(np.diff(ranks, prepend=0)))
+        basis = np.flatnonzero(np.diff(ranks, prepend=0))
+        object.__setattr__(self, "span_basis", basis)
+        object.__setattr__(self, "span_pinv", np.linalg.pinv(k[basis]))
 
     def _build_parity(self) -> np.ndarray:
         k = self.k_vectors

@@ -233,7 +233,7 @@ class DiscretePekarSolution(PekarSolution):
     modes: ModeSet
     f0: np.ndarray  # coupling amplitudes <phi0, G_x(k_i) phi0>, length M
     energy_trace: list = field(default_factory=list)
-    spectrum: resolvent.SeparableSpectrum = field(repr=False, compare=False)  # the last sweep's
+    spectrum: resolvent.SeparableSpectrum = field(repr=False, compare=False)  # the final sweep's
 
     def scalars(self) -> dict:
         return {
@@ -260,20 +260,56 @@ def _mode_amplitudes(G: np.ndarray, phi: Field) -> np.ndarray:
 def _pin_translation(modes: ModeSet, f: np.ndarray) -> np.ndarray:
     """Fix the translation gauge on the amplitudes: moving the density by d
     turns f_i into f_i e^{-i k_i.d}.  d solves k_j.d = arg f_j over the span
-    basis of the k_i (least squares: the basis may span fewer axes than it
-    touches), so those amplitudes come out real and nonnegative."""
-    basis = modes.span_basis
-    d = np.linalg.lstsq(modes.k_vectors[basis], np.angle(f[basis]), rcond=None)[0]
+    basis of the k_i (the least-squares solution by ``ModeSet.span_pinv``: the
+    basis may span fewer axes than it touches), so those amplitudes come out
+    real and nonnegative."""
+    d = modes.span_pinv @ np.angle(f[modes.span_basis])
     return f * np.exp(-1j * (modes.k_vectors @ d))
 
 
+def _group_fields(modes: ModeSet, G: np.ndarray) -> list:
+    """Per coupled axis group: its number of axes, the indices of the modes
+    inside it and their coupling fields on its n^|g| points, in C order over
+    its axes.  Each G_x(k_i) is constant along the other axes, so it is read
+    off the table G at their index 0."""
+    k, groups = modes.k_vectors, []
+    for g in modes.axis_groups:
+        idx = np.flatnonzero(np.any(np.abs(k[:, list(g)]) > 1e-12, axis=1))
+        if idx.size:
+            cut = tuple(slice(None) if a in g else 0 for a in range(3))
+            groups.append((len(g), idx, G[(slice(None), *cut)][idx].reshape(idx.size, -1)))
+    return groups
+
+
+def _group_sweep(modes: ModeSet, groups: list, f: np.ndarray, grid: Grid3):
+    """lambda, T and the amplitudes <phi, G_x(k_i) phi> of the ground state phi
+    of h = p^2 + V with V built from the amplitudes f, group by group and
+    never on the grid.  V is the sum of the group terms
+    V_g = -2 Re sum_{i in g} w_i conj(f_i) G_x(k_i), each a sum of plane waves
+    of mean 0, so lambda is the sum of the groups' lowest levels; the density
+    |phi|^2 is the product of the group densities p_g = u_g[:, 0]^2 (and a
+    constant along uncoupled axes), so T = sum_g (e_g[0] - <p_g, V_g>) and
+    <phi, G_x(k_i) phi> = <p_g, G_x(k_i)> over the points of k_i's group."""
+    lam = T = 0.0
+    f_new = np.empty_like(f)
+    for d, idx, Gg in groups:
+        v = -2.0 * ((modes.weights[idx] * np.conj(f[idx])) @ Gg).real
+        e, u = resolvent.group_eigensystem(grid, d, v)
+        p = u[:, 0] ** 2
+        p /= p.sum()
+        lam += e[0]
+        T += e[0] - p @ v
+        f_new[idx] = Gg @ p
+    return lam, T, f_new
+
+
 def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3):
-    """The sign-fixed, normalised ground state phi of h = p^2 + V with V built
-    from the amplitudes f, its eigenvalue lambda, V, the kinetic energy
-    T = lambda - <phi, V phi> and the spectrum of h.  phi is the outer product
-    of the group ground vectors and lambda the offset plus their lowest levels
-    (``SeparableSpectrum.ground``): no eigenbasis transform and no full-grid
-    eigenvalue array."""
+    """The final sweep, on the full grid: the sign-fixed, normalised ground
+    state phi of h = p^2 + V with V built from the amplitudes f, its
+    eigenvalue lambda, V, the kinetic energy T = lambda - <phi, V phi> and
+    the spectrum of h, whose split of V over the axis groups is checked.
+    phi is the outer product of the group ground vectors and lambda the
+    offset plus their lowest levels (``SeparableSpectrum.ground``)."""
     V = _discrete_potential(modes, G, f, grid)
     spec = resolvent.separable_spectrum(V, modes)
     phi, lam = spec.ground()
@@ -289,17 +325,21 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
     Each sweep builds V from the current amplitudes f, takes the exact
     ground state of p^2 + V (a product over the axis groups of the modes),
     pins the translation gauge of its amplitudes and mixes them in with
-    damping.  Binding is enforced: the converged state must be localized
-    along every coupled axis.
+    damping.  The sweeps work on the M amplitudes and one small operator
+    per coupled axis group (``_group_sweep``); only the final sweep builds
+    V, phi and the spectrum on the n^3 grid (``_sweep_ground_state``), and
+    the residual is read there.  Binding is enforced: the converged state
+    must be localized along every coupled axis.
     """
     G = modes.coupling_fields(grid)
+    groups = _group_fields(modes, G)
     f = _mode_amplitudes(G, gaussian(grid, DISCRETE_SIGMA_INIT))
     trace = []
     resid = np.inf
 
     for it in range(1, DISCRETE_MAX_ITER + 1):
-        phi, _, _, T, _ = _sweep_ground_state(modes, G, f, grid)
-        f_new = _pin_translation(modes, _mode_amplitudes(G, phi))
+        _, T, f_new = _group_sweep(modes, groups, f, grid)
+        f_new = _pin_translation(modes, f_new)
         resid = float(np.max(np.abs(f_new - f)))
         trace.append(T - float(np.sum(modes.weights * np.abs(f_new) ** 2)))
         if resid <= tol:

@@ -122,23 +122,26 @@ def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
         raise SeparationError(f"V_eff misses its split over the axis groups {groups} by "
                               f"{defect:.3e}; it does not separate")
     k, waves = grid.plane_waves
-    lap1, eye = grid.laplacian_matrix, np.eye(grid.n)
     bases, levels = [], []
     for g, c, vg in zip(groups, coupled, terms):
-        if not c:
-            bases.append(waves)
-            levels.append(k**2)
-            continue
-        lap = sum(reduce(np.kron, [lap1 if b == a else eye for b in range(len(g))])
-                  for a in range(len(g)))
-        e, u = np.linalg.eigh(lap + np.diag(np.ravel(vg)))
+        e, u = group_eigensystem(grid, len(g), vg) if c else (k**2, waves)
         bases.append(u)
         levels.append(e)
     return SeparableSpectrum(grid, groups, coupled, bases, levels, offset)
 
 
+def group_eigensystem(grid: Grid3, d: int, v: np.ndarray):
+    """(levels, basis) of p^2 + v on the n^d points of a d-axis group: p^2 the
+    Kronecker sum of the one-axis Laplacian, v the group's potential in C
+    order over its axes; ``eigh``, so the levels ascend and the basis holds
+    l2-unit columns."""
+    lap1, eye = grid.laplacian_matrix, np.eye(grid.n)
+    lap = sum(reduce(np.kron, [lap1 if b == a else eye for b in range(d)]) for a in range(d))
+    return np.linalg.eigh(lap + np.diag(np.ravel(v)))
+
+
 class ResolventHandle:
-    """The spectrum of h^{phi0} (the discrete solve's last sweep's),
+    """The spectrum of h^{phi0} (the discrete solve's final sweep's),
     its gap and in-sector gap (the smallest step within a coupled group,
     leaving out free motion along uncoupled axes), and R = Q (h - lambda)^{-1} Q
     applied exactly in that eigenbasis, with the residual of every solve
@@ -165,18 +168,24 @@ class ResolventHandle:
         grid, spec = self.sol.grid, self.spectrum
         if v.grid != grid:
             raise ValueError("field grid mismatch in resolvent apply")
-        u = spec.transform(self._inv * spec.transform(v.values), inverse=True)
-        u = self.project_out_ground(Field(u, grid))
-        qv = self.project_out_ground(v)
-        resid = (self.project_out_ground(apply_h(self.sol, u) - self.sol.lam * u) - qv).norm()
-        if resid > 1e-9 * max(1.0, qv.norm()):
+        u = self._q(spec.transform(self._inv * spec.transform(v.values), inverse=True))
+        qv = self._q(v.values)
+        # the residual takes h from the FFT Laplacian, not from the eigenbasis
+        r = self._q(apply_h(self.sol, Field(u, grid)).values - self.sol.lam * u) - qv
+        norm = lambda a: float(np.sqrt(np.vdot(a, a).real * grid.cell_volume))
+        resid = norm(r)
+        if resid > 1e-9 * max(1.0, norm(qv)):
             raise ResolventError(f"resolvent residual {resid:.3e} exceeds 1e-9 |Qv|")
-        return u
+        return Field(u, grid)
 
     def project_out_ground(self, v: Field) -> Field:
         """Q v = v - <phi0, v> phi0."""
-        c = inner(self.sol.phi0, v)
-        return Field(v.values - c * self.sol.phi0.values, v.grid)
+        return Field(self._q(v.values), v.grid)
+
+    def _q(self, a: np.ndarray) -> np.ndarray:
+        """Q on a grid array."""
+        phi = self.sol.phi0.values
+        return a - (np.vdot(phi, a) * self.sol.grid.cell_volume) * phi
 
 
 @dataclass

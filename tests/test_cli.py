@@ -31,6 +31,10 @@ def test_selftest_passes_on_default_preset(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "selftest"
     assert all(c["passed"] for c in manifest["checks"].values())
+    # recorded beside the checks, not gated: desk-small's lattice lifts both
+    assert set(manifest["diagnostics"]) == {"lowest_symplectic_frequency",
+                                            "zero_mode_defect_axis0"}
+    assert not set(manifest["diagnostics"]) & set(manifest["checks"])
 
 
 def test_selftest_rerun_manifest_differs_only_in_timings(tmp_path):

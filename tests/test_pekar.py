@@ -364,3 +364,62 @@ def test_discrete_solve_makes_no_eigenbasis_transform(monkeypatch):
     monkeypatch.setattr(resolvent.SeparableSpectrum, "transform", refuse)
     grid = Grid3(16, 4 * np.pi)
     solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
+
+
+def _mode_set(name, request):
+    """A 4 pi-box preset, or the axis-plus-diagonal set of diag_xy_dsol, whose
+    off-axis pair merges x and y into the group (0, 1)."""
+    if name == "axis-plus-diagonal":
+        return request.getfixturevalue("diag_xy_dsol").modes
+    return mode_preset(name, 4 * np.pi)
+
+
+@pytest.mark.parametrize("name", ["pair-x", "quad-xy", "hex-xyz", "axis-plus-diagonal"])
+def test_pinning_pseudo_inverse_matches_least_squares(name, request):
+    modes = _mode_set(name, request)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(modes.M) + 1j * rng.standard_normal(modes.M)
+    basis = modes.span_basis
+    d = np.linalg.lstsq(modes.k_vectors[basis], np.angle(f[basis]), rcond=None)[0]
+    assert np.max(np.abs(modes.span_pinv @ np.angle(f[basis]) - d)) <= 1e-14
+    pinned = f * np.exp(-1j * (modes.k_vectors @ d))
+    assert np.max(np.abs(pekar._pin_translation(modes, f) - pinned)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["pair-x", "quad-xy", "hex-xyz", "axis-plus-diagonal"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_group_sweep_matches_the_full_grid_route(name, n, request):
+    # lambda, T and the new amplitudes of a sweep, group by group against
+    # _discrete_potential -> separable_spectrum -> ground -> _mode_amplitudes,
+    # from the first sweep's Gaussian amplitudes and from the fixed point
+    grid, modes = Grid3(n, 4 * np.pi), _mode_set(name, request)
+    G = modes.coupling_fields(grid)
+    groups = pekar._group_fields(modes, G)
+    f_init = pekar._mode_amplitudes(G, gaussian(grid, pekar.DISCRETE_SIGMA_INIT))
+    for f in (f_init, solve_discrete_pekar(grid, modes, tol=1e-7).f0):
+        lam, T, f_new = pekar._group_sweep(modes, groups, f, grid)
+        phi, lam_ref, _, T_ref, _ = pekar._sweep_ground_state(modes, G, f, grid)
+        assert abs(lam - lam_ref) <= 1e-13
+        assert abs(T - T_ref) <= 1e-13
+        assert np.max(np.abs(f_new - pekar._mode_amplitudes(G, phi))) <= 1e-13
+
+
+def test_discrete_solve_builds_grid_data_once(monkeypatch):
+    # the sweeps never touch the n^3 grid: the coupling-field table and the
+    # potential are built once per solve, the potential by the final sweep
+    calls = {"potential": 0, "fields": 0}
+    potential, fields = pekar._discrete_potential, ModeSet.coupling_fields
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(pekar, "_discrete_potential", count("potential", potential))
+    monkeypatch.setattr(ModeSet, "coupling_fields", count("fields", fields))
+    grid = Grid3(16, 4 * np.pi)
+    sol = solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
+    assert sol.iterations > 1
+    assert calls == {"potential": 1, "fields": 1}

@@ -236,3 +236,25 @@ def test_generator_requires_valid_kernels(bundle):
     bad = replace(kp, K=kp.K + 1e-3 * np.tril(np.ones_like(kp.K), -1))
     with pytest.raises(ValueError):
         qf.build_generator(bad)
+
+
+def test_translation_is_a_zero_mode_on_a_converged_grid():
+    # pair-x on 24^3: moving the polaron along x is a zero mode of A, which
+    # the lattice of desk-small's 8^3 grid pins (there it reads 0.419)
+    import dataclasses
+
+    from polaronlab.config import load_config
+    from polaronlab.experiments import build_bundle
+
+    cfg = dataclasses.replace(load_config(preset="desk-small"), grid_n=24, pekar_tol=1e-10)
+    bundle = build_bundle(cfg)
+    diag = bundle.generator.zero_mode_diagnostics(bundle.dsol.f0)
+    assert set(diag) == {"lowest_symplectic_frequency", "zero_mode_defect_axis0"}
+    assert diag["zero_mode_defect_axis0"] <= 1e-10
+    assert diag["lowest_symplectic_frequency"] <= 1e-4
+
+
+def test_zero_mode_diagnostics_on_the_lattice_pinned_model(gen, bundle):
+    diag = gen.zero_mode_diagnostics(bundle.dsol.f0)
+    assert abs(diag["lowest_symplectic_frequency"] - 0.6472) <= 1e-4
+    assert abs(diag["zero_mode_defect_axis0"] - 0.4188) <= 1e-4
