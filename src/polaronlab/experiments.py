@@ -45,11 +45,8 @@ def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
         kp = build_kernels(rh)
     gen = qf.build_generator(kp)
     if manifest is not None:
-        manifest.record_check(
-            "generator_s_hermitian",
-            gen.s_hermiticity_defect() <= 1e-10,
-            gen.s_hermiticity_defect(),
-        )
+        defect = gen.s_hermiticity_defect()
+        manifest.record_check("generator_s_hermitian", defect <= 1e-10, defect)
         manifest.diagnostics.update(gen.zero_mode_diagnostics(dsol.f0))  # recorded, not gated
     return ModelBundle(grid, modes, dsol, rh.gap, rh.sector_gap, rh, kp, gen)
 

@@ -2,7 +2,7 @@
 a sibling; a helper two modules need is public in the one that owns it; a
 top-level function or class, public or private, and every method or
 property of a class has a caller in the package or the benchmark; scipy
-loads only where a sparse or Pade computation runs; memory is charged in
+loads only where a sparse matrix is built; memory is charged in
 one place; every failure type carries its exit code through its base; only
 fock.FockSpace lays out the Fock basis."""
 
@@ -189,17 +189,22 @@ def test_no_module_loads_scipy_fft_or_special():
 
 
 def test_scipy_loads_only_with_a_sparse_assembly():
-    # every module, the desk-small bundle, one Bogoliubov map and one resolvent
-    # apply run on numpy alone; the sparse quadratic Hamiltonian loads scipy.sparse
+    # every module, the desk-small bundle, its Bogoliubov map, the map of a
+    # nilpotent generator (A^2 = 0, no eigenbasis) and one resolvent apply run
+    # on numpy alone; the sparse quadratic Hamiltonian loads scipy.sparse
     script = (
         "import importlib, pkgutil, sys, numpy as np, polaronlab\n"
         "for m in pkgutil.iter_modules(polaronlab.__path__):\n"
         "    importlib.import_module('polaronlab.' + m.name)\n"
+        "from dataclasses import replace\n"
         "from polaronlab import experiments as ex, fock as fk, quasifree as qf\n"
         "from polaronlab.config import load_config\n"
         "from polaronlab.grid import Field\n"
         "b = ex.build_bundle(load_config(preset='desk-small'))\n"
         "qf.propagate_map(b.generator, 1.0, 2.0)\n"
+        "K = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)\n"
+        "nil = qf.build_generator(replace(b.kernels, K=K, G=0 * K, epsilon=0.0))\n"
+        "qf.propagate_map(nil, 50.0, 1.0)\n"
         "v = np.random.default_rng(0).standard_normal(b.grid.shape)\n"
         "b.rh.apply(Field(v, b.grid))\n"
         "print('scipy' in sys.modules)\n"

@@ -1,15 +1,25 @@
 """Bogoliubov map and quasi-free density evolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from polaronlab import quasifree as qf
+from polaronlab.experiments import build_bundle
 
 
 @pytest.fixture(scope="module")
 def gen(bundle):
     return bundle.generator
+
+
+@pytest.fixture(scope="module")
+def converged_bundle(desk_small_config):
+    """pair-x on 24^3 at discrete Pekar tolerance 1e-10: the translation
+    zero mode makes A nearly defective (eigenvector condition number 3e5)."""
+    return build_bundle(replace(desk_small_config, grid_n=24, pekar_tol=1e-10))
 
 
 def test_generator_block_structure(gen):
@@ -162,15 +172,35 @@ def test_congruence_matches_eight_term_formula(any_gen, start):
 
 def test_preset_maps_never_reach_scipy_expm(any_gen, monkeypatch):
     # scipy.linalg.expm runs on scipy's bundled BLAS, a second thread pool
-    # next to numpy's that slowed a later Pekar solve in the same process; the
-    # preset generators have well-conditioned eigenvectors, so _expm takes
-    # the eigendecomposition route and never falls back to it
+    # next to numpy's that slowed a later Pekar solve in the same process;
+    # _expm scales and squares on numpy alone, for every generator
     def refuse(*args, **kwargs):
         raise AssertionError("propagate_map reached scipy.linalg.expm")
 
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     for tau in (1.0, 5.0, 10.0):
         qf.propagate_map(any_gen, tau, 1.0)
+
+
+def test_nilpotent_generator_maps_exactly(bundle):
+    # G = 0 and K = [[0, 1], [1, 0]] on the pair-x modes give A^2 = 0, so
+    # V(tau) = 1 - i tau A exactly; a nilpotent A has no eigenbasis at all
+    K = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    gen = qf.build_generator(replace(bundle.kernels, K=K, G=0 * K, epsilon=0.0))
+    assert not np.any(gen.A @ gen.A)
+    for tau in (1.0, 5.0, 50.0):
+        bmap = qf.propagate_map(gen, tau, 1.0)
+        assert np.max(np.abs(bmap.V - (np.eye(4) - 1j * tau * gen.A))) <= 1e-14
+        assert bmap.symplectic_defect() <= 1e-14
+
+
+def test_map_is_accurate_on_a_nearly_defective_generator(converged_bundle):
+    # scipy's Pade expm serves as an oracle here, in the test only
+    gen = converged_bundle.generator
+    for tau in (1.0, 5.0):
+        bmap = qf.propagate_map(gen, tau, 1.0)
+        assert bmap.symplectic_defect() <= 1e-13
+        assert np.max(np.abs(bmap.V - scipy.linalg.expm(-1j * tau * gen.A))) <= 1e-13
 
 
 def test_affine_step_reproduces_rk4_step(any_gen, rng):
@@ -231,23 +261,15 @@ def test_density_rhs_is_structure_preserving(gen):
 
 def test_generator_requires_valid_kernels(bundle):
     kp = bundle.kernels
-    from dataclasses import replace
-
     bad = replace(kp, K=kp.K + 1e-3 * np.tril(np.ones_like(kp.K), -1))
     with pytest.raises(ValueError):
         qf.build_generator(bad)
 
 
-def test_translation_is_a_zero_mode_on_a_converged_grid():
+def test_translation_is_a_zero_mode_on_a_converged_grid(converged_bundle):
     # pair-x on 24^3: moving the polaron along x is a zero mode of A, which
     # the lattice of desk-small's 8^3 grid pins (there it reads 0.419)
-    import dataclasses
-
-    from polaronlab.config import load_config
-    from polaronlab.experiments import build_bundle
-
-    cfg = dataclasses.replace(load_config(preset="desk-small"), grid_n=24, pekar_tol=1e-10)
-    bundle = build_bundle(cfg)
+    bundle = converged_bundle
     diag = bundle.generator.zero_mode_diagnostics(bundle.dsol.f0)
     assert set(diag) == {"lowest_symplectic_frequency", "zero_mode_defect_axis0"}
     assert diag["zero_mode_defect_axis0"] <= 1e-10
