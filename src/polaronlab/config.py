@@ -194,8 +194,9 @@ def _modes(cfg: RunConfig):
 
 def _quadratic_bytes(M: int, n_max: int) -> int:
     """Peak of building and propagating the sparse H_quad on the Fock space
-    (M, n_max), per entry slot (1 + 2 M^2 a row); set by the build, traced at
-    54-122 bytes (M = 2, 4, 6 and n_max up to 300)."""
+    (M, n_max), per entry slot (1 + 2 M^2 a row); set by the build, whose moves
+    span all M^2 mode pairs, traced at 27-116 bytes (M = 2, 4, 6 and n_max
+    from 2 up to 300)."""
     return 160 * (n_max + 1) ** M * (1 + 2 * M**2)
 
 
@@ -210,9 +211,9 @@ def pekar_bytes(cfg: RunConfig) -> int:
 
 def bundle_bytes(cfg: RunConfig) -> int:
     """build_bundle's peak: twelve complex n^3 fields plus one per mode, and
-    64 KiB of small arrays (traced peaks: 210-303 bytes per grid point for
-    n = 8-32, M = 2-6, set by the kernel assembly; the Pekar sweeps work on
-    the axis groups and leave it unchanged)."""
+    64 KiB of small arrays (traced peaks: 178-274 bytes per grid point for
+    n = 8-32, M = 2-6, set by the kernel assembly's grid route; the Pekar
+    sweeps and the band route of t work on the axis groups)."""
     return 16 * (12 + _modes(cfg).M) * cfg.grid_n**3 + (1 << 16)
 
 
@@ -256,11 +257,13 @@ def bogoliubov_bytes(cfg: RunConfig) -> int:
 
 def normal_ordering_bytes(cfg: RunConfig) -> int:
     """selftest_report's normal-ordering check, which builds H_quad directly on
-    the n_max = 2 Fock space: 48 bytes per entry slot (1 + 2 M^2 a row) of 4^M
-    states, and 64 KiB (the check traced 30 KB, 0.41 MB and 12.0 MB at
-    M = 2, 4, 6)."""
-    M = _modes(cfg).M
-    return 48 * 4**M * (1 + 2 * M**2) + (1 << 16)
+    the n_max = 2 Fock space: 64 bytes per entry slot of 4^M states, and
+    64 KiB.  A row has 1 + 2P slots, P the number of mode pairs within one
+    axis group, since K and G vanish between groups (the check traced 57 KB,
+    0.28 MB and 5.1 MB for pair-x, quad-xy and hex-xyz, M = 2, 4, 6)."""
+    modes = _modes(cfg)
+    pairs = sum(len(idx) ** 2 for idx in modes.group_modes)
+    return 64 * 4**modes.M * (1 + 2 * pairs) + (1 << 16)
 
 
 def file_sha256(path: str) -> str:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import InvariantError, NonConvergenceError
-from .pekar import DiscretePekarSolution, delta_g_fields
+from .pekar import DiscretePekarSolution
 from .resolvent import KernelError, KernelPair
 
 if TYPE_CHECKING:
@@ -49,11 +49,6 @@ class FockDimensionError(InvariantError, ValueError):
 
 class EvolutionError(NonConvergenceError):
     pass
-
-
-class SectorError(InvariantError, ValueError):
-    """The ground state varies along an uncoupled axis, so the coupled sector
-    of CoupledHamiltonian is not invariant."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +231,8 @@ class CoupledHamiltonian:
 
     The sector is the grid of the d axes the mode k-vectors span (all three
     give the full grid); phi0, V_eff and every delta G_i are constant along
-    the others.  A sector vector v stands for v (x) c with c the unit-norm
+    the others by construction, so the sector reads them at index 0 there.
+    A sector vector v stands for v (x) c with c the unit-norm
     constant over the uncoupled axes, so norms, phonon numbers and trace
     distances are the full-grid ones.  ``electron`` is phi0 so embedded.
     """
@@ -246,22 +242,13 @@ class CoupledHamiltonian:
     alpha: float
 
     def __post_init__(self):
-        dsol, grid, w = self.dsol, self.dsol.grid, self.dsol.modes.weights
-        axes = dsol.modes.coupled_axes
-        # restrict to the sector: average over the uncoupled axes, which
-        # must leave every field unchanged up to roundoff; the real electron
-        # fields and the complex delta G fields stay apart, so each keeps its dtype
-        other = tuple(1 + a for a in range(3) if a not in axes)
-        stacks = (np.stack([dsol.phi0.values, dsol.V_eff.values - dsol.lam]),
-                  np.sqrt(w)[:, None, None, None] * delta_g_fields(dsol))
-        means = [s.mean(axis=other, keepdims=True) for s in stacks]
-        spread = max(np.max(np.abs(s - m)) for s, m in zip(stacks, means))
-        if spread > 1e-10 * max(1.0, *(np.max(np.abs(s)) for s in stacks)):
-            raise SectorError(
-                f"phi0, V_eff or a delta G field varies by {spread:.3e} along an "
-                "uncoupled axis; the coupled sector is not invariant"
-            )
-        (phi, vshift), dg = (m.reshape(len(m), -1) for m in means)
+        dsol, grid, modes = self.dsol, self.dsol.grid, self.dsol.modes
+        axes = modes.coupled_axes
+        cut = tuple(slice(None) if a in axes else 0 for a in range(3))
+        phi = dsol.phi0.values[cut].ravel()
+        vshift = dsol.V_eff.values[cut].ravel() - dsol.lam
+        G = modes.coupling_fields(grid)[(slice(None), *cut)].reshape(modes.M, -1)
+        dg = np.sqrt(modes.weights)[:, None] * (G - dsol.f0[:, None])
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
         self._lap, self._d = grid.laplacian_matrix, len(axes)
         self._diag = vshift[:, None] + self.fs.numbers / self.alpha**2
@@ -292,7 +279,7 @@ class CoupledHamiltonian:
 
     def spectral_bounds(self) -> tuple[float, float]:
         """(lo, hi) containing the spectrum.  hi is Weyl's inequality on two
-        pieces known exactly: the top of h - lambda on the sector, offset plus
+        pieces known exactly: the top of h - lambda on the sector, the sum of
         the coupled groups' top levels of dsol.spectrum less lambda; and the
         top of N/alpha^2 + coupling, which at each sector site s is a sum over
         modes of r x r tridiagonals n/alpha^2 + |g_i(s)| (a + a^dag) (a phase
@@ -304,7 +291,7 @@ class CoupledHamiltonian:
         truncated space), so H >= min_x(V_eff - lambda - sum_i |alpha g_i|^2)
         at every alpha."""
         spec, r = self.dsol.spectrum, self.fs.n_max + 1
-        top_h = spec.offset + sum(e[-1] for e, c in zip(spec.levels, spec.coupled) if c)
+        top_h = sum(e[-1] for e, c in zip(spec.levels, spec.coupled) if c)
         n, k = np.arange(r), np.arange(1, r)
         ladder = np.zeros((len(self._dg), len(self._diag), r, r))
         ladder[..., n, n] = n / self.alpha**2

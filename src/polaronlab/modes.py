@@ -16,7 +16,8 @@ class ModeSet:
     """Quadrature {k_i, w_i} over nonzero reciprocal vectors, closed under k -> -k.
     ``coupled_axes``: the axes some k_i has a component along; ``axis_groups``:
     the finest partition of the axes 0, 1, 2 with every k_i inside one group,
-    over which a sum of plane waves e^{i k_i.x} separates; ``span_basis``: the
+    over which a sum of plane waves e^{i k_i.x} separates; ``group_modes``: per
+    axis group, the indices of the k_i inside it; ``span_basis``: the
     indices of the k_i, taken greedily in order, that form a basis of their span;
     ``span_pinv``: the pseudo-inverse of those k_i as rows, which takes their
     phases k_j.d to the least-squares (minimum-norm) displacement d."""
@@ -47,6 +48,8 @@ class ModeSet:
         groups = tuple(sorted(tuple(sorted(g)) for g in groups))
         object.__setattr__(self, "coupled_axes", tuple(sorted(set().union(*touched))))
         object.__setattr__(self, "axis_groups", groups)
+        object.__setattr__(self, "group_modes", tuple(
+            np.flatnonzero([bool(t & set(g)) for t in touched]) for g in groups))
         ranks = [np.linalg.matrix_rank(k[: i + 1]) for i in range(k.shape[0])]
         basis = np.flatnonzero(np.diff(ranks, prepend=0))
         object.__setattr__(self, "span_basis", basis)
@@ -80,6 +83,19 @@ class ModeSet:
             np.conj(plane_wave(grid, k).values) / (2.0 * np.pi * np.linalg.norm(k))
             for k in self.k_vectors
         ])
+
+    def group_fields(self, G: np.ndarray) -> list:
+        """Per axis group that modes act on, in ``axis_groups`` order: the
+        group, the indices of its modes and their rows of the table G of
+        ``coupling_fields`` on the group's n^|g| points, in C order over its
+        axes.  Each G_x(k_i) is constant along the other axes, so it is read
+        off G at their index 0."""
+        out = []
+        for g, idx in zip(self.axis_groups, self.group_modes):
+            if idx.size:
+                cut = tuple(slice(None) if a in g else 0 for a in range(3))
+                out.append((g, idx, G[(slice(None), *cut)][idx].reshape(idx.size, -1)))
+        return out
 
     def as_dict(self) -> dict:
         return {

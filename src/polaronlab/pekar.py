@@ -245,12 +245,6 @@ class DiscretePekarSolution(PekarSolution):
         }
 
 
-def _discrete_potential(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3) -> Field:
-    """V(x) = -2 Re sum_i w_i conj(G_x(k_i)) f_i over the coupling-field
-    table G of ``ModeSet.coupling_fields``."""
-    return Field(-2.0 * np.tensordot(modes.weights * np.conj(f), G, axes=1).real, grid)
-
-
 def _mode_amplitudes(G: np.ndarray, phi: Field) -> np.ndarray:
     """<phi, G_x(k_i) phi> = int G_x(k_i) |phi(x)|^2 dx for every mode."""
     rho = np.abs(phi.values.ravel()) ** 2
@@ -267,34 +261,25 @@ def _pin_translation(modes: ModeSet, f: np.ndarray) -> np.ndarray:
     return f * np.exp(-1j * (modes.k_vectors @ d))
 
 
-def _group_fields(modes: ModeSet, G: np.ndarray) -> list:
-    """Per coupled axis group: its number of axes, the indices of the modes
-    inside it and their coupling fields on its n^|g| points, in C order over
-    its axes.  Each G_x(k_i) is constant along the other axes, so it is read
-    off the table G at their index 0."""
-    k, groups = modes.k_vectors, []
-    for g in modes.axis_groups:
-        idx = np.flatnonzero(np.any(np.abs(k[:, list(g)]) > 1e-12, axis=1))
-        if idx.size:
-            cut = tuple(slice(None) if a in g else 0 for a in range(3))
-            groups.append((len(g), idx, G[(slice(None), *cut)][idx].reshape(idx.size, -1)))
-    return groups
+def _group_potentials(modes: ModeSet, groups: list, f: np.ndarray) -> list:
+    """V_g = -2 Re sum_{i in g} w_i conj(f_i) G_x(k_i) on the points of each
+    group of ``ModeSet.group_fields``: the terms of V built from the amplitudes f."""
+    return [-2.0 * ((modes.weights[idx] * np.conj(f[idx])) @ Gg).real for _, idx, Gg in groups]
 
 
 def _group_sweep(modes: ModeSet, groups: list, f: np.ndarray, grid: Grid3):
     """lambda, T and the amplitudes <phi, G_x(k_i) phi> of the ground state phi
     of h = p^2 + V with V built from the amplitudes f, group by group and
-    never on the grid.  V is the sum of the group terms
-    V_g = -2 Re sum_{i in g} w_i conj(f_i) G_x(k_i), each a sum of plane waves
-    of mean 0, so lambda is the sum of the groups' lowest levels; the density
-    |phi|^2 is the product of the group densities p_g = u_g[:, 0]^2 (and a
-    constant along uncoupled axes), so T = sum_g (e_g[0] - <p_g, V_g>) and
-    <phi, G_x(k_i) phi> = <p_g, G_x(k_i)> over the points of k_i's group."""
+    never on the grid.  V is the sum of the group terms V_g, each a sum of
+    plane waves of mean 0, so lambda is the sum of the groups' lowest levels;
+    the density |phi|^2 is the product of the group densities
+    p_g = u_g[:, 0]^2 (and a constant along uncoupled axes), so
+    T = sum_g (e_g[0] - <p_g, V_g>) and <phi, G_x(k_i) phi> = <p_g, G_x(k_i)>
+    over the points of k_i's group."""
     lam = T = 0.0
     f_new = np.empty_like(f)
-    for d, idx, Gg in groups:
-        v = -2.0 * ((modes.weights[idx] * np.conj(f[idx])) @ Gg).real
-        e, u = resolvent.group_eigensystem(grid, d, v)
+    for (g, idx, Gg), v in zip(groups, _group_potentials(modes, groups, f)):
+        e, u = resolvent.group_eigensystem(grid, len(g), v)
         p = u[:, 0] ** 2
         p /= p.sum()
         lam += e[0]
@@ -303,20 +288,24 @@ def _group_sweep(modes: ModeSet, groups: list, f: np.ndarray, grid: Grid3):
     return lam, T, f_new
 
 
-def _sweep_ground_state(modes: ModeSet, G: np.ndarray, f: np.ndarray, grid: Grid3):
-    """The final sweep, on the full grid: the sign-fixed, normalised ground
-    state phi of h = p^2 + V with V built from the amplitudes f, its
-    eigenvalue lambda, V, the kinetic energy T = lambda - <phi, V phi> and
-    the spectrum of h, whose split of V over the axis groups is checked.
-    phi is the outer product of the group ground vectors and lambda the
-    offset plus their lowest levels (``SeparableSpectrum.ground``)."""
-    V = _discrete_potential(modes, G, f, grid)
-    spec = resolvent.separable_spectrum(V, modes)
+def _sweep_ground_state(modes: ModeSet, groups: list, f: np.ndarray, grid: Grid3):
+    """The final sweep: the spectrum of h = p^2 + V with V built from the
+    amplitudes f, from the group terms V_g by the sweeps' group eigensystem
+    helper; its sign-fixed, normalised ground state phi, the outer product
+    of the group ground vectors, and its eigenvalue lambda
+    (``SeparableSpectrum.ground``); V on the grid, the broadcast sum of the
+    V_g, so exactly constant along uncoupled axes; and the kinetic energy
+    T = lambda - <phi, V phi>."""
+    potentials = _group_potentials(modes, groups, f)
+    spec = resolvent.separable_spectrum(grid, modes, potentials)
+    V = np.zeros(grid.shape)
+    for (g, _, _), v in zip(groups, potentials):
+        V += v.reshape([grid.n if a in g else 1 for a in range(3)])
     phi, lam = spec.ground()
     phi = _fix_phase_positive(Field(phi, grid))
     phi = phi * (1.0 / phi.norm())
-    T = lam - float(np.vdot(phi.values**2, V.values)) * grid.cell_volume
-    return phi, lam, V, T, spec
+    T = lam - float(np.vdot(phi.values**2, V)) * grid.cell_volume
+    return phi, lam, Field(V, grid), T, spec
 
 
 def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> DiscretePekarSolution:
@@ -326,13 +315,14 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
     ground state of p^2 + V (a product over the axis groups of the modes),
     pins the translation gauge of its amplitudes and mixes them in with
     damping.  The sweeps work on the M amplitudes and one small operator
-    per coupled axis group (``_group_sweep``); only the final sweep builds
-    V, phi and the spectrum on the n^3 grid (``_sweep_ground_state``), and
-    the residual is read there.  Binding is enforced: the converged state
-    must be localized along every coupled axis.
+    per coupled axis group (``_group_sweep``); the final sweep builds the
+    spectrum from the same group operators and only phi and V on the n^3
+    grid (``_sweep_ground_state``), and the residual is read there.  Binding
+    is enforced: the converged state must be localized along every coupled
+    axis.
     """
     G = modes.coupling_fields(grid)
-    groups = _group_fields(modes, G)
+    groups = modes.group_fields(G)
     f = _mode_amplitudes(G, gaussian(grid, DISCRETE_SIGMA_INIT))
     trace = []
     resid = np.inf
@@ -351,7 +341,7 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
             f"discrete Pekar fixed point not converged (residual {resid:.3e})"
         )
 
-    phi, lam, V, T, spec = _sweep_ground_state(modes, G, f, grid)
+    phi, lam, V, T, spec = _sweep_ground_state(modes, groups, f, grid)
     resid = float(np.max(np.abs(_mode_amplitudes(G, phi) - f)))
 
     # binding check: second moment along each coupled axis (minimum image),
@@ -381,8 +371,3 @@ def solve_discrete_pekar(grid: Grid3, modes: ModeSet, tol: float = 1e-9) -> Disc
         energy_trace=trace,
         spectrum=spec,
     )
-
-
-def delta_g_fields(dsol: DiscretePekarSolution) -> np.ndarray:
-    """delta G_x(k_i) = G_x(k_i) - f0(k_i) for every mode, as one (M, n, n, n) array."""
-    return dsol.modes.coupling_fields(dsol.grid) - dsol.f0[:, None, None, None]

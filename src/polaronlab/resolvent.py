@@ -8,6 +8,8 @@ axes that each contain whole mode vectors k_i.  Its eigenbasis is the tensor
 product of small dense group eigenbases (fast diagonalisation: Lynch, Rice &
 Thomas, Numer. Math. 6, 185 (1964)), which makes the gap, the resolvent and
 the ground state of each discrete Pekar sweep exact rather than iterative.
+The kernel table is read off the coupled groups' eigenbases; the full-grid
+resolvent, checked by its FFT residual, is its independent route.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .config import InvariantError, NonConvergenceError, write_json
-from .grid import Field, Grid3, apply_laplacian, inner, save_array
+from .grid import Field, Grid3, apply_laplacian, save_array
 from .modes import ModeSet
 
 
@@ -45,10 +47,6 @@ class KernelError(InvariantError, ValueError):
     """K is not symmetric, G not Hermitian, or an operator built from them not Hermitian."""
 
 
-class SeparationError(InvariantError, ValueError):
-    """V_eff does not split into one term per axis group."""
-
-
 def apply_h(sol, f: Field) -> Field:
     """h^{phi0} f = p^2 f + V_eff f."""
     if f.grid != sol.grid:
@@ -58,7 +56,7 @@ def apply_h(sol, f: Field) -> Field:
 
 @dataclass
 class SeparableSpectrum:
-    """h = p^2 + V for V = offset + sum_g V_g(x_g), diagonalised group by group.
+    """h = p^2 + V for V = sum_g V_g(x_g), diagonalised group by group.
 
     ``bases[g]`` holds the l2-unit eigenvectors of p_g^2 + V_g on the n^|g|
     points of group g as columns, ``levels[g]`` their ascending eigenvalues.
@@ -72,16 +70,15 @@ class SeparableSpectrum:
     coupled: tuple  # per group: whether a mode couples to it
     bases: list
     levels: list
-    offset: float
 
     def eigenvalues(self) -> np.ndarray:
-        return self.offset + sum(self._spread(self.levels))
+        return sum(self._spread(self.levels))
 
     def ground(self):
         """(phi, lambda) of eigen index 0: the grid array of the product of
-        the group ground vectors, and the offset plus their levels."""
+        the group ground vectors, and the sum of their levels."""
         phi = reduce(np.multiply, self._spread([u[:, 0] for u in self.bases]))
-        return phi, float(self.offset + sum(e[0] for e in self.levels))
+        return phi, float(sum(e[0] for e in self.levels))
 
     def _spread(self, arrays) -> list:
         """Per group, an array over its n^|g| points shaped to broadcast on the grid."""
@@ -101,33 +98,21 @@ class SeparableSpectrum:
         return values.reshape(self.grid.shape).transpose(np.argsort(order))
 
 
-def separable_spectrum(V: Field, modes: ModeSet) -> SeparableSpectrum:
-    """Eigendecomposition of p^2 + V over the axis groups of ``modes``.
-
-    V splits into its mean plus, per coupled group, its mean over the other
-    axes less that; SeparationError if the split misses V by more than 1e-10
-    relative, i.e. if V does not separate over the groups.
-    """
-    grid, groups = V.grid, modes.axis_groups
-    coupled = tuple(g[0] in modes.coupled_axes for g in groups)
-    vals = V.values
-    offset = float(vals.mean())
-    terms = [
-        vals.mean(axis=tuple(a for a in range(3) if a not in g), keepdims=True) - offset
-        if c else 0.0
-        for g, c in zip(groups, coupled)
-    ]
-    defect = float(np.max(np.abs(offset + sum(terms) - vals)))
-    if defect > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
-        raise SeparationError(f"V_eff misses its split over the axis groups {groups} by "
-                              f"{defect:.3e}; it does not separate")
+def separable_spectrum(grid: Grid3, modes: ModeSet, potentials) -> SeparableSpectrum:
+    """Eigendecomposition of p^2 + sum_g V_g over the axis groups of
+    ``modes``: ``potentials`` holds V_g on the n^|g| points of each group that
+    modes act on, in the order of ``ModeSet.group_fields``; an uncoupled axis
+    has V_g = 0 and carries plane waves."""
+    groups = modes.axis_groups
+    coupled = tuple(idx.size > 0 for idx in modes.group_modes)
     k, waves = grid.plane_waves
+    terms = iter(potentials)
     bases, levels = [], []
-    for g, c, vg in zip(groups, coupled, terms):
-        e, u = group_eigensystem(grid, len(g), vg) if c else (k**2, waves)
+    for g, c in zip(groups, coupled):
+        e, u = group_eigensystem(grid, len(g), next(terms)) if c else (k**2, waves)
         bases.append(u)
         levels.append(e)
-    return SeparableSpectrum(grid, groups, coupled, bases, levels, offset)
+    return SeparableSpectrum(grid, groups, coupled, bases, levels)
 
 
 def group_eigensystem(grid: Grid3, d: int, v: np.ndarray):
@@ -202,7 +187,7 @@ class KernelPair:
     epsilon: float
     modes: ModeSet
     t_table: np.ndarray  # t[a, b] = <phi0, e^{-i k_a x} R e^{-i k_b x} phi0>
-    diag_rayleigh: np.ndarray  # <u_i, (h - lambda) u_i> with u_i = R e^{-ik_i x}phi0
+    diag_rayleigh: np.ndarray  # <s_i, R s_i> on the grid, s_i = e^{-i k_i x} phi0
 
     def check(self, tol: float = 1e-10):
         if np.max(np.abs(self.K - self.K.T)) > tol:
@@ -229,30 +214,42 @@ class KernelPair:
 
 
 def build_kernels(rh: ResolventHandle) -> KernelPair:
-    """One resolvent solve u_j = R s_j per mode, s_j = e^{-i k_j x} phi0 =
-    G_j phi0 / c_j off the coupling-field table, then K, G and eps:
-    t(a, b) = <s_par(a), u_b> = <phi0, e^{-i k_a x} R e^{-i k_b x} phi0>, a
-    bilinear product of G_a phi0 / c_a with u_b (conj G_par(a) = G_a, phi0 real);
+    """K, G and eps from the table t(a, b) = <phi0, e^{-i k_a x} R e^{-i k_b x} phi0>,
+    read off the eigenbasis U_g of each axis group g that modes act on.  With
+    C_i = U_g^dag diag(e^{-i k_i x}) U_g for a mode i in g and
+    conj e^{-i k_a x} = e^{-i k_par(a) x},
+    t(a, b) = sum_{k>=1} conj(C_par(a)[k, 0]) C_b[k, 0] / (e_k - e_0) for a, b
+    in one group, and exactly 0 between groups: no eigenvector of h other than
+    phi0 is reached from phi0 by a mode of each.  Then
     K(k_i,k_j) = c_i c_j (t(i,j) + t(j,i)),
     G(k_i,k_j) = c_i c_j (t(par(i),j) + t(i,par(j))).
+
+    diag_rayleigh[j] = <s_j, u_j> on the n^3 grid, the independent route to
+    t(par(j), j): u_j = R s_j is ResolventHandle.apply's solve for
+    s_j = e^{-i k_j x} phi0 = G_j phi0 / c_j off the coupling-field table,
+    whose FFT-Laplacian residual (h - lambda) u_j - Q s_j is checked, so it
+    equals the Rayleigh form <u_j, (h - lambda) u_j> within that residual.
     """
-    sol = rh.sol
+    sol, spec = rh.sol, rh.spectrum
     grid, modes, phi = sol.grid, sol.modes, sol.phi0.values
     M = modes.M
     c = modes.coupling_constants
     w = modes.weights
     par = modes.parity
-    G = modes.coupling_fields(grid).reshape(M, -1)
+    G = modes.coupling_fields(grid)
 
     t = np.zeros((M, M), dtype=np.complex128)
+    for g, idx, Gg in modes.group_fields(G):
+        u, e = spec.bases[spec.groups.index(g)], spec.levels[spec.groups.index(g)]
+        col = (u.conj().T @ (Gg.T / c[idx] * u[:, :1]))[1:]  # C_i[k, 0] for k >= 1
+        bra = col[:, np.searchsorted(idx, par[idx])].conj().T  # C_par(a)[k, 0]
+        t[np.ix_(idx, idx)] = (bra / (e[1:] - e[0])) @ col
+
     diag_rayleigh = np.zeros(M)
     for j in range(M):
         # one solution at a time: stacking all M overruns _bundle_bytes
-        uj = rh.apply(Field(G[j].reshape(grid.shape) * phi / c[j], grid))
-        t[:, j] = G @ (phi * uj.values).ravel() * grid.cell_volume / c
-        # independent Rayleigh route: ||R^{1/2} s_j||^2 = <u_j, (h-lambda) u_j>
-        hu = apply_h(sol, uj)
-        diag_rayleigh[j] = inner(uj, Field(hu.values - sol.lam * uj.values, grid)).real
+        s = G[j] * phi / c[j]
+        diag_rayleigh[j] = np.vdot(s, rh.apply(Field(s, grid)).values).real * grid.cell_volume
 
     cc = np.outer(c, c)
     sw = np.sqrt(np.outer(w, w))

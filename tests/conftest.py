@@ -119,3 +119,8 @@ def diag_xy_dsol():
     diag = np.array([[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
     modes = ModeSet(np.vstack([px.k_vectors, diag]), np.concatenate([px.weights, [16.0, 16.0]]))
     return solve_discrete_pekar(grid, modes, tol=1e-7)
+
+
+@pytest.fixture(scope="session")
+def diag_xy_kernels(diag_xy_dsol):
+    return build_kernels(ResolventHandle(diag_xy_dsol))

@@ -13,8 +13,6 @@ import polaronlab
 from polaronlab import config, experiments, fock, pekar, resolvent
 from polaronlab.cli import _COMMANDS, EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, main
 from polaronlab.config import RunConfig, file_sha256
-from polaronlab.fock import SectorError
-from polaronlab.resolvent import SeparationError
 
 from conftest import assert_kernels_saved, assert_solution_saved
 
@@ -330,7 +328,7 @@ def _no_solve(*args, **kwargs):
 @pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
     # below every desk-small estimate (compare and scan-alpha need 766 KiB,
-    # bogoliubov-check 414 KiB, selftest 247 KiB, build-kernels 176 KiB,
+    # bogoliubov-check 414 KiB, selftest 249 KiB, build-kernels 176 KiB,
     # solve-pekar 36 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
     monkeypatch.setattr(experiments, "build_bundle", _no_solve)
@@ -344,14 +342,14 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
 
 def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypatch, capsys):
     # hex-xyz (M = 6): the bundle alone needs 208 KiB, the normal-ordering
-    # check's direct build brings the estimate to 14 MiB
+    # check's direct build brings the estimate to 7 MiB
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 20)
     monkeypatch.setattr(experiments, "build_bundle", _no_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mode_preset = hex-xyz\n")
     code = main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVARIANT
-    assert "selftest needs about 14 MiB" in capsys.readouterr().err
+    assert "selftest needs about 7 MiB" in capsys.readouterr().err
 
 
 # desk-small at grid_n = 64: the bundle needs 56.1 MiB; the compare states,
@@ -374,20 +372,6 @@ def test_preflight_counts_the_bundle_of_every_verb_that_builds_one(
     code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVARIANT
     assert f"{verb} needs about {_GRID64_MIB[verb]} MiB" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("error", [SectorError, SeparationError], ids=lambda e: e.__name__)
-def test_sector_and_separation_failures_exit_as_invariant_failures(
-    error, tmp_path, monkeypatch, capsys
-):
-    from polaronlab import experiments
-
-    def fail(*args, **kwargs):
-        raise error("the model does not separate")
-
-    monkeypatch.setattr(experiments, "build_bundle", fail)
-    assert main(["build-kernels", "--out", str(tmp_path)]) == EXIT_INVARIANT
-    assert "invariant failure" in capsys.readouterr().err
 
 
 def test_mode_preset_the_box_cannot_hold_is_a_config_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from polaronlab import quasifree as qf
 from polaronlab import config
 from polaronlab.config import load_config
 from polaronlab.modes import mode_preset
-from polaronlab.pekar import delta_g_fields
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +274,8 @@ def sector_matrix(H):
     lap = sum(reduce(sp.kron, [lap1 if b == a else eye for b in range(len(axes))])
               for a in range(len(axes)))
     h = lap + sp.diags(dsol.V_eff.values[cut].ravel() - dsol.lam)
-    dg = delta_g_fields(dsol)[(slice(None), *cut)].reshape(fs.M, -1)
+    G = dsol.modes.coupling_fields(dsol.grid)[(slice(None), *cut)].reshape(fs.M, -1)
+    dg = G - dsol.f0[:, None]  # delta G_i = G_i - f0_i
     g = np.sqrt(dsol.modes.weights)[:, None] * dg
     coupling = sum(sp.kron(sp.diags(g[i] / alpha), fk.ladder(i, fs).T) for i in range(fs.M))
     return (sp.kron(h, sp.identity(fs.dim))

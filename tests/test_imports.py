@@ -4,7 +4,8 @@ top-level function or class, public or private, and every method or
 property of a class has a caller in the package or the benchmark; scipy
 loads only where a sparse matrix is built; memory is charged in
 one place; every failure type carries its exit code through its base; only
-fock.FockSpace lays out the Fock basis."""
+fock.FockSpace lays out the Fock basis; no array is reduced by its mean along
+an axis."""
 
 import ast
 import importlib
@@ -149,6 +150,24 @@ def test_only_fock_space_lays_out_the_fock_basis():
                       if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
                       and mentions(n.left, bound)]
     assert not found, "Fock basis laid out outside FockSpace:\n" + "\n".join(found)
+
+
+def test_no_function_reduces_an_array_by_its_mean_along_an_axis():
+    # the model separates over the axis groups by construction, and each
+    # stage reads the group data of the discrete solve; a mean over some axes
+    # (a.mean(axis=...), a.mean(0) or np.mean(a, 0)) recovers that split
+    # from an n^3 array again
+    def along_an_axis(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "mean"):
+            return False
+        on_module = isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+        return any(k.arg == "axis" for k in node.keywords) or len(node.args) > on_module
+
+    found = [f"{path.name}:{n.lineno} {ast.unparse(n)}" for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if along_an_axis(n)]
+    assert not found, "arrays reduced by a mean along an axis:\n" + "\n".join(found)
 
 
 def test_every_failure_type_carries_its_exit_code_through_one_base():

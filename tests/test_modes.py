@@ -48,12 +48,15 @@ def test_axis_groups_split_presets_and_merge_off_axis_modes():
         ms = mode_preset(name, 4.0 * np.pi)
         assert ms.axis_groups == ((0,), (1,), (2,))
         assert ms.coupled_axes == axes
+        want = [[0, 1], [2, 3], [4, 5]][: len(axes)] + [[]] * (3 - len(axes))
+        assert [idx.tolist() for idx in ms.group_modes] == want
     # pair-x plus the diagonal pair +-(0.5, 0.5, 0): x and y form one group
     px = mode_preset("pair-x", 4.0 * np.pi)
     diag = np.array([[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
     ms = ModeSet(np.vstack([px.k_vectors, diag]), np.concatenate([px.weights, [16.0, 16.0]]))
     assert ms.axis_groups == ((0, 1), (2,))
     assert ms.coupled_axes == (0, 1)
+    assert [idx.tolist() for idx in ms.group_modes] == [[0, 1, 2, 3], []]
     diag_only = ModeSet(diag, np.array([16.0, 16.0]))
     assert diag_only.axis_groups == ((0, 1), (2,))
     assert diag_only.coupled_axes == (0, 1)

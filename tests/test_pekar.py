@@ -16,7 +16,6 @@ from polaronlab.pekar import (
     GAUSSIAN_OPT_SIGMA,
     DelocalizedError,
     NotNormalizedError,
-    delta_g_fields,
     minimize_pekar,
     pekar_energy,
     solve_discrete_pekar,
@@ -259,10 +258,10 @@ class TestDiscreteModel:
         assert resid < 1e-7
 
     def test_exactly_constant_along_uncoupled_axes(self, dsol):
-        # pair-x couples only x; the coupled sector relies on phi0 being
-        # constant along y and z to the last bit
-        p = dsol.phi0.values
-        assert np.array_equal(p, np.broadcast_to(p[:, :1, :1], p.shape))
+        # pair-x couples only x; the coupled sector relies on phi0 and V_eff
+        # being constant along y and z to the last bit
+        for p in (dsol.phi0.values, dsol.V_eff.values):
+            assert np.array_equal(p, np.broadcast_to(p[:, :1, :1], p.shape))
 
     def test_energy_decomposition(self, dsol):
         # E = T - sum_i w_i |f_i|^2 and lambda = T - 2 sum_i w_i |f_i|^2
@@ -276,7 +275,7 @@ class TestDiscreteModel:
 
     def test_delta_g_orthogonal_to_ground(self, dsol):
         # <phi0, delta G phi0> = 0 by construction of f0
-        for dg in delta_g_fields(dsol):
+        for dg in dsol.modes.coupling_fields(dsol.grid) - dsol.f0[:, None, None, None]:
             val = inner(dsol.phi0, Field(dg * dsol.phi0.values, dsol.grid))
             assert abs(val) < 1e-9
 
@@ -386,29 +385,64 @@ def test_pinning_pseudo_inverse_matches_least_squares(name, request):
     assert np.max(np.abs(pekar._pin_translation(modes, f) - pinned)) <= 1e-14
 
 
+def tensordot_potential(modes, G, f):
+    """V(x) = -2 Re sum_i w_i conj(f_i) G_x(k_i) on the full grid, from the
+    coupling-field table G."""
+    return -2.0 * np.tensordot(modes.weights * np.conj(f), G, axes=1).real
+
+
+def full_grid_sweep(modes, G, f, grid):
+    """lambda, T and the amplitudes <phi, G_x(k_i) phi> of a sweep by the
+    full-grid route: the tensordot potential, split over the axis groups by
+    full-grid means (the split is checked), one group eigensystem per term,
+    and phi, the product of the group ground vectors, read on the grid."""
+    V = tensordot_potential(modes, G, f)
+    offset = V.mean()
+    lam, phi, split = offset, np.ones((1, 1, 1)), offset
+    for g in modes.axis_groups:
+        term = V.mean(axis=tuple(a for a in range(3) if a not in g), keepdims=True) - offset
+        e, u = resolvent.group_eigensystem(grid, len(g), term)
+        lam, phi, split = lam + e[0], phi * u[:, 0].reshape(term.shape), split + term
+    assert np.max(np.abs(split - V)) <= 1e-12  # V separates over the groups
+    rho = phi.real**2 / (np.sum(phi.real**2) * grid.cell_volume)
+    T = lam - float(np.sum(rho * V)) * grid.cell_volume
+    return lam, T, np.tensordot(G, rho, axes=3) * grid.cell_volume
+
+
 @pytest.mark.parametrize("name", ["pair-x", "quad-xy", "hex-xyz", "axis-plus-diagonal"])
 @pytest.mark.parametrize("n", [8, 16])
 def test_group_sweep_matches_the_full_grid_route(name, n, request):
-    # lambda, T and the new amplitudes of a sweep, group by group against
-    # _discrete_potential -> separable_spectrum -> ground -> _mode_amplitudes,
-    # from the first sweep's Gaussian amplitudes and from the fixed point
+    # lambda, T and the new amplitudes of a sweep, group by group against the
+    # full-grid route, from the first sweep's Gaussian amplitudes and from the
+    # fixed point
     grid, modes = Grid3(n, 4 * np.pi), _mode_set(name, request)
     G = modes.coupling_fields(grid)
-    groups = pekar._group_fields(modes, G)
+    groups = modes.group_fields(G)
     f_init = pekar._mode_amplitudes(G, gaussian(grid, pekar.DISCRETE_SIGMA_INIT))
     for f in (f_init, solve_discrete_pekar(grid, modes, tol=1e-7).f0):
         lam, T, f_new = pekar._group_sweep(modes, groups, f, grid)
-        phi, lam_ref, _, T_ref, _ = pekar._sweep_ground_state(modes, G, f, grid)
+        lam_ref, T_ref, f_ref = full_grid_sweep(modes, G, f, grid)
         assert abs(lam - lam_ref) <= 1e-13
         assert abs(T - T_ref) <= 1e-13
-        assert np.max(np.abs(f_new - pekar._mode_amplitudes(G, phi))) <= 1e-13
+        assert np.max(np.abs(f_new - f_ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["pair-x", "quad-xy", "hex-xyz", "axis-plus-diagonal"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_potential_is_the_tensordot_of_the_coupling_fields(name, n, request):
+    # V_eff, the broadcast sum of the group terms, is the full-grid potential
+    # of the converged amplitudes: it separates over the groups by construction
+    grid, modes = Grid3(n, 4 * np.pi), _mode_set(name, request)
+    dsol = solve_discrete_pekar(grid, modes, tol=1e-7)
+    want = tensordot_potential(modes, modes.coupling_fields(grid), dsol.f0)
+    assert np.max(np.abs(dsol.V_eff.values - want)) <= 1e-13
 
 
 def test_discrete_solve_builds_grid_data_once(monkeypatch):
     # the sweeps never touch the n^3 grid: the coupling-field table and the
-    # potential are built once per solve, the potential by the final sweep
-    calls = {"potential": 0, "fields": 0}
-    potential, fields = pekar._discrete_potential, ModeSet.coupling_fields
+    # spectrum are built once per solve, the spectrum by the final sweep
+    calls = {"spectrum": 0, "fields": 0}
+    spectrum, fields = resolvent.separable_spectrum, ModeSet.coupling_fields
 
     def count(name, fn):
         def counted(*args, **kwargs):
@@ -417,9 +451,9 @@ def test_discrete_solve_builds_grid_data_once(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(pekar, "_discrete_potential", count("potential", potential))
+    monkeypatch.setattr(resolvent, "separable_spectrum", count("spectrum", spectrum))
     monkeypatch.setattr(ModeSet, "coupling_fields", count("fields", fields))
     grid = Grid3(16, 4 * np.pi)
     sol = solve_discrete_pekar(grid, mode_preset("quad-xy", grid.box_length), tol=1e-7)
     assert sol.iterations > 1
-    assert calls == {"potential": 1, "fields": 1}
+    assert calls == {"spectrum": 1, "fields": 1}

@@ -2,7 +2,9 @@
 
 The separable spectral solver is checked against the two routes it
 replaced, which live here as oracles: projected conjugate gradients for the
-resolvent and a dense eigendecomposition of h on the full grid.
+resolvent and a dense eigendecomposition of h on the full grid.  The kernel
+table, read off the group eigenbases, is checked column by column against
+full-grid resolvent solves.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from polaronlab import resolvent
 from polaronlab.experiments import build_bundle
-from polaronlab.grid import Field, Grid3, plane_wave
+from polaronlab.grid import Field, Grid3, inner, plane_wave
 from polaronlab.modes import ModeSet, mode_preset
 from polaronlab.resolvent import (
     GapError,
@@ -42,8 +44,6 @@ def test_resolvent_identities_on_random_inputs(bundle, rng):
         hu = apply_h(sol, u)
         resid = Field(hu.values - sol.lam * u.values - qv.values, bundle.grid).norm()
         assert resid <= 1e-8
-        from polaronlab.grid import inner
-
         assert abs(inner(sol.phi0, u)) <= 1e-10
         assert u.norm() <= qv.norm() / bundle.gap + 1e-12
 
@@ -129,20 +129,39 @@ def test_kernel_pair_roundtrip(bundle, tmp_path):
     assert_kernels_saved(kp, tmp_path)
 
 
-def test_resolvent_mode_vectors_match_table(bundle):
-    # one direct re-solve: u = R e^{-ik_0 x} phi0 reproduces t[., 0]
-    grid = bundle.grid
-    phi = bundle.dsol.phi0
-    pw = plane_wave(grid, bundle.modes.k_vectors[0])
-    src = Field(np.conj(pw.values) * phi.values, grid)
-    u = bundle.rh.apply(src)
-    from polaronlab.grid import inner
+# the mode sets of dsol_of and kernels_of below, with their mode counts
+MODE_COUNTS = {"pair-x": 2, "quad-xy": 4, "hex-xyz": 6, "diag-xy": 4}
 
-    for a in range(bundle.modes.M):
-        bra = Field(
-            plane_wave(grid, bundle.modes.k_vectors[a]).values * phi.values, grid
-        )
-        assert abs(inner(bra, u) - bundle.kernels.t_table[a, 0]) <= 1e-9
+
+@pytest.fixture
+def kernels_of(pair_x_kernels, quad_xy_kernels, hex_xyz_kernels, diag_xy_kernels):
+    return {"pair-x": pair_x_kernels, "quad-xy": quad_xy_kernels,
+            "hex-xyz": hex_xyz_kernels, "diag-xy": diag_xy_kernels}
+
+
+@pytest.mark.parametrize("which, j", [(w, j) for w, M in MODE_COUNTS.items() for j in range(M)])
+def test_resolvent_mode_vectors_match_table(which, j, dsol_of, kernels_of):
+    # the band route's column t[., j] against the grid route: one full-grid
+    # solve u = R e^{-ik_j x} phi0 and the products <e^{ik_a x} phi0, u>
+    sol = dsol_of[which]
+    grid, phi, k = sol.grid, sol.phi0.values, sol.modes.k_vectors
+    u = ResolventHandle(sol).apply(Field(np.conj(plane_wave(grid, k[j]).values) * phi, grid))
+    for a in range(sol.modes.M):
+        bra = Field(plane_wave(grid, k[a]).values * phi, grid)
+        assert abs(inner(bra, u) - kernels_of[which].t_table[a, j]) <= 1e-13
+
+
+@pytest.mark.parametrize("which", MODE_COUNTS)
+def test_no_coupling_between_axis_groups(which, kernels_of):
+    # t, K and G vanish exactly between modes of different axis groups
+    kp = kernels_of[which]
+    group_of = np.empty(kp.modes.M, dtype=int)
+    for number, idx in enumerate(kp.modes.group_modes):
+        group_of[idx] = number
+    across = group_of[:, None] != group_of[None, :]
+    assert np.any(across) == (which in ("quad-xy", "hex-xyz"))  # diag-xy: one group
+    for table in (kp.t_table, kp.K, kp.G):
+        assert np.all(table[across] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +258,6 @@ def test_sector_gap_leaves_out_the_free_axis(quad_xy_dsol):
     assert abs(rh.sector_gap - 1.6695207) <= 1e-6
 
 
-def test_non_separable_potential_is_rejected(hex_xyz_dsol):
-    grid = hex_xyz_dsol.grid
-    x, y = grid.axis[:, None, None], grid.axis[:, None]
-    bumped = hex_xyz_dsol.V_eff.values + 1e-6 * np.cos(x / 2) * np.cos(y / 2)
-    with pytest.raises(ValueError, match="does not separate"):
-        separable_spectrum(Field(bumped, grid), hex_xyz_dsol.modes)
-
-
 # ---------------------------------------------------------------------------
 # the eigenbasis transform against the dense product of the group bases
 # ---------------------------------------------------------------------------
@@ -258,15 +269,15 @@ TRANSFORM_MODES = ["pair-x", "quad-xy", "hex-xyz", "xz-pair"]
 
 def spectrum_of(name, rng):
     """The separable spectrum of p^2 + V on 8^3, V a sum of the mode set's
-    plane waves with random amplitudes."""
+    plane waves with random amplitudes, given by its group terms."""
     grid = Grid3(8, 4.0 * np.pi)
     if name == "xz-pair":
         modes = ModeSet(np.array([[0.5, 0.0, 0.5], [-0.5, 0.0, -0.5]]), [16.0, 16.0])
     else:
         modes = mode_preset(name, grid.box_length)
     f = rng.standard_normal(modes.M) + 1j * rng.standard_normal(modes.M)
-    V = np.tensordot(f, modes.coupling_fields(grid), axes=1).real
-    return separable_spectrum(Field(V, grid), modes)
+    groups = modes.group_fields(modes.coupling_fields(grid))
+    return separable_spectrum(grid, modes, [(f[idx] @ Gg).real for _, idx, Gg in groups])
 
 
 def dense_eigenbasis(spec):

@@ -2,15 +2,11 @@
 full 3-D grid route with dense ladder matrices, which lives here as a test
 oracle only."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from polaronlab import experiments as ex
 from polaronlab import fock as fk
-from polaronlab.grid import Field
-from polaronlab.pekar import delta_g_fields
 
 
 class FullGridHamiltonian:
@@ -25,10 +21,8 @@ class FullGridHamiltonian:
         self.vshift = (dsol.V_eff.values.real - dsol.lam).ravel()[:, None]
         self.ndiag = fs.occupations.sum(axis=1) / alpha**2
         self.aT = [fk.ladder(i, fs).toarray().T for i in range(fs.M)]
-        self.dg = [
-            np.sqrt(w) * dg.ravel()[:, None]
-            for w, dg in zip(dsol.modes.weights, delta_g_fields(dsol))
-        ]
+        dg = dsol.modes.coupling_fields(grid) - dsol.f0[:, None, None, None]  # delta G_i
+        self.dg = [np.sqrt(w) * g.ravel()[:, None] for w, g in zip(dsol.modes.weights, dg)]
 
     def apply(self, psi):
         n = self.grid.n
@@ -132,24 +126,6 @@ def test_quad_xy_sector_states_and_hermiticity(quad_xy_dsol, rng):
     p1, p2 = _random_state(rng, (256, fs.dim)), _random_state(rng, (256, fs.dim))
     assert H.apply(p1).shape == (256, fs.dim)
     assert abs(np.vdot(p1, H.apply(p2)) - np.vdot(H.apply(p1), p2)) <= 1e-12
-
-
-def test_constructor_rejects_field_varying_along_uncoupled_axis(bundle):
-    dsol = bundle.dsol
-    y = dsol.grid.axis[:, None]
-    bumped = dsol.V_eff.values + 1e-6 * np.cos(2.0 * np.pi * y / dsol.grid.box_length)
-    broken = dataclasses.replace(dsol, V_eff=Field(bumped, dsol.grid))
-    with pytest.raises(ValueError, match="uncoupled"):
-        fk.CoupledHamiltonian(broken, fk.FockSpace(2, 2), alpha=2.0)
-
-
-def test_constructor_rejects_delta_g_varying_along_uncoupled_axis(bundle, monkeypatch):
-    # the complex delta G fields are checked apart from the real phi0 and V_eff
-    grid = bundle.dsol.grid
-    bump = 1.0 + 1e-6 * np.cos(2.0 * np.pi * grid.axis[:, None] / grid.box_length)
-    monkeypatch.setattr(fk, "delta_g_fields", lambda dsol: delta_g_fields(dsol) * bump)
-    with pytest.raises(fk.SectorError, match="uncoupled"):
-        fk.CoupledHamiltonian(bundle.dsol, fk.FockSpace(2, 2), alpha=2.0)
 
 
 @pytest.mark.parametrize("which", ["pair-x", "quad-xy", "hex-xyz"])
