@@ -192,12 +192,18 @@ def _modes(cfg: RunConfig):
     return mode_preset(cfg.mode_preset, cfg.box_length)
 
 
-def _quadratic_bytes(M: int, n_max: int) -> int:
+def _entry_slots(modes) -> int:
+    """Entry slots a row of H_quad: the diagonal, and two for each of the P
+    mode pairs within one axis group, since K and G vanish between groups."""
+    return 1 + 2 * sum(len(idx) ** 2 for idx in modes.group_modes)
+
+
+def _quadratic_bytes(modes, n_max: int) -> int:
     """Peak of building and propagating the sparse H_quad on the Fock space
-    (M, n_max), per entry slot (1 + 2 M^2 a row); set by the build, whose moves
-    span all M^2 mode pairs, traced at 27-116 bytes (M = 2, 4, 6 and n_max
-    from 2 up to 300)."""
-    return 160 * (n_max + 1) ** M * (1 + 2 * M**2)
+    (M, n_max), per entry slot; set by the build, whose moves span the mode
+    pairs within each axis group, traced at 54-125 bytes (M = 2, 4, 6 and
+    n_max from 4 up to 300)."""
+    return 160 * (n_max + 1) ** modes.M * _entry_slots(modes)
 
 
 def pekar_bytes(cfg: RunConfig) -> int:
@@ -232,38 +238,37 @@ def _chebyshev_half_width(cfg: RunConfig, alpha: float) -> float:
 
 def compare_bytes(cfg: RunConfig) -> int:
     """compare_trajectory's peak at the largest alpha, in sector x Fock
-    states: 12 (the initial state, the matvec's output and temporaries), 2M
+    states: 10 (the initial state, the Hamiltonian's diagonal and scratch
+    state, the drift checks' products and the caller's row arithmetic), 2M
     coefficient planes of the coupling, and per sample time an accumulator,
     its share of a block product and a slot of the Chebyshev block (at least
-    two slots); plus the sparse H_quad and one Chebyshev series per sample:
+    three slots); plus the sparse H_quad and one Chebyshev series per sample:
     at x = half-width x alpha^2 x tau at most 2x + 65 terms of 16 B, and
     40 B an angle for the 4x + 128 angles of the largest one's FFT.  Traced on
-    desk-small: 264 KB at alpha = 2 (25.4 states of 10.4 KB); at alpha = 32,
-    1.70 and 5.28 MB at tau_samples = 4 and 32, set by the series;
-    desk-standard at alpha = 2, 253 MB (25.8 states of 9.8 MB)."""
+    desk-small: 247 KB at alpha = 2 (23.8 states of 10.4 KB); at alpha = 32,
+    1.47 and 5.27 MB at tau_samples = 4 and 32, set by the series;
+    desk-standard at alpha = 2, 232 MB (23.6 states of 9.8 MB)."""
     modes = _modes(cfg)
     state = cfg.grid_n ** len(modes.coupled_axes) * (cfg.n_max + 1) ** modes.M
     alpha = max(cfg.alphas)
     xs = [int(_chebyshev_half_width(cfg, alpha) * alpha**2 * tau) for tau in cfg.tau_grid[1:]]
     series = 16 * sum(2 * x + 65 for x in xs) + 40 * (4 * max(xs) + 128)
-    states = 12 + 2 * modes.M + 2 * cfg.tau_samples + max(cfg.tau_samples, 2)
-    return 16 * states * state + _quadratic_bytes(modes.M, cfg.n_max) + series
+    states = 10 + 2 * modes.M + 2 * cfg.tau_samples + max(cfg.tau_samples, 3)
+    return 16 * states * state + _quadratic_bytes(modes, cfg.n_max) + series
 
 
 def bogoliubov_bytes(cfg: RunConfig) -> int:
     """bogoliubov_table's peak: H_quad at the top cutoff."""
-    return _quadratic_bytes(_modes(cfg).M, cfg.bogoliubov_cutoffs[-1])
+    return _quadratic_bytes(_modes(cfg), cfg.bogoliubov_cutoffs[-1])
 
 
 def normal_ordering_bytes(cfg: RunConfig) -> int:
     """selftest_report's normal-ordering check, which builds H_quad directly on
     the n_max = 2 Fock space: 64 bytes per entry slot of 4^M states, and
-    64 KiB.  A row has 1 + 2P slots, P the number of mode pairs within one
-    axis group, since K and G vanish between groups (the check traced 57 KB,
-    0.28 MB and 5.1 MB for pair-x, quad-xy and hex-xyz, M = 2, 4, 6)."""
+    64 KiB (the check traced 57 KB, 0.28 MB and 5.1 MB for pair-x, quad-xy
+    and hex-xyz, M = 2, 4, 6)."""
     modes = _modes(cfg)
-    pairs = sum(len(idx) ** 2 for idx in modes.group_modes)
-    return 64 * 4**modes.M * (1 + 2 * pairs) + (1 << 16)
+    return 64 * 4**modes.M * _entry_slots(modes) + (1 << 16)
 
 
 def file_sha256(path: str) -> str:

@@ -87,7 +87,8 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     rows = []
     taus = cfg.tau_grid  # taus[0] = 0 samples the initial states themselves
     psis = [psi0, *fk.propagate(H.apply, psi0, [tau * alpha**2 for tau in taus[1:]], bounds)]
-    etas = [fs.vacuum(), *fk.propagate(Hq.dot, fs.vacuum(), taus[1:], qbounds)]
+    etas = [fs.vacuum(),
+            *fk.propagate(fk.MatrixOperator(Hq).apply, fs.vacuum(), taus[1:], qbounds)]
     for tau, psi, eta in zip(taus, psis, etas):
         # effective phonon state: exp(-i tau (N - A)) Omega, N - A = Hq - eps
         xi = np.outer(H.electron, eta * np.exp(1j * bundle.kernels.epsilon * tau))
@@ -185,7 +186,8 @@ def bogoliubov_table(kp: KernelPair, tau: float, n_max_list):
     for n_max in n_max_list:
         fs = fk.FockSpace(kp.modes.M, n_max)
         Hq = fk.build_quadratic_hamiltonian(kp, fs)
-        (psi,) = fk.propagate(Hq.dot, fs.vacuum(), [tau], fk.gershgorin_bounds(Hq))
+        bounds = fk.gershgorin_bounds(Hq)
+        (psi,) = fk.propagate(fk.MatrixOperator(Hq).apply, fs.vacuum(), [tau], bounds)
         g, p = fk.reduced_densities(psi, fs)
         rows.append(
             [

@@ -17,10 +17,14 @@ the coupled Hamiltonian and the propagator need numpy alone.
 The coupled Hamiltonian acts on its invariant sector, the grid of the
 axes the mode k-vectors span.  Its Laplacian is the real one-axis matrix
 of ``Grid3.laplacian_matrix`` applied along each sector axis, and its
-coupling moves the flat Fock index of every sector site along each mode's
-ladder, times a coefficient plane built once per Hamiltonian.  The upper end
-of its spectral interval comes from Weyl's inequality on the exact spectrum
-of h and on per-site phonon tridiagonals.
+coupling shifts the flat (sector, Fock) index of the whole state along each
+mode's ladder, times one coefficient plane per mode built once per
+Hamiltonian; sqrt(n_i) = 0 wherever a shift would cross from one site into
+the next.  The upper end of its spectral interval comes from Weyl's
+inequality on the exact spectrum of h and on per-site phonon tridiagonals,
+and its pieces are stored already mapped to the Chebyshev variable of that
+interval, so a term of the recurrence is one pass over the state with no
+temporaries.
 
 The creation operator annihilates top-occupation states (hard
 truncation); runs are expected to monitor the top-level population.
@@ -142,9 +146,10 @@ def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
     strides.  dGamma(1 - G) is n.(1 - diag G) on the diagonal, and its a_i^dag a_j
     (i != j) takes n to n - e_j + e_i with weight sqrt(n_j (n_i + 1));
     a_i^dag a_j^dag takes n to n + e_i + e_j with weight
-    sqrt((n_i + 1 + delta_ij)(n_j + 1)), and a_i a_j is its adjoint.  Moves
-    that leave the box get weight zero (hard truncation), and zero entries
-    are dropped."""
+    sqrt((n_i + 1 + delta_ij)(n_j + 1)), and a_i a_j is its adjoint.  Only
+    pairs i, j within one axis group (``ModeSet.group_modes``) move, since K
+    and G vanish between groups.  Moves that leave the box get weight zero
+    (hard truncation), and zero entries are dropped."""
     import scipy.sparse as sp
 
     M, top = fs.M, fs.n_max
@@ -152,11 +157,13 @@ def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
         raise ValueError("kernel size does not match the Fock space mode count")
     occ = fs.occupations.astype(np.int32)  # dim <= DEFAULT_DIM_CAP: int32 indices
     stride = np.array(fs.strides, dtype=np.int32)
-    i, j = np.nonzero(~np.eye(M, dtype=bool))
-    hr, hc, hv = _moves(np.sqrt(occ[:, j] * (occ[:, i] + 1.0)) * (occ[:, i] < top),
-                        stride[i] - stride[j], -kp.G[i, j])
+    i, j = np.concatenate([np.stack(np.meshgrid(g, g, indexing="ij")).reshape(2, -1)
+                           for g in kp.modes.group_modes], axis=1)
+    a, b = i[i != j], j[i != j]
+    hr, hc, hv = _moves(np.sqrt(occ[:, b] * (occ[:, a] + 1.0)) * (occ[:, a] < top),
+                        stride[a] - stride[b], -kp.G[a, b])
     # a_i^dag a_j^dag and a_j^dag a_i^dag are one move: i <= j with K_ij + K_ji
-    i, j = np.triu_indices(M)
+    i, j = i[i <= j], j[i <= j]
     d = (i == j).astype(np.int32)
     inside = (occ[:, i] + 1 + d <= top) & (occ[:, j] < top)
     pr, pc, pv = _moves(np.sqrt((occ[:, i] + 1.0 + d) * (occ[:, j] + 1)) * inside,
@@ -235,6 +242,11 @@ class CoupledHamiltonian:
     A sector vector v stands for v (x) c with c the unit-norm
     constant over the uncoupled axes, so norms, phonon numbers and trace
     distances are the full-grid ones.  ``electron`` is phi0 so embedded.
+
+    The pieces of H are stored once, already mapped to the Chebyshev
+    variable X = (H - mid) / half of ``spectral_bounds``: the one-axis
+    Laplacian, the diagonal, and per mode i the plane of a_i^dag on the
+    flat (sector, Fock) index.
     """
 
     dsol: DiscretePekarSolution
@@ -246,35 +258,58 @@ class CoupledHamiltonian:
         axes = modes.coupled_axes
         cut = tuple(slice(None) if a in axes else 0 for a in range(3))
         phi = dsol.phi0.values[cut].ravel()
-        vshift = dsol.V_eff.values[cut].ravel() - dsol.lam
         G = modes.coupling_fields(grid)[(slice(None), *cut)].reshape(modes.M, -1)
         dg = np.sqrt(modes.weights)[:, None] * (G - dsol.f0[:, None])
         self.electron = np.sqrt(grid.n ** (3 - len(axes)) * grid.cell_volume) * phi
-        self._lap, self._d = grid.laplacian_matrix, len(axes)
-        self._diag = vshift[:, None] + self.fs.numbers / self.alpha**2
-        # g_i = alpha^-1 sqrt(w_i) delta G_i is the coefficient of a_i^dag; its
-        # plane g_i(s) w scales mode i's ladder (stride, w) in fs.ladders, 0
-        # where the shift would wrap; a_i shifts back with the conjugate plane
-        self._dg = [g / self.alpha for g in dg]
-        ups = [(stride, g[:, None] * w) for g, (stride, w) in zip(self._dg, self.fs.ladders)]
-        self._shifts = [(stride, up, np.conj(up)) for stride, up in ups]
+        self._d = len(axes)
+        self._vshift = dsol.V_eff.values[cut].ravel() - dsol.lam
+        # g_i = alpha^-1 sqrt(w_i) delta G_i is the coefficient of a_i^dag
+        self._g = dg / self.alpha
+        lo, hi = self.spectral_bounds()
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        self._mid, self._half = mid, half
+        self._lap = grid.laplacian_matrix / half
+        diag = self._vshift[:, None] + self.fs.numbers / self.alpha**2
+        self._diag = ((diag - mid) / half).ravel()
+        # a_i^dag moves flat index f to f + stride with weight g_i(site) w, the
+        # destination's sqrt(n_i); n_i = 0 at every Fock index below the
+        # stride, so a shift across a site boundary has weight exactly 0.
+        # a_i moves back with the conjugate plane
+        self._planes = []
+        for g, (stride, w) in zip(self._g, self.fs.ladders):
+            up = np.zeros((len(g), self.fs.dim), dtype=np.complex128)
+            up[:, stride:] = g[:, None] * w / half
+            up = up.ravel()[stride:]
+            self._planes.append((stride, up, np.conj(up)))
+        self._scratch = np.empty(len(self._vshift) * self.fs.dim, dtype=np.complex128)
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """H psi for psi of shape (sector_size, fock_dim), in any memory layout."""
+    def apply(self, psi: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0,
+              shift: float = 0.0) -> np.ndarray:
+        """Write scale (H - shift) psi into out (a new array if None) and return
+        it, for psi of shape (sector_size, fock_dim) in any memory layout; out
+        is C-contiguous and does not overlap psi.  That is scale half X psi +
+        scale (mid - shift) psi, built in place on out."""
         psi = np.ascontiguousarray(psi, dtype=np.complex128)
+        if out is None:
+            out = np.empty_like(psi)
+        v, w, tmp = psi.reshape(-1), out.reshape(-1), self._scratch
         n = len(self._lap)
         # Laplacian: a real matmul per sector axis on the float view, so the
         # real and imaginary parts share each dgemm
-        re = psi.view(np.float64)
-        out = np.matmul(self._lap, re.reshape(n, -1)).reshape(re.shape)
+        re, tre = v.view(np.float64), tmp.view(np.float64)
+        np.matmul(self._lap, re.reshape(n, -1), out=w.view(np.float64).reshape(n, -1))
         for a in range(1, self._d):
-            out += np.matmul(self._lap, re.reshape(n**a, n, -1)).reshape(re.shape)
-        out = out.view(np.complex128)
-        out += self._diag * psi
-        # coupling: sum_i (g_i a_i^dag + conj(g_i) a_i), Fock index shifts
-        for stride, up, down in self._shifts:
-            out[:, stride:] += up * psi[:, :-stride]
-            out[:, :-stride] += down * psi[:, stride:]
+            np.matmul(self._lap, re.reshape(n**a, n, -1), out=tre.reshape(n**a, n, -1))
+            w += tmp
+        w += np.multiply(self._diag, v, out=tmp)
+        # coupling: sum_i (g_i a_i^dag + conj(g_i) a_i), flat index shifts
+        for stride, up, down in self._planes:
+            top, bottom = w[stride:], w[:-stride]
+            top += np.multiply(up, v[:-stride], out=tmp[:-stride])
+            bottom += np.multiply(down, v[stride:], out=tmp[:-stride])
+        w *= scale * self._half
+        if shift != self._mid:
+            w += np.multiply(v, scale * (self._mid - shift), out=tmp)
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
@@ -293,14 +328,14 @@ class CoupledHamiltonian:
         spec, r = self.dsol.spectrum, self.fs.n_max + 1
         top_h = sum(e[-1] for e, c in zip(spec.levels, spec.coupled) if c)
         n, k = np.arange(r), np.arange(1, r)
-        ladder = np.zeros((len(self._dg), len(self._diag), r, r))
+        ladder = np.zeros((*self._g.shape, r, r))
         ladder[..., n, n] = n / self.alpha**2
-        ladder[..., k, k - 1] = np.abs(np.array(self._dg))[..., None] * np.sqrt(k)
+        ladder[..., k, k - 1] = np.abs(self._g)[..., None] * np.sqrt(k)
         top_n = np.linalg.eigvalsh(ladder, UPLO="L")[..., -1].sum(axis=0).max()
-        c = sum(2.0 * np.max(np.abs(dg)) for dg in self._dg) * np.sqrt(self.fs.n_max)
-        # the vacuum column of the diagonal is V_eff - lambda
-        square = self._diag[:, 0] - sum(np.abs(self.alpha * dg) ** 2 for dg in self._dg)
-        lo = max(self._diag.min() - c, square.min())
+        c = 2.0 * np.abs(self._g).max(axis=1).sum() * np.sqrt(self.fs.n_max)
+        # the diagonal is V_eff - lambda at the vacuum, its least column
+        square = self._vshift - np.sum(np.abs(self.alpha * self._g) ** 2, axis=0)
+        lo = max(self._vshift.min() - c, square.min())
         return float(lo), float(top_h - self.dsol.lam + top_n)
 
 
@@ -316,23 +351,41 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     the tail reaches 1e-13 past |x| ~ 1e4).  Orders above n alias onto the kept
     ones; n = 2|x| + 64 puts them below roundoff (a margin of 64 leaves 2e-11 at 500)."""
     n, edge = 2 * int(abs(x)) + 64, int(abs(x)) + 1
-    theta = np.pi * np.arange(2 * n) / n
-    c = np.fft.fft(np.exp(-1j * x * np.cos(theta)))[: n + 1] / (2 * n)
+    # the angles die before the FFT, which keeps only its input and output
+    c = np.fft.fft(np.exp(-1j * x * np.cos(np.pi * np.arange(2 * n) / n)))[: n + 1] / (2 * n)
     c[1:] *= 2
     return c[: edge + np.flatnonzero(np.abs(c[edge:]) < 1e-13)[0]]
+
+
+class MatrixOperator:
+    """A Hermitian matrix, numpy or scipy.sparse, under ``propagate``'s
+    operator contract."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0,
+              shift: float = 0.0) -> np.ndarray:
+        """scale (A - shift) v, written into out if given."""
+        return np.multiply(self.matrix @ v - shift * v, scale, out=out)
 
 
 def propagate(apply_h, psi0: np.ndarray, times, bounds) -> list:
     """[exp(-i t H) psi0 for t in times] from one Chebyshev recurrence
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): the vectors
-    T_k(X) psi0 do not depend on t.  The recurrence writes them into a block
-    of the last max(len(times), 2) of them, and a full block is added to
-    every sample whose series runs past it with one matrix product; a sample
-    whose series ends inside the block takes only its own terms, since an
-    exact zero times an overflowed T_k is NaN.  bounds = (lo, hi) must
-    contain the spectrum of the Hermitian H; an interval that misses part
-    of it shows at some sample as a norm drift above 1e-9 or a relative
-    energy drift above 1e-8, which raise EvolutionError.
+    T_k(X) psi0 do not depend on t.  apply_h(v, out=None, scale=1.0,
+    shift=0.0) writes scale (H - shift) v into out (a new array if None),
+    which never overlaps v, and returns it: ``CoupledHamiltonian.apply``, or
+    ``MatrixOperator(A).apply`` for a matrix A.  Term k writes 2 X T_k-1
+    straight into its row of a block of the last max(len(times), 3) terms
+    and subtracts T_k-2 in place; with three rows, neither T_k-1 nor T_k-2
+    sits in the row being written.  A full block is added to every sample whose
+    series runs past it with one matrix product; a sample whose series ends
+    inside the block takes only its own terms, since an exact zero times an
+    overflowed T_k is NaN.  bounds = (lo, hi) must contain the spectrum of
+    the Hermitian H; an interval that misses part of it shows at some
+    sample as a norm drift above 1e-9 or a relative energy drift above
+    1e-8, which raise EvolutionError.
     """
     nrm0 = np.linalg.norm(psi0)
     if abs(nrm0 - 1.0) > 1e-9:
@@ -346,17 +399,18 @@ def propagate(apply_h, psi0: np.ndarray, times, bounds) -> list:
     ends = [len(c) for c in coeffs]
     out = np.stack([c[0] * psi0.ravel() for c in coeffs])
     prod = np.empty_like(out)  # a block's share of each sample
-    block = np.empty((max(len(times), 2), *psi0.shape), dtype=np.complex128)
+    block = np.empty((max(len(times), 3), *psi0.shape), dtype=np.complex128)
     rows = block.reshape(len(block), -1)
     # cur = T_k(X) psi0 with X = (H - mid) / half, whose spectrum is in [-1, 1]
-    prev, cur = 0.0, psi0
+    prev, cur = None, psi0
     for first in range(1, ends[0], len(block)):
         last = min(first + len(block), ends[0])  # the block holds T_first .. T_last-1
         for k in range(first, last):
-            nxt = apply_h(cur)
-            nxt -= mid * cur
-            nxt *= (2.0 if k > 1 else 1.0) / half
-            prev, cur = cur, np.subtract(nxt, prev, out=block[k - first])
+            nxt = apply_h(cur, out=block[k - first], scale=(2.0 if k > 1 else 1.0) / half,
+                          shift=mid)
+            if k > 1:
+                nxt -= prev
+            prev, cur = cur, nxt
         full = sum(e >= last for e in ends)
         if full:
             cblock = np.array([c[first:last] for c in coeffs[:full]])

@@ -327,7 +327,7 @@ def _no_solve(*args, **kwargs):
 
 @pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    # below every desk-small estimate (compare and scan-alpha need 766 KiB,
+    # below every desk-small estimate (compare and scan-alpha need 745 KiB,
     # bogoliubov-check 414 KiB, selftest 249 KiB, build-kernels 176 KiB,
     # solve-pekar 36 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
@@ -353,7 +353,7 @@ def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypat
 
 
 # desk-small at grid_n = 64: the bundle needs 56.1 MiB; the compare states,
-# H_quad and Chebyshev series add 4.36 MiB, bogoliubov-check's H_quad
+# H_quad and Chebyshev series add 4.20 MiB, bogoliubov-check's H_quad
 # 0.23 MiB and selftest's normal-ordering check 0.07 MiB.  A verb added to
 # the command table without an entry here fails this test.
 _GRID64_MIB = {"build-kernels": 56, "compare": 60, "scan-alpha": 60,

@@ -4,6 +4,7 @@ propagation, and reduced objects."""
 import dataclasses
 import itertools
 import tracemalloc
+import types
 from functools import reduce
 
 import numpy as np
@@ -174,6 +175,39 @@ def test_quadratic_hamiltonian_matches_ladder_products(kernels, n_max, request):
     assert np.max(np.abs(H.data - ref.data)) <= 1e-14
 
 
+@pytest.mark.parametrize("kernels, n_max", [("pair_x_kernels", 8), ("quad_xy_kernels", 3),
+                                             ("hex_xyz_kernels", 2)])
+def test_quadratic_hamiltonian_equals_the_all_pairs_assembly(kernels, n_max, request):
+    # the same assembly with every mode in one group enumerates all M^2 mode
+    # pairs; K and G are exact zeros between axis groups, so it gives the
+    # same matrix entry by entry
+    kp = request.getfixturevalue(kernels)
+    space = fk.FockSpace(kp.modes.M, n_max)
+    one_group = types.SimpleNamespace(group_modes=(np.arange(space.M),))
+    H = fk.build_quadratic_hamiltonian(kp, space)
+    ref = fk.build_quadratic_hamiltonian(dataclasses.replace(kp, modes=one_group), space)
+    H.sort_indices()
+    ref.sort_indices()
+    assert np.array_equal(H.indptr, ref.indptr) and np.array_equal(H.indices, ref.indices)
+    assert np.array_equal(H.data, ref.data)
+
+
+def test_quadratic_build_assembles_only_entries_it_keeps(hex_xyz_kernels, monkeypatch):
+    # hex-xyz 8^3 at n_max = 3 keeps 56,319 entries; the one assembled entry
+    # it drops is the vacuum's zero diagonal (all M^2 pairs assembled 166,912)
+    counts = []
+    eliminate = sp.csr_matrix.eliminate_zeros
+
+    def counted(self):
+        counts.append(self.nnz)
+        eliminate(self)
+        counts.append(self.nnz)
+
+    monkeypatch.setattr(sp.csr_matrix, "eliminate_zeros", counted)
+    fk.build_quadratic_hamiltonian(hex_xyz_kernels, fk.FockSpace(6, 3))
+    assert counts == [56_320, 56_319]
+
+
 def test_normal_ordering_identity(bundle, fs):
     # route 1: normal-ordered dGamma(1-G) minus pairing terms
     # route 2: N - A + eps assembled from raw resolvent products
@@ -229,8 +263,32 @@ def test_chebyshev_matches_dense_exponential(bundle):
     ev, P = np.linalg.eigh(Hd)
     t = 3.0
     exact = P @ (np.exp(-1j * t * ev) * (P.conj().T @ fs.vacuum()))
-    (approx,) = fk.propagate(lambda x: H @ x, fs.vacuum(), [t], (ev[0] - 1.0, ev[-1] + 1.0))
+    (approx,) = fk.propagate(fk.MatrixOperator(H).apply, fs.vacuum(), [t],
+                           (ev[0] - 1.0, ev[-1] + 1.0))
     assert np.linalg.norm(exact - approx) <= 1e-12
+
+
+@pytest.mark.parametrize("times", [[3.0], [1.5, 3.0]])
+def test_propagate_through_many_blocks_matches_dense_exponential(times, bundle):
+    # one or two samples fill a block of three rows, refilled over and over;
+    # T_k written into the row that holds T_k-2 would lose T_k-2 before its
+    # subtraction.  Both operators: H_quad as a matrix and the coupled one
+    fs = fk.FockSpace(2, 8)
+    Hq = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
+    ev = np.linalg.eigvalsh(Hq.toarray())
+    bounds = (ev[0] - 1.0, ev[-1] + 1.0)
+    exact = dense_quadratic_propagator(bundle.kernels, fs)
+    assert len(fk._chebyshev_coefficients(0.5 * (bounds[1] - bounds[0]) * times[0])) > 4 * 3
+    for t, psi in zip(times, fk.propagate(fk.MatrixOperator(Hq).apply, fs.vacuum(), times,
+                                          bounds)):
+        assert np.linalg.norm(psi - exact(t, fs.vacuum())) <= 1e-12
+    H = fk.CoupledHamiltonian(bundle.dsol, fk.FockSpace(2, 3), alpha=2.0)
+    exact = dense_sector_propagator(H)
+    psi0 = np.outer(H.electron, H.fs.vacuum())
+    lo, hi = H.spectral_bounds()
+    assert len(fk._chebyshev_coefficients(0.5 * (hi - lo) * times[0])) > 4 * 3
+    for t, psi in zip(times, fk.propagate(H.apply, psi0, times, (lo, hi))):
+        assert np.linalg.norm(psi - exact(t, psi0)) <= 1e-12
 
 
 @pytest.mark.parametrize("x", [0.0, 1.5, -7.25, 40.0, 188.0, 960.0])
@@ -258,15 +316,28 @@ def test_propagate_rejects_unnormalized(bundle):
     fs = fk.FockSpace(2, 4)
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
     with pytest.raises(ValueError):
-        fk.propagate(lambda x: H @ x, 2.0 * fs.vacuum(), [1.0], (-10.0, 10.0))
+        fk.propagate(fk.MatrixOperator(H).apply, 2.0 * fs.vacuum(), [1.0], (-10.0, 10.0))
+
+
+def sector_coupling(H):
+    """The coupling of sector_matrix, sum_i diag(g_i/alpha) (x) a_i^dag +
+    adjoint with g_i = sqrt(w_i) delta G_i, on the grid of the coupled axes
+    in C order: block diagonal over the sector sites by construction."""
+    dsol, fs = H.dsol, H.fs
+    axes = dsol.modes.coupled_axes
+    cut = tuple(slice(None) if a in axes else 0 for a in range(3))
+    G = dsol.modes.coupling_fields(dsol.grid)[(slice(None), *cut)].reshape(fs.M, -1)
+    dg = G - dsol.f0[:, None]  # delta G_i = G_i - f0_i
+    g = np.sqrt(dsol.modes.weights)[:, None] * dg
+    coupling = sum(sp.kron(sp.diags(g[i] / H.alpha), fk.ladder(i, fs).T) for i in range(fs.M))
+    return (coupling + coupling.conj().T).tocsr()
 
 
 def sector_matrix(H):
     """The coupled Hamiltonian on the flattened sector state as a sparse
     matrix of Kronecker products, built without CoupledHamiltonian.apply:
     (sector Laplacian + diag(V_eff - lambda)) (x) 1 + 1 (x) diag(N)/alpha^2
-    + sum_i diag(g_i/alpha) (x) a_i^dag + adjoint, g_i = sqrt(w_i) delta G_i,
-    on the grid of the coupled axes in C order."""
+    + sector_coupling(H), on the grid of the coupled axes in C order."""
     dsol, fs, alpha = H.dsol, H.fs, H.alpha
     axes = dsol.modes.coupled_axes
     cut = tuple(slice(None) if a in axes else 0 for a in range(3))
@@ -274,13 +345,9 @@ def sector_matrix(H):
     lap = sum(reduce(sp.kron, [lap1 if b == a else eye for b in range(len(axes))])
               for a in range(len(axes)))
     h = lap + sp.diags(dsol.V_eff.values[cut].ravel() - dsol.lam)
-    G = dsol.modes.coupling_fields(dsol.grid)[(slice(None), *cut)].reshape(fs.M, -1)
-    dg = G - dsol.f0[:, None]  # delta G_i = G_i - f0_i
-    g = np.sqrt(dsol.modes.weights)[:, None] * dg
-    coupling = sum(sp.kron(sp.diags(g[i] / alpha), fk.ladder(i, fs).T) for i in range(fs.M))
     return (sp.kron(h, sp.identity(fs.dim))
             + sp.kron(sp.identity(h.shape[0]), sp.diags(fs.numbers / alpha**2))
-            + coupling + coupling.conj().T).tocsr()
+            + sector_coupling(H)).tocsr()
 
 
 # the 8^3 ground state of each mode preset, by fixture name
@@ -465,9 +532,9 @@ def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_conf
     calls = []
     apply = fk.CoupledHamiltonian.apply
 
-    def counted(self, psi):
+    def counted(self, psi, **kwargs):
         calls.append(psi.shape)
-        return apply(self, psi)
+        return apply(self, psi, **kwargs)
 
     monkeypatch.setattr(fk.CoupledHamiltonian, "apply", counted)
     ex.compare_trajectory(bundle, desk_small_config, alpha)
@@ -484,9 +551,9 @@ def test_compare_propagates_each_state_once(bundle, desk_small_config, monkeypat
         propagations.append((getattr(apply_h, "__self__", None), len(times)))
         return propagate(apply_h, psi0, times, bounds)
 
-    def counted_apply(self, psi):
+    def counted_apply(self, psi, **kwargs):
         matvecs.append(1)
-        return apply(self, psi)
+        return apply(self, psi, **kwargs)
 
     monkeypatch.setattr(fk, "propagate", counted_propagate)
     monkeypatch.setattr(fk.CoupledHamiltonian, "apply", counted_apply)
@@ -494,7 +561,8 @@ def test_compare_propagates_each_state_once(bundle, desk_small_config, monkeypat
     samples = desk_small_config.tau_samples  # the tau = 0 row is the initial state
     assert len(propagations) == 2
     assert isinstance(propagations[0][0], fk.CoupledHamiltonian)
-    assert isinstance(propagations[1][0], sp.csr_matrix)
+    assert isinstance(propagations[1][0], fk.MatrixOperator)
+    assert isinstance(propagations[1][0].matrix, sp.csr_matrix)
     assert [n for _, n in propagations] == [samples, samples]
     assert len(matvecs) <= 101
 

@@ -7,11 +7,13 @@ import pytest
 
 from polaronlab import experiments as ex
 from polaronlab import fock as fk
+from test_fock import sector_coupling, sector_matrix
 
 
 class FullGridHamiltonian:
     """The coupled Hamiltonian on all n^3 grid points: 3-D FFT Laplacian and
-    dense ladder matrices, with the interface compare_trajectory uses."""
+    dense ladder matrices, with the interface compare_trajectory uses and
+    the operator contract of fk.propagate."""
 
     def __init__(self, dsol, fs, alpha):
         grid = dsol.grid
@@ -24,15 +26,15 @@ class FullGridHamiltonian:
         dg = dsol.modes.coupling_fields(grid) - dsol.f0[:, None, None, None]  # delta G_i
         self.dg = [np.sqrt(w) * g.ravel()[:, None] for w, g in zip(dsol.modes.weights, dg)]
 
-    def apply(self, psi):
+    def apply(self, psi, out=None, scale=1.0, shift=0.0):
         n = self.grid.n
         cube = psi.reshape(n, n, n, self.fs.dim)
         ksq = self.grid.ksq[..., None]
         lap = np.fft.ifftn(ksq * np.fft.fftn(cube, axes=(0, 1, 2)), axes=(0, 1, 2))
-        out = lap.reshape(psi.shape) + self.vshift * psi + self.ndiag * psi
+        hpsi = lap.reshape(psi.shape) + self.vshift * psi + self.ndiag * psi
         for aT, dg in zip(self.aT, self.dg):
-            out += (np.conj(dg) * (psi @ aT) + dg * (psi @ aT.T)) / self.alpha
-        return out
+            hpsi += (np.conj(dg) * (psi @ aT) + dg * (psi @ aT.T)) / self.alpha
+        return np.multiply(hpsi - shift * psi, scale, out=out)
 
     def spectral_bounds(self):
         diag = self.vshift + self.ndiag
@@ -82,6 +84,30 @@ def test_sector_apply_matches_full_grid_oracle(which, bundle, quad_xy_dsol, hex_
     got = embed(H.apply(psi), dsol.grid, axes)
     want = full.apply(embed(psi, dsol.grid, axes))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("which, n_max, site", [("pair-x", 3, 3), ("quad-xy", 2, 7)])
+def test_flat_shifts_stay_inside_each_site(which, n_max, site, bundle, quad_xy_small_dsol):
+    # all weight at the top Fock index of one site and at the vacuum of the
+    # next flat site (on quad-xy, the next row of the 8 x 8 sector), where a
+    # flat-index shift of either direction would cross the site boundary
+    dsol = {"pair-x": bundle.dsol, "quad-xy": quad_xy_small_dsol}[which]
+    fs = fk.FockSpace(dsol.modes.M, n_max)
+    axes = dsol.modes.coupled_axes
+    H = fk.CoupledHamiltonian(dsol, fs, alpha=2.0)
+    psi = np.zeros((H.electron.size, fs.dim), dtype=np.complex128)
+    psi[site, -1], psi[site + 1, 0] = 0.6, 0.8j
+    A, C, v = sector_matrix(H), sector_coupling(H), psi.ravel()
+    got = H.apply(psi)
+    assert np.max(np.abs(got.ravel() - A @ v)) <= 1e-12
+    want = FullGridHamiltonian(dsol, fs, alpha=2.0).apply(embed(psi, dsol.grid, axes))
+    assert np.max(np.abs(embed(got, dsol.grid, axes) - want)) <= 1e-12
+    # the coupling alone, apply less the coupling-free part of the Kronecker
+    # assembly, touches only the two occupied sites, each from its own amplitudes
+    coupling = got - ((A - C) @ v).reshape(psi.shape)
+    assert np.max(np.abs(coupling - (C @ v).reshape(psi.shape))) <= 1e-12
+    assert np.max(np.abs(np.delete(coupling, [site, site + 1], axis=0))) <= 1e-12
+    assert min(np.max(np.abs(coupling[site])), np.max(np.abs(coupling[site + 1]))) > 1e-2
 
 
 @pytest.mark.parametrize("which", ["quad-xy", "hex-xyz"])
