@@ -91,7 +91,7 @@ def cmd_build_kernels(cfg, manifest):
     bundle.kernels.save(os.path.join(cfg.out_dir, "kernels"))
     bundle.dsol.save(os.path.join(cfg.out_dir, "ground"))
     print(
-        f"lambda = {bundle.dsol.lam:.8f}  sector gap = {bundle.sector_gap:.8f}  "
+        f"lambda = {bundle.dsol.lam:.8f}  sector gap = {bundle.rh.sector_gap:.8f}  "
         f"epsilon = {bundle.kernels.epsilon:.8f}"
     )
     _print_diagnostics(manifest)

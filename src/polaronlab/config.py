@@ -164,7 +164,10 @@ def load_config(
 
 # memory: one peak estimate per pipeline stage, each a function of the run
 # configuration; a verb names the stages it runs, and cli.main charges their
-# sum once, before anything is allocated
+# sum once, before anything is allocated.  A process's first FFT loads
+# numpy.fft, whose import keeps 119 KB: the first stage of every verb, the
+# Pekar solve or the bundle, charges it
+_FIRST_FFT_BYTES = 1 << 17
 
 
 def available_memory() -> int | None:
@@ -207,20 +210,20 @@ def _quadratic_bytes(modes, n_max: int) -> int:
 
 
 def pekar_bytes(cfg: RunConfig) -> int:
-    """minimize_pekar's peak: 72 B a grid point.  The peak falls in its
+    """minimize_pekar's peak: the first FFT and 72 B a grid point, at its
     Euler-Lagrange check, whose transform temporaries take about 41 B a point
     on top of the unfolded phi (8 B) and the half-spectrum caches (8 B):
     traced peaks of 58, 57 and 57 B a point at n = 32, 48, 64; peak RSS, with
     pocketfft's scratch, 61 and 58 B at n = 64, 96."""
-    return 72 * cfg.grid_n**3
+    return 72 * cfg.grid_n**3 + _FIRST_FFT_BYTES
 
 
 def bundle_bytes(cfg: RunConfig) -> int:
-    """build_bundle's peak: twelve complex n^3 fields plus one per mode, and
-    64 KiB of small arrays (traced peaks: 178-274 bytes per grid point for
-    n = 8-32, M = 2-6, set by the kernel assembly's grid route; the Pekar
-    sweeps and the band route of t work on the axis groups)."""
-    return 16 * (12 + _modes(cfg).M) * cfg.grid_n**3 + (1 << 16)
+    """build_bundle's peak: the first FFT, twelve complex n^3 fields plus one
+    per mode and 64 KiB of small arrays (peaks traced after an FFT: 178-274 B
+    a grid point for n = 8-32, M = 2-6, set by the kernel assembly's grid
+    route; the Pekar sweeps and the band route of t work on the axis groups)."""
+    return 16 * (12 + _modes(cfg).M) * cfg.grid_n**3 + (1 << 16) + _FIRST_FFT_BYTES
 
 
 def _chebyshev_half_width(cfg: RunConfig, alpha: float) -> float:

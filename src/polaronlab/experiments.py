@@ -26,7 +26,6 @@ class ModelBundle:
     modes: ModeSet
     dsol: DiscretePekarSolution
     gap: float  # gap of h; (2 pi / L)^2 where an axis is uncoupled
-    sector_gap: float  # gap within the coupled axis groups
     rh: ResolventHandle
     kernels: KernelPair
     generator: qf.Generator
@@ -48,7 +47,7 @@ def build_bundle(cfg: RunConfig, manifest=None) -> ModelBundle:
         defect = gen.s_hermiticity_defect()
         manifest.record_check("generator_s_hermitian", defect <= 1e-10, defect)
         manifest.diagnostics.update(gen.zero_mode_diagnostics(dsol.f0))  # recorded, not gated
-    return ModelBundle(grid, modes, dsol, rh.gap, rh.sector_gap, rh, kp, gen)
+    return ModelBundle(grid, modes, dsol, rh.gap, rh, kp, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +77,14 @@ def compare_trajectory(bundle: ModelBundle, cfg: RunConfig, alpha: float):
     """
     fs = fk.FockSpace(bundle.modes.M, cfg.n_max)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=alpha)
-    bounds = H.spectral_bounds()
-    Hq = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
-    qbounds = fk.gershgorin_bounds(Hq)
+    Hq = fk.MatrixOperator(fk.build_quadratic_hamiltonian(bundle.kernels, fs))
     psi0 = np.outer(H.electron, fs.vacuum())
     ndiag = fs.numbers
 
     rows = []
     taus = cfg.tau_grid  # taus[0] = 0 samples the initial states themselves
-    psis = [psi0, *fk.propagate(H.apply, psi0, [tau * alpha**2 for tau in taus[1:]], bounds)]
-    etas = [fs.vacuum(),
-            *fk.propagate(fk.MatrixOperator(Hq).apply, fs.vacuum(), taus[1:], qbounds)]
+    psis = [psi0, *fk.propagate(H, psi0, [tau * alpha**2 for tau in taus[1:]])]
+    etas = [fs.vacuum(), *fk.propagate(Hq, fs.vacuum(), taus[1:])]
     for tau, psi, eta in zip(taus, psis, etas):
         # effective phonon state: exp(-i tau (N - A)) Omega, N - A = Hq - eps
         xi = np.outer(H.electron, eta * np.exp(1j * bundle.kernels.epsilon * tau))
@@ -185,9 +181,8 @@ def bogoliubov_table(kp: KernelPair, tau: float, n_max_list):
     rows = []
     for n_max in n_max_list:
         fs = fk.FockSpace(kp.modes.M, n_max)
-        Hq = fk.build_quadratic_hamiltonian(kp, fs)
-        bounds = fk.gershgorin_bounds(Hq)
-        (psi,) = fk.propagate(fk.MatrixOperator(Hq).apply, fs.vacuum(), [tau], bounds)
+        Hq = fk.MatrixOperator(fk.build_quadratic_hamiltonian(kp, fs))
+        (psi,) = fk.propagate(Hq, fs.vacuum(), [tau])
         g, p = fk.reduced_densities(psi, fs)
         rows.append(
             [

@@ -7,7 +7,8 @@ two independent assemblies (index arithmetic on the occupation table, and
 ladder products), the displaced-frame coupled Hamiltonian, and the Chebyshev
 propagator, with unitarity/energy monitoring, that evolves both: one
 expansion of exp(-iHt) gives the state at every sample time, its terms added
-to the samples a block at a time.
+to the samples a block at a time.  Each operator finds its Chebyshev
+interval once, as ``bounds``, and ``propagate(op, psi0, times)`` reads it.
 
 Only the sparse assemblies (``ladder``, ``number_operator``,
 ``build_quadratic_hamiltonian``, ``build_effective_operator_direct``) use
@@ -181,13 +182,6 @@ def build_quadratic_hamiltonian(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
     return H
 
 
-def gershgorin_bounds(H: sp.csr_matrix) -> tuple[float, float]:
-    """Gershgorin interval of the Hermitian H: d_i -/+ r_i (diagonal, off-diagonal |row| sum)."""
-    d = H.diagonal().real
-    r = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
-    return float(np.min(d - r)), float(np.max(d + r))
-
-
 def build_effective_operator_direct(kp: KernelPair, fs: FockSpace) -> sp.csr_matrix:
     """Independent route to N - A + eps from the raw resolvent table.
 
@@ -244,9 +238,9 @@ class CoupledHamiltonian:
     distances are the full-grid ones.  ``electron`` is phi0 so embedded.
 
     The pieces of H are stored once, already mapped to the Chebyshev
-    variable X = (H - mid) / half of ``spectral_bounds``: the one-axis
-    Laplacian, the diagonal, and per mode i the plane of a_i^dag on the
-    flat (sector, Fock) index.
+    variable X = (H - mid) / half of ``bounds``, found once by
+    ``spectral_bounds``: the one-axis Laplacian, the diagonal, and per mode
+    i the plane of a_i^dag on the flat (sector, Fock) index.
     """
 
     dsol: DiscretePekarSolution
@@ -265,7 +259,7 @@ class CoupledHamiltonian:
         self._vshift = dsol.V_eff.values[cut].ravel() - dsol.lam
         # g_i = alpha^-1 sqrt(w_i) delta G_i is the coefficient of a_i^dag
         self._g = dg / self.alpha
-        lo, hi = self.spectral_bounds()
+        self.bounds = lo, hi = self.spectral_bounds()
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         self._mid, self._half = mid, half
         self._lap = grid.laplacian_matrix / half
@@ -358,11 +352,14 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
 
 
 class MatrixOperator:
-    """A Hermitian matrix, numpy or scipy.sparse, under ``propagate``'s
-    operator contract."""
+    """A Hermitian matrix, numpy or scipy.sparse, under ``propagate``'s operator
+    contract; ``bounds`` is its Gershgorin interval, diagonal -/+ |row| sum."""
 
     def __init__(self, matrix):
         self.matrix = matrix
+        d = matrix.diagonal().real
+        r = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(d)
+        self.bounds = float(np.min(d - r)), float(np.max(d + r))
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0,
               shift: float = 0.0) -> np.ndarray:
@@ -370,59 +367,58 @@ class MatrixOperator:
         return np.multiply(self.matrix @ v - shift * v, scale, out=out)
 
 
-def propagate(apply_h, psi0: np.ndarray, times, bounds) -> list:
+def propagate(op, psi0: np.ndarray, times) -> list:
     """[exp(-i t H) psi0 for t in times] from one Chebyshev recurrence
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): the vectors
-    T_k(X) psi0 do not depend on t.  apply_h(v, out=None, scale=1.0,
-    shift=0.0) writes scale (H - shift) v into out (a new array if None),
-    which never overlaps v, and returns it: ``CoupledHamiltonian.apply``, or
-    ``MatrixOperator(A).apply`` for a matrix A.  Term k writes 2 X T_k-1
-    straight into its row of a block of the last max(len(times), 3) terms
-    and subtracts T_k-2 in place; with three rows, neither T_k-1 nor T_k-2
-    sits in the row being written.  A full block is added to every sample whose
-    series runs past it with one matrix product; a sample whose series ends
-    inside the block takes only its own terms, since an exact zero times an
-    overflowed T_k is NaN.  bounds = (lo, hi) must contain the spectrum of
-    the Hermitian H; an interval that misses part of it shows at some
-    sample as a norm drift above 1e-9 or a relative energy drift above
-    1e-8, which raise EvolutionError.
+    T_k(X) psi0 do not depend on t.  op, a ``CoupledHamiltonian`` or
+    ``MatrixOperator(A)``, carries the Hermitian H: op.bounds = (lo, hi)
+    contains its spectrum, and op.apply(v, out=None, scale=1.0, shift=0.0)
+    writes scale (H - shift) v into out (a new array if None), which never
+    overlaps v, and returns it.  Term k writes 2 X T_k-1 straight into its
+    row of a block of the last max(len(times), 3) terms and subtracts T_k-2
+    in place; with three rows, neither T_k-1 nor T_k-2 sits in the row
+    being written.  One matrix product adds a full block to every sample
+    whose series has not ended, with zeros past a sample's last term.  A
+    padded zero meets only the block where that sample's series ends; an
+    overflowed term there (zero times inf is NaN) would break the drift
+    limits through the sample's own last terms anyway.  An interval that
+    misses part of the spectrum shows at some sample as a norm drift above
+    1e-9 or a relative energy drift above 1e-8, which raise EvolutionError.
     """
     nrm0 = np.linalg.norm(psi0)
     if abs(nrm0 - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {nrm0}, expected 1")
-    lo, hi = bounds
+    lo, hi = op.bounds
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     series = [_chebyshev_coefficients(half * t) for t in times]
     # samples by falling series length: those still running are leading rows
     order = sorted(range(len(times)), key=lambda j: -len(series[j]))
     coeffs = [series[j] for j in order]
-    ends = [len(c) for c in coeffs]
     out = np.stack([c[0] * psi0.ravel() for c in coeffs])
     prod = np.empty_like(out)  # a block's share of each sample
     block = np.empty((max(len(times), 3), *psi0.shape), dtype=np.complex128)
     rows = block.reshape(len(block), -1)
     # cur = T_k(X) psi0 with X = (H - mid) / half, whose spectrum is in [-1, 1]
     prev, cur = None, psi0
-    for first in range(1, ends[0], len(block)):
-        last = min(first + len(block), ends[0])  # the block holds T_first .. T_last-1
+    for first in range(1, len(coeffs[0]), len(block)):
+        last = min(first + len(block), len(coeffs[0]))  # the block holds T_first .. T_last-1
         for k in range(first, last):
-            nxt = apply_h(cur, out=block[k - first], scale=(2.0 if k > 1 else 1.0) / half,
-                          shift=mid)
+            nxt = op.apply(cur, out=block[k - first], scale=(2.0 if k > 1 else 1.0) / half,
+                           shift=mid)
             if k > 1:
                 nxt -= prev
             prev, cur = cur, nxt
-        full = sum(e >= last for e in ends)
-        if full:
-            cblock = np.array([c[first:last] for c in coeffs[:full]])
-            out[:full] += np.matmul(cblock, rows[: last - first], out=prod[:full])
-        for j in range(full, sum(e > first for e in ends)):
-            out[j] += np.matmul(coeffs[j][first:], rows[: ends[j] - first], out=prod[j])
-    e0 = np.vdot(psi0, apply_h(psi0)).real
+        running = sum(len(c) > first for c in coeffs)
+        cblock = np.zeros((running, last - first), dtype=np.complex128)
+        for row, c in zip(cblock, coeffs):
+            row[: len(c) - first] = c[first:last]
+        out[:running] += np.matmul(cblock, rows[: last - first], out=prod[:running])
+    e0 = np.vdot(psi0, op.apply(psi0)).real
     states = [out[order.index(j)].reshape(psi0.shape) for j in range(len(times))]
     for t, psi in zip(times, states):
         psi *= np.exp(-1j * mid * t)
         drift = abs(np.linalg.norm(psi) - 1.0)
-        edrift = abs(np.vdot(psi, apply_h(psi)).real - e0) / max(1.0, abs(e0))
+        edrift = abs(np.vdot(psi, op.apply(psi)).real - e0) / max(1.0, abs(e0))
         if not (drift <= 1e-9 and edrift <= 1e-8):
             raise EvolutionError(
                 f"norm drift {drift:.3e}, energy drift {edrift:.3e} at t = {t:.6g}: "

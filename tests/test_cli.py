@@ -327,9 +327,9 @@ def _no_solve(*args, **kwargs):
 
 @pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    # below every desk-small estimate (compare and scan-alpha need 745 KiB,
-    # bogoliubov-check 414 KiB, selftest 249 KiB, build-kernels 176 KiB,
-    # solve-pekar 36 KiB)
+    # below every desk-small estimate (compare and scan-alpha need 873 KiB,
+    # bogoliubov-check 542 KiB, selftest 377 KiB, build-kernels 304 KiB,
+    # solve-pekar 164 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
     monkeypatch.setattr(experiments, "build_bundle", _no_solve)
     monkeypatch.setattr(pekar, "minimize_pekar", _no_solve)
@@ -341,7 +341,7 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
 
 
 def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypatch, capsys):
-    # hex-xyz (M = 6): the bundle alone needs 208 KiB, the normal-ordering
+    # hex-xyz (M = 6): the bundle alone needs 336 KiB, the normal-ordering
     # check's direct build brings the estimate to 7 MiB
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 20)
     monkeypatch.setattr(experiments, "build_bundle", _no_solve)
@@ -352,7 +352,7 @@ def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypat
     assert "selftest needs about 7 MiB" in capsys.readouterr().err
 
 
-# desk-small at grid_n = 64: the bundle needs 56.1 MiB; the compare states,
+# desk-small at grid_n = 64: the bundle needs 56.2 MiB; the compare states,
 # H_quad and Chebyshev series add 4.20 MiB, bogoliubov-check's H_quad
 # 0.23 MiB and selftest's normal-ordering check 0.07 MiB.  A verb added to
 # the command table without an entry here fails this test.

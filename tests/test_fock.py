@@ -3,9 +3,13 @@ propagation, and reduced objects."""
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,12 @@ def test_quadratic_evolution_matches_quasifree(bundle):
     assert np.max(np.abs(st.pairing - p)) <= 1e-6
 
 
+def interval(op, bounds):
+    """op under propagate's contract with the interval bounds in place of its
+    own: an exact one, or one made too narrow on purpose."""
+    return types.SimpleNamespace(apply=op.apply, bounds=bounds)
+
+
 def test_chebyshev_matches_dense_exponential(bundle):
     fs = fk.FockSpace(2, 8)
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
@@ -263,31 +273,33 @@ def test_chebyshev_matches_dense_exponential(bundle):
     ev, P = np.linalg.eigh(Hd)
     t = 3.0
     exact = P @ (np.exp(-1j * t * ev) * (P.conj().T @ fs.vacuum()))
-    (approx,) = fk.propagate(fk.MatrixOperator(H).apply, fs.vacuum(), [t],
-                           (ev[0] - 1.0, ev[-1] + 1.0))
+    (approx,) = fk.propagate(interval(fk.MatrixOperator(H), (ev[0] - 1.0, ev[-1] + 1.0)),
+                             fs.vacuum(), [t])
     assert np.linalg.norm(exact - approx) <= 1e-12
 
 
-@pytest.mark.parametrize("times", [[3.0], [1.5, 3.0]])
+@pytest.mark.parametrize("times", [[3.0], [1.5, 3.0], [3.0, 0.75, 1.5, 0.75]])
 def test_propagate_through_many_blocks_matches_dense_exponential(times, bundle):
     # one or two samples fill a block of three rows, refilled over and over;
     # T_k written into the row that holds T_k-2 would lose T_k-2 before its
-    # subtraction.  Both operators: H_quad as a matrix and the coupled one
+    # subtraction.  Unsorted and repeated times meet the zero-padded block
+    # product and the map back to the caller's order.  Both operators: H_quad
+    # as a matrix and the coupled one
     fs = fk.FockSpace(2, 8)
     Hq = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
     ev = np.linalg.eigvalsh(Hq.toarray())
     bounds = (ev[0] - 1.0, ev[-1] + 1.0)
     exact = dense_quadratic_propagator(bundle.kernels, fs)
     assert len(fk._chebyshev_coefficients(0.5 * (bounds[1] - bounds[0]) * times[0])) > 4 * 3
-    for t, psi in zip(times, fk.propagate(fk.MatrixOperator(Hq).apply, fs.vacuum(), times,
-                                          bounds)):
+    for t, psi in zip(times, fk.propagate(interval(fk.MatrixOperator(Hq), bounds),
+                                          fs.vacuum(), times)):
         assert np.linalg.norm(psi - exact(t, fs.vacuum())) <= 1e-12
     H = fk.CoupledHamiltonian(bundle.dsol, fk.FockSpace(2, 3), alpha=2.0)
     exact = dense_sector_propagator(H)
     psi0 = np.outer(H.electron, H.fs.vacuum())
-    lo, hi = H.spectral_bounds()
+    lo, hi = H.bounds
     assert len(fk._chebyshev_coefficients(0.5 * (hi - lo) * times[0])) > 4 * 3
-    for t, psi in zip(times, fk.propagate(H.apply, psi0, times, (lo, hi))):
+    for t, psi in zip(times, fk.propagate(H, psi0, times)):
         assert np.linalg.norm(psi - exact(t, psi0)) <= 1e-12
 
 
@@ -316,7 +328,7 @@ def test_propagate_rejects_unnormalized(bundle):
     fs = fk.FockSpace(2, 4)
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fs)
     with pytest.raises(ValueError):
-        fk.propagate(fk.MatrixOperator(H).apply, 2.0 * fs.vacuum(), [1.0], (-10.0, 10.0))
+        fk.propagate(fk.MatrixOperator(H), 2.0 * fs.vacuum(), [1.0])
 
 
 def sector_coupling(H):
@@ -389,7 +401,7 @@ def test_propagate_matches_dense_sector_eigh(alpha, bundle, desk_small_config):
     exact = dense_sector_propagator(H)
     psi0 = np.outer(H.electron, fs.vacuum())
     times = [tau * alpha**2 for tau in desk_small_config.tau_grid]
-    approx = fk.propagate(H.apply, psi0, times, H.spectral_bounds())
+    approx = fk.propagate(H, psi0, times)
     assert len(approx) == len(times)
     for t, psi in zip(times, approx):
         assert np.linalg.norm(psi - exact(t, psi0)) <= 1e-10
@@ -430,7 +442,7 @@ def test_spectral_bounds_upper_end_is_tight(alpha, bundle, desk_small_config):
 def test_gershgorin_bounds_contain_dense_quadratic_spectrum(n_max, bundle):
     H = fk.build_quadratic_hamiltonian(bundle.kernels, fk.FockSpace(bundle.modes.M, n_max))
     ev = np.linalg.eigvalsh(H.toarray())
-    lo, hi = fk.gershgorin_bounds(H)
+    lo, hi = fk.MatrixOperator(H).bounds
     assert lo <= ev[0] and ev[-1] <= hi
 
 
@@ -500,23 +512,23 @@ def test_propagate_rejects_too_narrow_interval(bundle, rng):
     ev = np.linalg.eigvalsh(sector_matrix(H).toarray())
     # the interval misses the top third of the dense spectrum; the samples at
     # t = 0 and 0.1 still pass both drift checks, and the one at t = 4 does not
-    narrow = (ev[0], ev[-1] - (ev[-1] - ev[0]) / 3.0)
-    assert len(fk.propagate(H.apply, psi, [0.0, 0.1], narrow)) == 2
+    narrow = interval(H, (ev[0], ev[-1] - (ev[-1] - ev[0]) / 3.0))
+    assert len(fk.propagate(narrow, psi, [0.0, 0.1])) == 2
     with pytest.raises(fk.EvolutionError, match="norm drift .* at t = 4:"):
-        fk.propagate(H.apply, psi, [0.0, 0.1, 4.0], narrow)
+        fk.propagate(narrow, psi, [0.0, 0.1, 4.0])
     # at t = 400 the recurrence overflows; the t = 0.1 sample, whose series
     # ended first, takes none of those terms and still passes
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         fk.EvolutionError, match="norm drift nan, .* at t = 400:"
     ):
-        fk.propagate(H.apply, psi, [0.0, 0.1, 400.0], narrow)
+        fk.propagate(narrow, psi, [0.0, 0.1, 400.0])
 
 
 def test_propagate_zero_time_returns_initial_state(bundle):
     fs = fk.FockSpace(bundle.modes.M, 3)
     H = fk.CoupledHamiltonian(bundle.dsol, fs, alpha=2.0)
     psi0 = np.outer(H.electron, fs.vacuum())
-    (psi,) = fk.propagate(H.apply, psi0, [0.0], H.spectral_bounds())
+    (psi,) = fk.propagate(H, psi0, [0.0])
     assert np.array_equal(psi, psi0)
 
 
@@ -543,20 +555,27 @@ def test_compare_trajectory_matvec_count(alpha, matvecs, bundle, desk_small_conf
 
 def test_compare_propagates_each_state_once(bundle, desk_small_config, monkeypatch):
     # one recurrence for psi and one for eta serve every tau sample: two
-    # propagate calls and at most 101 coupled matvecs at alpha = 2
-    propagations, matvecs = [], []
+    # propagate calls and at most 101 coupled matvecs at alpha = 2, with the
+    # coupled interval found once
+    propagations, matvecs, intervals = [], [], []
     propagate, apply = fk.propagate, fk.CoupledHamiltonian.apply
+    spectral_bounds = fk.CoupledHamiltonian.spectral_bounds
 
-    def counted_propagate(apply_h, psi0, times, bounds):
-        propagations.append((getattr(apply_h, "__self__", None), len(times)))
-        return propagate(apply_h, psi0, times, bounds)
+    def counted_propagate(op, psi0, times):
+        propagations.append((op, len(times)))
+        return propagate(op, psi0, times)
 
     def counted_apply(self, psi, **kwargs):
         matvecs.append(1)
         return apply(self, psi, **kwargs)
 
+    def counted_bounds(self):
+        intervals.append(1)
+        return spectral_bounds(self)
+
     monkeypatch.setattr(fk, "propagate", counted_propagate)
     monkeypatch.setattr(fk.CoupledHamiltonian, "apply", counted_apply)
+    monkeypatch.setattr(fk.CoupledHamiltonian, "spectral_bounds", counted_bounds)
     ex.compare_trajectory(bundle, desk_small_config, 2.0)
     samples = desk_small_config.tau_samples  # the tau = 0 row is the initial state
     assert len(propagations) == 2
@@ -565,6 +584,7 @@ def test_compare_propagates_each_state_once(bundle, desk_small_config, monkeypat
     assert isinstance(propagations[1][0].matrix, sp.csr_matrix)
     assert [n for _, n in propagations] == [samples, samples]
     assert len(matvecs) <= 101
+    assert len(intervals) == 1
 
 
 def test_compare_peak_memory_within_preflight_estimate(bundle, desk_small_config):
@@ -617,7 +637,7 @@ def test_compare_peak_memory_charges_the_chebyshev_series(
     alpha, tau_samples, bundle, desk_small_config
 ):
     # at large alpha the coefficient series and the FFT that makes them set
-    # the peak: 1.70, 5.28 and 1.48 MB traced, against a charge for the
+    # the peak: 1.47, 5.26 and 1.46 MB traced, against a charge for the
     # states and H_quad alone of 0.41, 1.28 and 1.28 MB
     cfg = dataclasses.replace(desk_small_config, alphas=[alpha], tau_samples=tau_samples)
     need = config.compare_bytes(cfg)
@@ -630,24 +650,65 @@ def test_compare_peak_memory_charges_the_chebyshev_series(
     assert 0 < peak <= need
 
 
+_FRESH_PEAKS = """\
+import dataclasses, sys, tracemalloc
+from polaronlab import config, experiments as ex
+
+
+def traced(run, need):
+    tracemalloc.start()
+    result = run()
+    print(tracemalloc.get_traced_memory()[1], need)
+    tracemalloc.stop()
+    return result
+
+
+cfg = config.load_config(preset=sys.argv[1])
+bundle = traced(lambda: ex.build_bundle(cfg), config.bundle_bytes(cfg))
+if len(sys.argv) > 2:
+    alpha = float(sys.argv[2])
+    cfg = dataclasses.replace(cfg, alphas=[alpha], tau_samples=int(sys.argv[3]))
+    import scipy.sparse  # untraced, as the compare verb imports it before any alpha
+    traced(lambda: ex.compare_trajectory(bundle, cfg, alpha), config.compare_bytes(cfg))
+"""
+
+
+def _fresh_peaks(preset, *compare):
+    """(traced peak, stage charge) of build_bundle in a fresh process, which
+    loads numpy.fft on its first FFT as the command line does, and with
+    compare = (alpha, tau_samples) of one compare_trajectory after it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fk.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _FRESH_PEAKS, preset, *map(str, compare)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return [tuple(map(int, line.split())) for line in run.stdout.splitlines()]
+
+
 @pytest.mark.parametrize("preset", ["desk-small", "desk-standard"])
 def test_bundle_peak_memory_within_preflight_estimate(preset):
-    cfg = load_config(preset=preset)
-    need = config.bundle_bytes(cfg)
-    tracemalloc.start()
-    try:
-        ex.build_bundle(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # a fresh process: about 230 KB on desk-small and 1.00 MB on
+    # desk-standard, where a process that has made an FFT traces 105 KB and
+    # 0.88 MB
+    ((peak, need),) = _fresh_peaks(preset)
     assert 0 < peak <= need <= 2 * peak
+
+
+@pytest.mark.parametrize("alpha, tau_samples", [(2.0, 4), (32.0, 4), (32.0, 1), (8.0, 32)])
+def test_fresh_process_bundle_and_compare_stay_within_their_stage_charges(alpha, tau_samples):
+    # desk-small compare peaks of about 0.27, 1.49, 1.11 and 1.48 MB
+    (bundle_peak, bundle_need), (peak, need) = _fresh_peaks("desk-small", alpha, tau_samples)
+    assert 0 < bundle_peak <= bundle_need
+    assert 0 < peak <= need
 
 
 def _selftest_estimate_and_peak(mode_preset_name):
     """The estimate the selftest verb charges, the bundle plus the
-    normal-ordering check, and the traced peak of selftest_report."""
+    normal-ordering check, less the numpy.fft import that a fresh process
+    pays and this one has paid, and the traced peak of selftest_report."""
     cfg = dataclasses.replace(load_config(preset="desk-small"), mode_preset=mode_preset_name)
-    need = config.bundle_bytes(cfg) + config.normal_ordering_bytes(cfg)
+    need = (config.bundle_bytes(cfg) + config.normal_ordering_bytes(cfg)
+            - config._FIRST_FFT_BYTES)
+    np.fft.fft(np.zeros(8))  # loads numpy.fft if no test before has
     tracemalloc.start()
     try:
         ex.selftest_report(cfg)

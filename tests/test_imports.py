@@ -4,8 +4,9 @@ top-level function or class, public or private, and every method or
 property of a class has a caller in the package or the benchmark; scipy
 loads only where a sparse matrix is built; memory is charged in
 one place; every failure type carries its exit code through its base; only
-fock.FockSpace lays out the Fock basis; no array is reduced by its mean along
-an axis."""
+fock.FockSpace lays out the Fock basis; every propagation reads its
+Chebyshev interval from its operator; no array is reduced by its mean
+along an axis."""
 
 import ast
 import importlib
@@ -150,6 +151,20 @@ def test_only_fock_space_lays_out_the_fock_basis():
                       if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
                       and mentions(n.left, bound)]
     assert not found, "Fock basis laid out outside FockSpace:\n" + "\n".join(found)
+
+
+def test_every_propagation_reads_its_interval_from_the_operator():
+    # an operator owns its Chebyshev interval: fk.propagate(op, psi0, times)
+    # reads op.bounds, so a propagate call with an interval of its own, or a
+    # spectral_bounds call outside fock.py, finds that interval again
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None))
+            if (name == "spectral_bounds" and path.name != "fock.py"
+                    or name == "propagate" and len(n.args) + len(n.keywords) != 3):
+                found.append(f"{path.name}:{n.lineno} {ast.unparse(n)}")
+    assert not found, "intervals found outside their operator:\n" + "\n".join(found)
 
 
 def test_no_function_reduces_an_array_by_its_mean_along_an_axis():

@@ -72,7 +72,7 @@ def test_build_bundle_diagonalises_h_once_after_the_pekar_sweeps(desk_small_conf
     monkeypatch.setattr(resolvent, "separable_spectrum", counted)
     bundle = build_bundle(desk_small_config)
     assert len(calls) == 1
-    assert bundle.gap == bundle.rh.gap and bundle.sector_gap == bundle.rh.sector_gap
+    assert bundle.gap == bundle.rh.gap
 
 
 def test_kernel_symmetries(bundle):

@@ -36,7 +36,8 @@ class FullGridHamiltonian:
             hpsi += (np.conj(dg) * (psi @ aT) + dg * (psi @ aT.T)) / self.alpha
         return np.multiply(hpsi - shift * psi, scale, out=out)
 
-    def spectral_bounds(self):
+    @property
+    def bounds(self):
         diag = self.vshift + self.ndiag
         c = sum(2 * np.max(np.abs(dg)) for dg in self.dg) * np.sqrt(self.fs.n_max) / self.alpha
         return diag.min() - c, self.grid.ksq.max() + diag.max() + c
