@@ -58,10 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     overrides = {"out_dir": args.out, "seed": args.seed, "alphas": args.alpha}
-    preset = args.preset
-    if preset is None and args.config is None:
-        preset = "desk-small"
-    return load_config(path=args.config, preset=preset, overrides=overrides)
+    return load_config(path=args.config, preset=args.preset, overrides=overrides)
 
 
 def cmd_solve_pekar(cfg, manifest):

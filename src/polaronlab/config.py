@@ -30,7 +30,8 @@ class ConfigError(InvariantError, ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; every field is echoed into the manifest."""
+    """Everything a run needs; every field is echoed into the manifest.
+    ConfigError unless every value is in range."""
 
     preset: str = "desk-small"
     grid_n: int = 8
@@ -45,7 +46,7 @@ class RunConfig:
     top_pop_limit: float = 2e-3
     pekar_tol: float = 1e-7
 
-    def validate(self):
+    def __post_init__(self):
         reals = [*self.alphas, self.tau_final, self.box_length, self.top_pop_limit, self.pekar_tol]
         if not all(math.isfinite(x) for x in reals):
             raise ConfigError(
@@ -65,7 +66,6 @@ class RunConfig:
             raise ConfigError("n_max must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        return self
 
     @property
     def tau_grid(self):
@@ -86,14 +86,12 @@ class RunConfig:
 PRESETS = {
     "desk-small": {},  # the RunConfig defaults
     "desk-standard": {
-        "preset": "desk-standard",
         "grid_n": 16,
         "mode_preset": "quad-xy",
         "n_max": 6,
         "alphas": [2.0, 4.0],
     },
     "pekar-hi": {
-        "preset": "pekar-hi",
         "grid_n": 48,
         "box_length": 96.0,
         "mode_preset": "none",
@@ -131,15 +129,15 @@ def load_config(
     preset: str | None = None,
     overrides: dict | None = None,
 ) -> RunConfig:
-    """Preset defaults, then config-file keys, then overrides; later wins."""
+    """Preset defaults (without one, the RunConfig defaults: desk-small), then
+    config-file keys, then overrides; later wins.  RunConfig checks them."""
     values: dict = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
-        values.update(PRESETS[preset])
-        values.setdefault("preset", preset)
+        values.update(PRESETS[preset], preset=preset)
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -159,15 +157,18 @@ def load_config(
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = val
-    return RunConfig(**values).validate()
+    return RunConfig(**values)
 
 
 # memory: one peak estimate per pipeline stage, each a function of the run
 # configuration; a verb names the stages it runs, and cli.main charges their
 # sum once, before anything is allocated.  A process's first FFT loads
 # numpy.fft, whose import keeps 119 KB: the first stage of every verb, the
-# Pekar solve or the bundle, charges it
+# Pekar solve or the bundle, charges it.  The import of scipy.sparse keeps
+# 14.2 MB (27 MiB of peak RSS, after the desk-small bundle): each stage that
+# builds H_quad, compare, bogoliubov-check or normal ordering, charges it
 _FIRST_FFT_BYTES = 1 << 17
+_SCIPY_SPARSE_BYTES = 15 << 20
 
 
 def available_memory() -> int | None:
@@ -205,8 +206,8 @@ def _quadratic_bytes(modes, n_max: int) -> int:
     """Peak of building and propagating the sparse H_quad on the Fock space
     (M, n_max), per entry slot; set by the build, whose moves span the mode
     pairs within each axis group, traced at 54-125 bytes (M = 2, 4, 6 and
-    n_max from 4 up to 300)."""
-    return 160 * (n_max + 1) ** modes.M * _entry_slots(modes)
+    n_max from 4 up to 300), and the scipy.sparse import."""
+    return 160 * (n_max + 1) ** modes.M * _entry_slots(modes) + _SCIPY_SPARSE_BYTES
 
 
 def pekar_bytes(cfg: RunConfig) -> int:
@@ -269,9 +270,9 @@ def normal_ordering_bytes(cfg: RunConfig) -> int:
     """selftest_report's normal-ordering check, which builds H_quad directly on
     the n_max = 2 Fock space: 64 bytes per entry slot of 4^M states, and
     64 KiB (the check traced 57 KB, 0.28 MB and 5.1 MB for pair-x, quad-xy
-    and hex-xyz, M = 2, 4, 6)."""
+    and hex-xyz, M = 2, 4, 6, after the scipy.sparse import it charges)."""
     modes = _modes(cfg)
-    return 64 * 4**modes.M * _entry_slots(modes) + (1 << 16)
+    return 64 * 4**modes.M * _entry_slots(modes) + (1 << 16) + _SCIPY_SPARSE_BYTES
 
 
 def file_sha256(path: str) -> str:

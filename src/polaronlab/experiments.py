@@ -210,7 +210,6 @@ def selftest_report(cfg: RunConfig, manifest=None) -> dict:
     bundle = build_bundle(cfg, manifest)
     kp = bundle.kernels
     report = {}
-    kp.check(tol=1e-8)
     report["kernel_symmetry"] = float(np.max(np.abs(kp.K - kp.K.T)))
     report["kernel_hermiticity"] = float(np.max(np.abs(kp.G - kp.G.conj().T)))
     report["epsilon_trace"] = abs(kp.epsilon - 0.5 * np.trace(kp.G).real)

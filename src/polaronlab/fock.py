@@ -240,7 +240,8 @@ class CoupledHamiltonian:
     The pieces of H are stored once, already mapped to the Chebyshev
     variable X = (H - mid) / half of ``bounds``, found once by
     ``spectral_bounds``: the one-axis Laplacian, the diagonal, and per mode
-    i the plane of a_i^dag on the flat (sector, Fock) index.
+    i the plane of a_i^dag on the flat (sector, Fock) index.  ValueError
+    unless fs has one mode per mode of dsol and alpha > 0.
     """
 
     dsol: DiscretePekarSolution
@@ -249,6 +250,10 @@ class CoupledHamiltonian:
 
     def __post_init__(self):
         dsol, grid, modes = self.dsol, self.dsol.grid, self.dsol.modes
+        if self.fs.M != modes.M:
+            raise ValueError(f"Fock space of {self.fs.M} modes for a model of {modes.M}")
+        if not self.alpha > 0:
+            raise ValueError("alpha must be positive")
         axes = modes.coupled_axes
         cut = tuple(slice(None) if a in axes else 0 for a in range(3))
         phi = dsol.phi0.values[cut].ravel()

@@ -101,10 +101,10 @@ class Grid3:
         kern[0, 0, 0] = 2.0 * np.pi * rc**2
         return kern
 
-    def is_commensurate(self, k: np.ndarray, tol: float = 1e-9) -> bool:
-        """True when exp(i k.x) is exactly periodic on this box."""
+    def is_commensurate(self, k: np.ndarray) -> bool:
+        """True when exp(i k.x) is periodic on this box, to 1e-9 in k L / 2 pi."""
         m = np.asarray(k, dtype=float) * self.box_length / (2.0 * np.pi)
-        return bool(np.all(np.abs(m - np.round(m)) < tol))
+        return bool(np.all(np.abs(m - np.round(m)) < 1e-9))
 
 
 @dataclass

@@ -44,10 +44,15 @@ SYMPLECTIC_FAIL = 1e-6
 
 @dataclass
 class Generator:
-    """2M x 2M one-body generator of the effective phonon dynamics."""
+    """2M x 2M one-body generator of the effective phonon dynamics;
+    KernelError unless S A is Hermitian to 1e-10."""
 
     A: np.ndarray
     kernels: KernelPair
+
+    def __post_init__(self):
+        if self.s_hermiticity_defect() > 1e-10:
+            raise KernelError("S.A is not Hermitian; refusing to build generator")
 
     @property
     def M(self) -> int:
@@ -81,23 +86,25 @@ class Generator:
 
 
 def build_generator(kp: KernelPair) -> Generator:
-    """Assemble the block generator from a validated kernel pair."""
-    kp.check(tol=1e-8)
+    """The block generator A of a kernel pair."""
     K, G = kp.K, kp.G
-    M = K.shape[0]
-    eye = np.eye(M)
-    A = np.block([[eye - G, K], [-K.conj(), -eye + G.conj()]])
-    gen = Generator(A=A, kernels=kp)
-    if gen.s_hermiticity_defect() > 1e-10:
-        raise KernelError("S.A is not Hermitian; refusing to build generator")
-    return gen
+    eye = np.eye(K.shape[0])
+    return Generator(A=np.block([[eye - G, K], [-K.conj(), -eye + G.conj()]]), kernels=kp)
 
 
 @dataclass
 class BogoliubovMap:
-    """Symplectic map V(t) = exp(-i (t/alpha^2) A)."""
+    """Symplectic map V(t) = exp(-i (t/alpha^2) A): SymplecticError if
+    max |V^* S V - S| exceeds SYMPLECTIC_FAIL, a warning above SYMPLECTIC_WARN."""
 
     V: np.ndarray
+
+    def __post_init__(self):
+        defect = self.symplectic_defect()
+        if defect > SYMPLECTIC_FAIL:
+            raise SymplecticError(f"symplectic defect {defect:.3e} exceeds hard limit")
+        if defect > SYMPLECTIC_WARN:
+            warnings.warn(f"symplectic defect {defect:.3e} above warn threshold")
 
     @property
     def M(self) -> int:
@@ -132,15 +139,10 @@ def _expm(X: np.ndarray) -> np.ndarray:
 
 
 def propagate_map(gen: Generator, t: float, alpha: float) -> BogoliubovMap:
+    """exp(-i (t/alpha^2) A) by ``_expm``; BogoliubovMap checks it is symplectic."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    bmap = BogoliubovMap(_expm(-1j * (t / alpha**2) * gen.A))
-    defect = bmap.symplectic_defect()
-    if defect > SYMPLECTIC_FAIL:
-        raise SymplecticError(f"symplectic defect {defect:.3e} exceeds hard limit")
-    if defect > SYMPLECTIC_WARN:
-        warnings.warn(f"symplectic defect {defect:.3e} above warn threshold")
-    return bmap
+    return BogoliubovMap(_expm(-1j * (t / alpha**2) * gen.A))
 
 
 @dataclass

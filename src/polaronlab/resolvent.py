@@ -180,6 +180,7 @@ class KernelPair:
     K[i, j] = sqrt(w_i w_j) * K(k_i, k_j), likewise for G;
     eps = Tr(G) / 2.  diag_rayleigh stores an independently computed
     route to the diagonal resolvent matrix elements for cross-checks.
+    KernelError unless K is symmetric, G Hermitian and eps = Tr(G) / 2 to 1e-8.
     """
 
     K: np.ndarray
@@ -189,12 +190,12 @@ class KernelPair:
     t_table: np.ndarray  # t[a, b] = <phi0, e^{-i k_a x} R e^{-i k_b x} phi0>
     diag_rayleigh: np.ndarray  # <s_i, R s_i> on the grid, s_i = e^{-i k_i x} phi0
 
-    def check(self, tol: float = 1e-10):
-        if np.max(np.abs(self.K - self.K.T)) > tol:
+    def __post_init__(self):
+        if np.max(np.abs(self.K - self.K.T)) > 1e-8:
             raise KernelError("K is not symmetric")
-        if np.max(np.abs(self.G - self.G.conj().T)) > tol:
+        if np.max(np.abs(self.G - self.G.conj().T)) > 1e-8:
             raise KernelError("G is not Hermitian")
-        if abs(self.epsilon - 0.5 * np.trace(self.G).real) > tol:
+        if abs(self.epsilon - 0.5 * np.trace(self.G).real) > 1e-8:
             raise KernelError("epsilon is not Tr(G)/2")
 
     def save(self, outdir: str):
@@ -256,13 +257,5 @@ def build_kernels(rh: ResolventHandle) -> KernelPair:
     Kmat = sw * cc * (t + t.T)
     Gmat = sw * cc * (t[par, :] + t[:, par])
     eps = 0.5 * float(np.trace(Gmat).real)
-    kp = KernelPair(
-        K=Kmat,
-        G=Gmat,
-        epsilon=eps,
-        modes=modes,
-        t_table=t,
-        diag_rayleigh=diag_rayleigh,
-    )
-    kp.check(tol=1e-8)
-    return kp
+    return KernelPair(K=Kmat, G=Gmat, epsilon=eps, modes=modes, t_table=t,
+                      diag_rayleigh=diag_rayleigh)

@@ -327,8 +327,8 @@ def _no_solve(*args, **kwargs):
 
 @pytest.mark.parametrize("verb", list(_COMMANDS))
 def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, capsys):
-    # below every desk-small estimate (compare and scan-alpha need 873 KiB,
-    # bogoliubov-check 542 KiB, selftest 377 KiB, build-kernels 304 KiB,
+    # below every desk-small estimate (compare and scan-alpha need 15.9 MiB,
+    # bogoliubov-check 15.5 MiB, selftest 15.4 MiB, build-kernels 304 KiB,
     # solve-pekar 164 KiB)
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 14)
     monkeypatch.setattr(experiments, "build_bundle", _no_solve)
@@ -342,30 +342,31 @@ def test_memory_preflight_exits_before_allocating(verb, tmp_path, monkeypatch, c
 
 def test_selftest_preflight_counts_the_normal_ordering_check(tmp_path, monkeypatch, capsys):
     # hex-xyz (M = 6): the bundle alone needs 336 KiB, the normal-ordering
-    # check's direct build brings the estimate to 7 MiB
+    # check's direct build and scipy.sparse import bring the estimate to 22 MiB
     monkeypatch.setattr(config, "available_memory", lambda: 1 << 20)
     monkeypatch.setattr(experiments, "build_bundle", _no_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mode_preset = hex-xyz\n")
     code = main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVARIANT
-    assert "selftest needs about 7 MiB" in capsys.readouterr().err
+    assert "selftest needs about 22 MiB" in capsys.readouterr().err
 
 
 # desk-small at grid_n = 64: the bundle needs 56.2 MiB; the compare states,
 # H_quad and Chebyshev series add 4.20 MiB, bogoliubov-check's H_quad
-# 0.23 MiB and selftest's normal-ordering check 0.07 MiB.  A verb added to
-# the command table without an entry here fails this test.
-_GRID64_MIB = {"build-kernels": 56, "compare": 60, "scan-alpha": 60,
-               "bogoliubov-check": 56, "selftest": 56}
+# 0.23 MiB and selftest's normal-ordering check 0.07 MiB, and each of these
+# three stages 15 MiB for the scipy.sparse import.  A verb added to the
+# command table without an entry here fails this test.
+_GRID64_MIB = {"build-kernels": 56, "compare": 75, "scan-alpha": 75,
+               "bogoliubov-check": 71, "selftest": 71}
 
 
 @pytest.mark.parametrize("verb", [v for v in _COMMANDS if v != "solve-pekar"])
 def test_preflight_counts_the_bundle_of_every_verb_that_builds_one(
     verb, tmp_path, monkeypatch, capsys
 ):
-    # every stage but the bundle fits in 8 MiB, so only its charge can refuse
-    monkeypatch.setattr(config, "available_memory", lambda: 8 << 20)
+    # every stage but the bundle fits in 32 MiB, so only its charge can refuse
+    monkeypatch.setattr(config, "available_memory", lambda: 32 << 20)
     monkeypatch.setattr(experiments, "build_bundle", _no_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid_n = 64\n")
@@ -402,15 +403,16 @@ def _skewed_kernels(eps):
 def test_kernel_defects_exit_as_invariant_failures(
     defect, verb, message, tmp_path, monkeypatch, capsys
 ):
-    if defect == "kernel-pair":  # far outside KernelPair.check's 1e-8
+    if defect == "kernel-pair":  # far outside the KernelPair bound of 1e-8
         monkeypatch.setattr(experiments, "build_kernels", _skewed_kernels(1e-3))
-    elif defect == "generator":  # inside KernelPair.check, outside the S.A check's 1e-10
+    elif defect == "generator":  # inside the KernelPair bound, outside the S.A bound of 1e-10
         monkeypatch.setattr(experiments, "build_kernels", _skewed_kernels(1e-9))
-    else:  # a complex diagonal in H_quad, from the G it is built with
+    else:  # a complex diagonal in H_quad, from the G it is built with: inside
+        # the KernelPair bound, outside the H_quad Hermiticity bound of 1e-10
         build = fock.build_quadratic_hamiltonian
 
         def skewed(kp, fs):
-            return build(dataclasses.replace(kp, G=kp.G + 1e-6j * np.eye(fs.M)), fs)
+            return build(dataclasses.replace(kp, G=kp.G + 4e-9j * np.eye(fs.M)), fs)
 
         monkeypatch.setattr(fock, "build_quadratic_hamiltonian", skewed)
     code = main([verb, "--out", str(tmp_path)])

@@ -668,7 +668,6 @@ bundle = traced(lambda: ex.build_bundle(cfg), config.bundle_bytes(cfg))
 if len(sys.argv) > 2:
     alpha = float(sys.argv[2])
     cfg = dataclasses.replace(cfg, alphas=[alpha], tau_samples=int(sys.argv[3]))
-    import scipy.sparse  # untraced, as the compare verb imports it before any alpha
     traced(lambda: ex.compare_trajectory(bundle, cfg, alpha), config.compare_bytes(cfg))
 """
 
@@ -676,7 +675,8 @@ if len(sys.argv) > 2:
 def _fresh_peaks(preset, *compare):
     """(traced peak, stage charge) of build_bundle in a fresh process, which
     loads numpy.fft on its first FFT as the command line does, and with
-    compare = (alpha, tau_samples) of one compare_trajectory after it."""
+    compare = (alpha, tau_samples) of one compare_trajectory after it, which
+    loads scipy.sparse on its first sparse assembly."""
     env = {**os.environ, "PYTHONPATH": str(Path(fk.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", _FRESH_PEAKS, preset, *map(str, compare)],
                          capture_output=True, text=True, env=env)
@@ -695,7 +695,8 @@ def test_bundle_peak_memory_within_preflight_estimate(preset):
 
 @pytest.mark.parametrize("alpha, tau_samples", [(2.0, 4), (32.0, 4), (32.0, 1), (8.0, 32)])
 def test_fresh_process_bundle_and_compare_stay_within_their_stage_charges(alpha, tau_samples):
-    # desk-small compare peaks of about 0.27, 1.49, 1.11 and 1.48 MB
+    # desk-small compare peaks of about 14.5, 15.7, 15.3 and 15.7 MB, of
+    # which the scipy.sparse import keeps 14.2 MB
     (bundle_peak, bundle_need), (peak, need) = _fresh_peaks("desk-small", alpha, tau_samples)
     assert 0 < bundle_peak <= bundle_need
     assert 0 < peak <= need
@@ -703,11 +704,12 @@ def test_fresh_process_bundle_and_compare_stay_within_their_stage_charges(alpha,
 
 def _selftest_estimate_and_peak(mode_preset_name):
     """The estimate the selftest verb charges, the bundle plus the
-    normal-ordering check, less the numpy.fft import that a fresh process
-    pays and this one has paid, and the traced peak of selftest_report."""
+    normal-ordering check, less the numpy.fft and scipy.sparse imports that a
+    fresh process pays and this one has paid, and the traced peak of
+    selftest_report."""
     cfg = dataclasses.replace(load_config(preset="desk-small"), mode_preset=mode_preset_name)
     need = (config.bundle_bytes(cfg) + config.normal_ordering_bytes(cfg)
-            - config._FIRST_FFT_BYTES)
+            - config._FIRST_FFT_BYTES - config._SCIPY_SPARSE_BYTES)
     np.fft.fft(np.zeros(8))  # loads numpy.fft if no test before has
     tracemalloc.start()
     try:

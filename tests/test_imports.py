@@ -3,10 +3,10 @@ a sibling; a helper two modules need is public in the one that owns it; a
 top-level function or class, public or private, and every method or
 property of a class has a caller in the package or the benchmark; scipy
 loads only where a sparse matrix is built; memory is charged in
-one place; every failure type carries its exit code through its base; only
-fock.FockSpace lays out the Fock basis; every propagation reads its
-Chebyshev interval from its operator; no array is reduced by its mean
-along an axis."""
+one place; no check runs after a model object is built; every failure
+type carries its exit code through its base; only fock.FockSpace lays out
+the Fock basis; every propagation reads its Chebyshev interval from its
+operator; no array is reduced by its mean along an axis."""
 
 import ast
 import importlib
@@ -122,6 +122,15 @@ def test_memory_is_charged_once_from_the_command_table():
                     calls.append(f"{path.name} {getattr(stmt, 'name', '<module>')}")
     assert not preflights, "preflight functions:\n" + "\n".join(preflights)
     assert calls == ["cli.py main"]
+
+
+def test_no_check_runs_after_construction():
+    # each model object checks its invariants in __post_init__, so a call to
+    # a method named check or validate would run a check after the fact
+    found = [f"{path.name}:{n.lineno} {ast.unparse(n)}" for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(n, ast.Call) and getattr(n.func, "attr", None) in ("check", "validate")]
+    assert not found, "checks run after construction:\n" + "\n".join(found)
 
 
 def test_only_fock_space_lays_out_the_fock_basis():

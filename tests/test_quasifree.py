@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from polaronlab import fock as fk
 from polaronlab import quasifree as qf
+from polaronlab.config import ConfigError
 from polaronlab.experiments import build_bundle
+from polaronlab.resolvent import KernelError
 
 
 @pytest.fixture(scope="module")
@@ -261,9 +264,37 @@ def test_density_rhs_is_structure_preserving(gen):
 
 def test_generator_requires_valid_kernels(bundle):
     kp = bundle.kernels
-    bad = replace(kp, K=kp.K + 1e-3 * np.tril(np.ones_like(kp.K), -1))
     with pytest.raises(ValueError):
-        qf.build_generator(bad)
+        qf.build_generator(replace(kp, K=kp.K + 1e-3 * np.tril(np.ones_like(kp.K), -1)))
+
+
+def _below_diagonal(a):
+    """Ones strictly below the diagonal of a square array shaped like a."""
+    return np.tril(np.ones_like(a), -1)
+
+
+# per model object, an instance that breaks one of its invariants, the error
+# its constructor refuses it with and the message that names the invariant
+_BROKEN = {
+    "kernel-pair": (lambda b, cfg: replace(b.kernels, K=b.kernels.K + 1e-3 * _below_diagonal(
+        b.kernels.K)), KernelError, "K is not symmetric"),
+    "generator": (lambda b, cfg: replace(b.generator, A=b.generator.A + 1e-6 * _below_diagonal(
+        b.generator.A)), KernelError, "S.A is not Hermitian"),
+    "bogoliubov-map": (lambda b, cfg: qf.BogoliubovMap(2.0 * np.eye(2 * b.modes.M)),
+                       qf.SymplecticError, "hard limit"),
+    "run-config": (lambda b, cfg: replace(cfg, grid_n=7), ConfigError, "grid_n"),
+    "coupled-hamiltonian-fewer-modes": (lambda b, cfg: fk.CoupledHamiltonian(
+        b.dsol, fk.FockSpace(b.modes.M - 1, 4), alpha=2.0), ValueError, "modes"),
+    "coupled-hamiltonian-more-modes": (lambda b, cfg: fk.CoupledHamiltonian(
+        b.dsol, fk.FockSpace(b.modes.M + 1, 4), alpha=2.0), ValueError, "modes"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN))
+def test_every_model_object_refuses_a_broken_instance(case, bundle, desk_small_config):
+    build, error, message = _BROKEN[case]
+    with pytest.raises(error, match=message):
+        build(bundle, desk_small_config)
 
 
 def test_translation_is_a_zero_mode_on_a_converged_grid(converged_bundle):
